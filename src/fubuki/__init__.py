@@ -12,8 +12,6 @@ from .census import (
     companion_oracle_mismatches,
     companion_scan,
     cross_check,
-    full_diagonal_buckets,
-    max_solutions_observed,
     signature_key,
 )
 from .core import ClueSet, Grid, PrescriptionRegime, PuzzleFormatError
@@ -63,10 +61,8 @@ __all__ = [
     "count_solutions",
     "cross_check",
     "find_triplet",
-    "full_diagonal_buckets",
     "generate_puzzles",
     "is_valid_shift",
-    "max_solutions_observed",
     "parse_shift_table_csv",
     "possible_shifts",
     "rigid_diagonals",

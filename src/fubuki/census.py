@@ -20,15 +20,15 @@ import logging
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice, permutations
 from math import factorial
-from typing import Iterable, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .core import ClueSet, Grid, PrescriptionRegime
 from .rng import SplitMix64
 from .solver import count_solutions
-from .theory import build_shift_table, companion_cells, shift_match_table
+from .theory import build_shift_table, companion_cells
 
 logger = logging.getLogger(__name__)
 
@@ -81,14 +81,16 @@ def _signature_counts(
     regimes: tuple[PrescriptionRegime, ...], threads: int
 ) -> list[dict[int, int]]:
     flat_cells = tuple(r.flat_cells for r in regimes)
-    if threads <= 1:
+    # more workers than cores only adds processes and merge work
+    workers = min(threads, os.cpu_count() or 1)
+    if workers <= 1:
         return _count_chunk(flat_cells, 0, TOTAL_GRIDS)
-    bounds = [TOTAL_GRIDS * i // threads for i in range(threads + 1)]
+    bounds = [TOTAL_GRIDS * i // workers for i in range(workers + 1)]
     merged: list[dict[int, int]] = [{} for _ in regimes]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
             pool.submit(_count_chunk, flat_cells, bounds[i], bounds[i + 1])
-            for i in range(threads)
+            for i in range(workers)
         ]
         for fut in futures:
             for whole, part in zip(merged, fut.result()):
@@ -105,13 +107,15 @@ class CensusReport:
     exactly k solutions (these sum to 362,880); `puzzles_by_solutions[k]` is
     the number of such puzzles. `solvable_puzzles` is the total number of
     distinct clue sets answered by at least one grid, the quantity the
-    published counts refer to.
+    published counts refer to. `counts` maps each signature key to its
+    bucket size, the raw sweep result the statistics are derived from.
     """
 
     regime: PrescriptionRegime
     total_grids: int
     grids_by_solutions: dict[int, int]
     puzzles_by_solutions: dict[int, int]
+    counts: dict[int, int] = field(default_factory=dict, repr=False)
 
     @property
     def solvable_puzzles(self) -> int:
@@ -137,27 +141,32 @@ class CensusReport:
 
     @classmethod
     def from_bucket_sizes(
-        cls, regime: PrescriptionRegime, sizes: Iterable[int]
+        cls, regime: PrescriptionRegime, sizes: dict[int, int]
     ) -> "CensusReport":
+        """Statistics of a sweep's key -> bucket size map; RuntimeError unless it holds 9!."""
         grids: Counter[int] = Counter()
         puzzles: Counter[int] = Counter()
-        for size in sizes:
+        for size in sizes.values():
             grids[size] += size
             puzzles[size] += 1
-        report = cls(
+        total = sum(grids.values())
+        if total != TOTAL_GRIDS:
+            raise RuntimeError(
+                f"{regime.value} census buckets hold {total} grids, expected {TOTAL_GRIDS}"
+            )
+        return cls(
             regime=regime,
-            total_grids=sum(grids.values()),
+            total_grids=total,
             grids_by_solutions=dict(sorted(grids.items())),
             puzzles_by_solutions=dict(sorted(puzzles.items())),
+            counts=sizes,
         )
-        assert report.total_grids == TOTAL_GRIDS
-        return report
 
 
 def census(regime: PrescriptionRegime, threads: int | None = None) -> CensusReport:
     """Sweep all grids once and report bucket statistics for one regime."""
     counts = _signature_counts((regime,), threads or 1)[0]
-    return CensusReport.from_bucket_sizes(regime, counts.values())
+    return CensusReport.from_bucket_sizes(regime, counts)
 
 
 def census_all(threads: int | None = None) -> dict[PrescriptionRegime, CensusReport]:
@@ -165,14 +174,9 @@ def census_all(threads: int | None = None) -> dict[PrescriptionRegime, CensusRep
     regimes = tuple(PrescriptionRegime)
     all_counts = _signature_counts(regimes, threads or 1)
     return {
-        regime: CensusReport.from_bucket_sizes(regime, counts.values())
+        regime: CensusReport.from_bucket_sizes(regime, counts)
         for regime, counts in zip(regimes, all_counts)
     }
-
-
-def max_solutions_observed(regime: PrescriptionRegime, threads: int | None = None) -> int:
-    """Largest number of grids answering one puzzle under the regime."""
-    return census(regime, threads).max_solutions
 
 
 class ClosedFormCount(NamedTuple):
@@ -205,12 +209,13 @@ def closed_form_puzzle_count() -> ClosedFormCount:
 
 @dataclass
 class CompanionScan:
-    """Full-diagonal statistics derived from the shift structure alone."""
+    """Full-diagonal statistics and (grid, companion) pairs from the shift structure."""
 
     total_grids: int
     grids_with_companion: int
     single_solution_puzzles: int
     solvable_puzzles: int
+    pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] = field(repr=False)
 
 
 def companion_scan() -> CompanionScan:
@@ -220,67 +225,65 @@ def companion_scan() -> CompanionScan:
     no bucketing is involved, so this is a route to the puzzle count that is
     independent of the signature census.
     """
-    table = shift_match_table()
     with_companion = 0
     puzzles = 0
+    pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     for p in permutations(range(1, 10)):
-        d = (p[0], p[4], p[8])
-        lo, mid, hi = sorted(d)
-        plus = tuple(sorted((p[1], p[5], p[6])))
-        companions = [shift for shift, req in table[(lo, mid, hi)] if req == plus]
+        companions = companion_cells(p)
         if not companions:
             puzzles += 1
         else:
             with_companion += 1
-            if all(_shifted_less(p, shift) for shift in companions):
+            pairs.extend((p, c) for c in companions)
+            if all(p < c for c in companions):
                 puzzles += 1
     return CompanionScan(
         total_grids=TOTAL_GRIDS,
         grids_with_companion=with_companion,
         single_solution_puzzles=TOTAL_GRIDS - with_companion,
         solvable_puzzles=puzzles,
+        pairs=pairs,
     )
 
 
-def _shifted_less(p: tuple[int, ...], shift: int) -> bool:
-    """Whether p precedes its shifted companion lexicographically.
+def companion_oracle_mismatches(
+    counts: dict[int, int], scan: CompanionScan, max_report: int = 5
+) -> list[str]:
+    """Check the structural companions against the brute-force census.
 
-    Index 0 is on the diagonal and unchanged; index 1 is the first cell the
-    shift touches and it gains exactly `shift`, so the sign decides.
+    `counts` maps each full-diagonal signature key to its bucket size and
+    `scan` lists every (grid, companion) pair the shift structure yields.
+    Write B(p) for grid p's bucket and C(p) for its companions. (1) Each
+    pair (p, c) holds two permutations of 1..9 with c != p and c in B(p),
+    and no pair repeats, so C(p) is a subset of B(p) - {p}. (2) A bucket of
+    s grids has exactly s * (s - 1) pairs, and every pair's key is in
+    `counts`; each of its s grids has at most s - 1 companions, so each has
+    exactly s - 1. Hence C(p) = B(p) - {p} for all 362,880 grids. Returns
+    the first `max_report` violations; empty means the routes agree.
     """
-    return shift > 0
+    return list(islice(_oracle_violations(counts, scan), max_report))
 
 
-def full_diagonal_buckets() -> dict[int, list[tuple[int, ...]]]:
-    """Every grid, grouped by its full-diagonal puzzle signature."""
+def _oracle_violations(counts: dict[int, int], scan: CompanionScan) -> Iterator[str]:
     regime = PrescriptionRegime.FULL_DIAGONAL
-    buckets: dict[int, list[tuple[int, ...]]] = {}
-    for p in permutations(range(1, 10)):
-        buckets.setdefault(signature_key(p, regime), []).append(p)
-    return buckets
-
-
-def companion_oracle_mismatches(max_report: int = 5) -> list[str]:
-    """Compare structural companions with brute-force buckets for all grids.
-
-    Returns descriptions of the first few grids (if any) whose structurally
-    derived companion set differs from the other members of their
-    full-diagonal signature bucket. An empty list means the two routes agree
-    on the complete solution set of every one of the 362,880 puzzles.
-    """
-    mismatches: list[str] = []
-    for members in full_diagonal_buckets().values():
-        member_set = set(members)
-        for p in members:
-            expected = member_set - {p}
-            derived = set(companion_cells(p))
-            if derived != expected:
-                mismatches.append(
-                    f"grid {p}: companions {sorted(derived)} != bucket {sorted(expected)}"
-                )
-                if len(mismatches) >= max_report:
-                    return mismatches
-    return mismatches
+    digits = list(range(1, 10))
+    pairs_per_key: Counter[int] = Counter()
+    for p, c in scan.pairs:
+        key = signature_key(p, regime)
+        pairs_per_key[key] += 1
+        if sorted(p) != digits or sorted(c) != digits:
+            yield f"pair {p} -> {c}: not both permutations of 1..9"
+        elif c == p:
+            yield f"pair {p} -> {c}: companion equals the grid"
+        elif signature_key(c, regime) != key:
+            yield f"pair {p} -> {c}: companion outside the grid's bucket"
+    if len(set(scan.pairs)) != len(scan.pairs):
+        yield "a (grid, companion) pair is listed more than once"
+    for key, size in counts.items():
+        if pairs_per_key[key] != size * (size - 1):
+            yield f"bucket {key:#x} of {size} grids has {pairs_per_key[key]} companion pairs"
+    for key in sorted(pairs_per_key.keys() - counts.keys()):
+        yield f"bucket {key:#x} has companion pairs but no census count"
 
 
 def cross_check(regime: PrescriptionRegime, sample: int, seed: int) -> bool:

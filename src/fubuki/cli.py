@@ -51,6 +51,16 @@ def _parse_regime(text: str) -> PrescriptionRegime:
     return PrescriptionRegime.parse(text)
 
 
+def _parse_threads(text: str) -> int:
+    try:
+        threads = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if threads < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 (default) or positive, got {threads}")
+    return threads
+
+
 def _load_puzzle(path: str) -> ClueSet:
     if path == "-":
         name, text = "<stdin>", sys.stdin.read()
@@ -165,8 +175,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         cf = closed_form_puzzle_count()
         a, b, c = cf.addends
         line(f"closed form {a} + {b} + {c}", cf.total, expected)
-        line("companion scan: solvable puzzles", companion_scan().solvable_puzzles, expected)
-        mismatches = companion_oracle_mismatches()
+        scan = companion_scan()
+        line("companion scan: solvable puzzles", scan.solvable_puzzles, expected)
+        mismatches = companion_oracle_mismatches(
+            reports[PrescriptionRegime.FULL_DIAGONAL].counts, scan
+        )
         status = "PASS" if not mismatches else "FAIL"
         print(
             f"companion oracle: {TOTAL_GRIDS - len(mismatches)}/{TOTAL_GRIDS} "
@@ -221,7 +234,7 @@ def _build_parser() -> _Parser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--regime", type=_parse_regime, help="one prescription regime")
     group.add_argument("--all", action="store_true", help="all four regimes in one sweep")
-    p.add_argument("--threads", type=int, default=0, metavar="N",
+    p.add_argument("--threads", type=_parse_threads, default=0, metavar="N",
                    help="sweep parallelism (default: FUBUKI_THREADS or all cores)")
     p.set_defaults(func=_cmd_verify)
 

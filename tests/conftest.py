@@ -1,6 +1,6 @@
 import pytest
 
-from fubuki import ClueSet, Grid, PrescriptionRegime, census_all
+from fubuki import ClueSet, Grid, PrescriptionRegime, census_all, companion_scan
 
 
 @pytest.fixture
@@ -35,3 +35,9 @@ def clue_unique(grid_unique) -> ClueSet:
 def census_reports():
     """One shared single-threaded sweep of all four regimes."""
     return census_all(threads=1)
+
+
+@pytest.fixture(scope="session")
+def full_scan():
+    """One shared companion scan of all grids."""
+    return companion_scan()

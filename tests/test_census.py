@@ -1,4 +1,7 @@
+import importlib
 from collections import Counter
+from concurrent.futures import Future
+from dataclasses import replace
 from itertools import permutations
 
 import pytest
@@ -6,16 +9,19 @@ import pytest
 from fubuki import (
     EXPECTED_PUZZLE_COUNTS,
     TOTAL_GRIDS,
+    CensusReport,
     PrescriptionRegime,
     census,
     closed_form_puzzle_count,
-    companion_scan,
+    companion_oracle_mismatches,
     cross_check,
-    full_diagonal_buckets,
-    max_solutions_observed,
     signature_key,
 )
 from fubuki.census import default_threads
+from fubuki.theory import shift_cells
+
+# the package re-exports census() under the submodule's name
+census_module = importlib.import_module("fubuki.census")
 
 R = PrescriptionRegime
 
@@ -101,10 +107,51 @@ class TestSweepMechanics:
             assert a != signature_key(grid_unique.cells, regime)
 
     def test_full_diagonal_buckets_partition_all_grids(self):
-        buckets = full_diagonal_buckets()
-        assert sum(len(m) for m in buckets.values()) == TOTAL_GRIDS
-        assert len(buckets) == EXPECTED_PUZZLE_COUNTS[R.FULL_DIAGONAL]
-        assert max(len(m) for m in buckets.values()) == 2
+        report = census(R.FULL_DIAGONAL, threads=1)
+        assert len(report.counts) == EXPECTED_PUZZLE_COUNTS[R.FULL_DIAGONAL]
+        assert sum(report.counts.values()) == TOTAL_GRIDS
+        assert max(report.counts.values()) == 2
+        assert report.max_solutions == 2
+
+    def test_report_rejects_a_short_sweep(self):
+        with pytest.raises(RuntimeError, match="362879.*362880"):
+            CensusReport.from_bucket_sizes(R.NONE, {0: TOTAL_GRIDS - 1})
+
+    def test_workers_capped_at_cores(self, monkeypatch):
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        chunks = []
+
+        def fake_chunk(flat_cells, start, stop):
+            chunks.append((start, stop))
+            return [{} for _ in flat_cells]
+
+        monkeypatch.setattr(census_module, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(census_module, "_count_chunk", fake_chunk)
+        monkeypatch.setattr(census_module.os, "cpu_count", lambda: 2)
+        census_module._signature_counts((R.NONE,), threads=64)
+        assert started == [2]
+        assert chunks == [(0, TOTAL_GRIDS // 2), (TOTAL_GRIDS // 2, TOTAL_GRIDS)]
+
+        monkeypatch.setattr(census_module.os, "cpu_count", lambda: None)
+        census_module._signature_counts((R.NONE,), threads=64)
+        assert started == [2]  # one core known: serial, no pool
+        assert chunks[-1] == (0, TOTAL_GRIDS)
 
 
 class TestClosedForm:
@@ -114,18 +161,54 @@ class TestClosedForm:
         assert cf.total == 351432
 
 
-class TestMaxSolutionsObserved:
-    def test_full_diagonal(self):
-        assert max_solutions_observed(R.FULL_DIAGONAL, threads=1) == 2
-
-
 class TestCompanionScan:
-    def test_scan_totals(self):
-        scan = companion_scan()
-        assert scan.total_grids == TOTAL_GRIDS
-        assert scan.grids_with_companion == 22896
-        assert scan.single_solution_puzzles == 339984
-        assert scan.solvable_puzzles == 351432
+    def test_scan_totals(self, full_scan):
+        assert full_scan.total_grids == TOTAL_GRIDS
+        assert full_scan.grids_with_companion == 22896
+        assert full_scan.single_solution_puzzles == 339984
+        assert full_scan.solvable_puzzles == 351432
+        assert len(full_scan.pairs) == 22896
+
+
+class TestCompanionOracle:
+    def test_agrees_on_every_grid(self, census_reports, full_scan):
+        counts = census_reports[R.FULL_DIAGONAL].counts
+        assert companion_oracle_mismatches(counts, full_scan) == []
+
+    @pytest.mark.parametrize("size, wrong", [(2, 1), (1, 2), (2, None)])
+    def test_detects_a_wrong_bucket_size(self, census_reports, full_scan, size, wrong):
+        counts = dict(census_reports[R.FULL_DIAGONAL].counts)
+        key = next(k for k, n in counts.items() if n == size)
+        if wrong is None:
+            del counts[key]
+        else:
+            counts[key] = wrong
+        assert companion_oracle_mismatches(counts, full_scan) != []
+
+    @pytest.mark.parametrize(
+        "fault", ["dropped", "not-a-permutation", "other-bucket", "equals-grid", "repeated"]
+    )
+    def test_detects_a_wrong_pair(self, census_reports, full_scan, fault):
+        pairs = list(full_scan.pairs)
+        p, c = pairs[0]
+        if fault == "dropped":
+            del pairs[0]
+        elif fault == "not-a-permutation":
+            # same diagonal and line sums as p, cells outside 1..9
+            pairs[0] = (p, shift_cells(p, 9))
+        elif fault == "other-bucket":
+            key = signature_key(p, R.FULL_DIAGONAL)
+            pairs[0] = (p, next(q for q, _ in pairs if signature_key(q, R.FULL_DIAGONAL) != key))
+        elif fault == "equals-grid":
+            pairs[0] = (p, p)
+        else:  # the reverse pair (c, p) becomes a second (p, c)
+            pairs[pairs.index((c, p))] = (p, c)
+        scan = replace(full_scan, pairs=pairs)
+        counts = census_reports[R.FULL_DIAGONAL].counts
+        assert companion_oracle_mismatches(counts, scan) != []
+
+    def test_report_is_capped(self, full_scan):
+        assert len(companion_oracle_mismatches({}, full_scan, max_report=3)) == 3
 
 
 class TestCrossCheck:

@@ -220,6 +220,26 @@ class TestVerify:
         assert "FAIL" in captured.out
         assert "mismatch" in captured.err and "46147" in captured.err
 
+    def test_oracle_mismatch_exits_3_with_detail(
+        self, monkeypatch, capsys, census_reports, full_scan
+    ):
+        import fubuki.cli as cli
+
+        detail = "pair (1, 2, 3, 4, 5, 6, 7, 8, 9) -> (9, 8, 7, 6, 5, 4, 3, 2, 1): injected"
+        monkeypatch.setattr(cli, "census", lambda regime, threads=None: census_reports[regime])
+        monkeypatch.setattr(cli, "companion_scan", lambda: full_scan)
+        monkeypatch.setattr(cli, "companion_oracle_mismatches", lambda counts, scan: [detail])
+        code = cli.main(["verify", "--regime", "full-diagonal", "--threads", "1"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "companion oracle: 362879/362880 grids match brute force FAIL" in captured.out
+        assert f"mismatch: companion oracle: {detail}" in captured.err
+
+    def test_negative_threads_exit_1_with_usage(self):
+        result = run_cli("verify", "--regime", "none", "--threads", "-1")
+        assert result.returncode == 1
+        assert "usage:" in result.stderr and "--threads" in result.stderr
+
 
 class TestUsage:
     def test_no_command_exits_1(self):
