@@ -143,7 +143,7 @@ class CensusReport:
     def from_bucket_sizes(
         cls, regime: PrescriptionRegime, sizes: dict[int, int]
     ) -> "CensusReport":
-        """Statistics of a sweep's key -> bucket size map; RuntimeError unless it holds 9!."""
+        """Report on a sweep's bucket sizes by key; RuntimeError unless they hold all grids."""
         grids: Counter[int] = Counter()
         puzzles: Counter[int] = Counter()
         for size in sizes.values():

@@ -150,7 +150,7 @@ class TestSweepMechanics:
 
         monkeypatch.setattr(census_module.os, "cpu_count", lambda: None)
         census_module._signature_counts((R.NONE,), threads=64)
-        assert started == [2]  # one core known: serial, no pool
+        assert started == [2]  # core count unknown: serial, no pool
         assert chunks[-1] == (0, TOTAL_GRIDS)
 
 
@@ -171,10 +171,7 @@ class TestCompanionScan:
 
 
 class TestCompanionOracle:
-    def test_agrees_on_every_grid(self, census_reports, full_scan):
-        counts = census_reports[R.FULL_DIAGONAL].counts
-        assert companion_oracle_mismatches(counts, full_scan) == []
-
+    # the clean run is acceptance criterion 5; each case here breaks one input
     @pytest.mark.parametrize("size, wrong", [(2, 1), (1, 2), (2, None)])
     def test_detects_a_wrong_bucket_size(self, census_reports, full_scan, size, wrong):
         counts = dict(census_reports[R.FULL_DIAGONAL].counts)
