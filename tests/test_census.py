@@ -86,6 +86,11 @@ class TestCensusReports:
         assert data["puzzles_by_solutions"] == {"1": 339984, "2": 11448}
 
 
+class TestMaxSolutionsObserved:
+    def test_full_diagonal(self, census_reports):
+        assert census_reports[R.FULL_DIAGONAL].max_solutions == 2
+
+
 class TestSweepMechanics:
     def test_parallel_run_is_identical(self, census_reports):
         assert census(R.FULL_DIAGONAL, threads=2) == census_reports[R.FULL_DIAGONAL]
