@@ -26,10 +26,8 @@ from .theory import (
     companion_solutions,
     find_triplet,
     is_valid_shift,
-    parse_shift_table_csv,
     possible_shifts,
     rigid_diagonals,
-    shift_grid,
     shift_table_to_csv,
 )
 
@@ -63,10 +61,8 @@ __all__ = [
     "find_triplet",
     "generate_puzzles",
     "is_valid_shift",
-    "parse_shift_table_csv",
     "possible_shifts",
     "rigid_diagonals",
-    "shift_grid",
     "shift_table_to_csv",
     "signature_key",
     "solve",

@@ -11,7 +11,9 @@ Signature packing (internal layout, not a wire contract): the two leading
 row sums and two leading column sums, 5 bits each (a line sum is at most
 24), then one 4-bit field per prescribed cell value in regime order. The
 third sums are omitted because all nine values always total 45, so they are
-forced by the first two and cannot separate two grids.
+forced by the first two and cannot separate two grids. Every regime
+prescribes a prefix of the diagonal, so a regime's key is the full-diagonal
+key with 4 bits dropped per unprescribed diagonal cell.
 """
 
 from __future__ import annotations
@@ -42,37 +44,39 @@ EXPECTED_PUZZLE_COUNTS = {
 }
 
 
+def _pack(cells: tuple[int, ...]) -> int:
+    """Full-diagonal signature key of these cells."""
+    r1 = cells[0] + cells[1] + cells[2]
+    r2 = cells[3] + cells[4] + cells[5]
+    c1 = cells[0] + cells[3] + cells[6]
+    c2 = cells[1] + cells[4] + cells[7]
+    sums = ((r1 << 5 | r2) << 5 | c1) << 5 | c2
+    return ((sums << 4 | cells[0]) << 4 | cells[4]) << 4 | cells[8]
+
+
+def _drop(regime: PrescriptionRegime) -> int:
+    """Bits the regime's key drops off the full-diagonal key."""
+    return 4 * (3 - len(regime.flat_cells))
+
+
 def signature_key(cells: tuple[int, ...], regime: PrescriptionRegime) -> int:
     """Canonical packed key of the puzzle these cells answer under `regime`.
 
     Two grids map to the same key exactly when they induce identical clue
     sets under the regime.
     """
-    r1 = cells[0] + cells[1] + cells[2]
-    r2 = cells[3] + cells[4] + cells[5]
-    c1 = cells[0] + cells[3] + cells[6]
-    c2 = cells[1] + cells[4] + cells[7]
-    key = (((r1 << 5 | r2) << 5 | c1) << 5) | c2
-    for i in regime.flat_cells:
-        key = key << 4 | cells[i]
-    return key
+    return _pack(cells) >> _drop(regime)
 
 
-def _count_chunk(
-    flat_cells: tuple[tuple[int, ...], ...], start: int, stop: int
-) -> list[dict[int, int]]:
-    """Signature counts per regime over one lexicographic permutation slice."""
-    counts: list[dict[int, int]] = [{} for _ in flat_cells]
+def _count_chunk(drops: tuple[int, ...], start: int, stop: int) -> list[dict[int, int]]:
+    """Signature counts per regime's key drop over one lexicographic permutation slice."""
+    counts: list[dict[int, int]] = [{} for _ in drops]
+    targets = tuple(zip(drops, counts))
+    pack = _pack
     for p in islice(permutations(range(1, 10)), start, stop):
-        r1 = p[0] + p[1] + p[2]
-        r2 = p[3] + p[4] + p[5]
-        c1 = p[0] + p[3] + p[6]
-        c2 = p[1] + p[4] + p[7]
-        sums = (((r1 << 5 | r2) << 5 | c1) << 5) | c2
-        for idxs, d in zip(flat_cells, counts):
-            key = sums
-            for i in idxs:
-                key = key << 4 | p[i]
+        full = pack(p)
+        for drop, d in targets:
+            key = full >> drop
             d[key] = d.get(key, 0) + 1
     return counts
 
@@ -80,16 +84,16 @@ def _count_chunk(
 def _signature_counts(
     regimes: tuple[PrescriptionRegime, ...], threads: int
 ) -> list[dict[int, int]]:
-    flat_cells = tuple(r.flat_cells for r in regimes)
+    drops = tuple(_drop(r) for r in regimes)
     # more workers than cores only adds processes and merge work
     workers = min(threads, os.cpu_count() or 1)
     if workers <= 1:
-        return _count_chunk(flat_cells, 0, TOTAL_GRIDS)
+        return _count_chunk(drops, 0, TOTAL_GRIDS)
     bounds = [TOTAL_GRIDS * i // workers for i in range(workers + 1)]
     merged: list[dict[int, int]] = [{} for _ in regimes]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
-            pool.submit(_count_chunk, flat_cells, bounds[i], bounds[i + 1])
+            pool.submit(_count_chunk, drops, bounds[i], bounds[i + 1])
             for i in range(workers)
         ]
         for fut in futures:
@@ -103,23 +107,41 @@ def _signature_counts(
 class CensusReport:
     """Bucket-size statistics of one regime's sweep.
 
+    `counts` maps each signature key to its bucket size, the raw sweep
+    result; every statistic is derived from it, and construction raises
+    RuntimeError unless the buckets hold all 362,880 grids.
     `grids_by_solutions[k]` is the number of grids living in puzzles with
-    exactly k solutions (these sum to 362,880); `puzzles_by_solutions[k]` is
-    the number of such puzzles. `solvable_puzzles` is the total number of
-    distinct clue sets answered by at least one grid, the quantity the
-    published counts refer to. `counts` maps each signature key to its
-    bucket size, the raw sweep result the statistics are derived from.
+    exactly k solutions; `puzzles_by_solutions[k]` is the number of such
+    puzzles. `solvable_puzzles` is the total number of distinct clue sets
+    answered by at least one grid, the quantity the published counts refer
+    to.
     """
 
     regime: PrescriptionRegime
-    total_grids: int
-    grids_by_solutions: dict[int, int]
-    puzzles_by_solutions: dict[int, int]
-    counts: dict[int, int] = field(default_factory=dict, repr=False)
+    counts: dict[int, int] = field(repr=False)
+
+    def __post_init__(self) -> None:
+        if self.total_grids != TOTAL_GRIDS:
+            raise RuntimeError(
+                f"{self.regime.value} census buckets hold {self.total_grids} grids, "
+                f"expected {TOTAL_GRIDS}"
+            )
+
+    @property
+    def total_grids(self) -> int:
+        return sum(self.counts.values())
+
+    @property
+    def puzzles_by_solutions(self) -> dict[int, int]:
+        return dict(sorted(Counter(self.counts.values()).items()))
+
+    @property
+    def grids_by_solutions(self) -> dict[int, int]:
+        return {k: k * n for k, n in self.puzzles_by_solutions.items()}
 
     @property
     def solvable_puzzles(self) -> int:
-        return sum(self.puzzles_by_solutions.values())
+        return len(self.counts)
 
     @property
     def single_solution_puzzles(self) -> int:
@@ -127,7 +149,7 @@ class CensusReport:
 
     @property
     def max_solutions(self) -> int:
-        return max(self.grids_by_solutions)
+        return max(self.counts.values())
 
     def to_dict(self) -> dict:
         return {
@@ -135,38 +157,14 @@ class CensusReport:
             "total_grids": self.total_grids,
             "solvable_puzzles": self.solvable_puzzles,
             "single_solution_puzzles": self.single_solution_puzzles,
-            "grids_by_solutions": {str(k): v for k, v in sorted(self.grids_by_solutions.items())},
-            "puzzles_by_solutions": {str(k): v for k, v in sorted(self.puzzles_by_solutions.items())},
+            "grids_by_solutions": {str(k): v for k, v in self.grids_by_solutions.items()},
+            "puzzles_by_solutions": {str(k): v for k, v in self.puzzles_by_solutions.items()},
         }
-
-    @classmethod
-    def from_bucket_sizes(
-        cls, regime: PrescriptionRegime, sizes: dict[int, int]
-    ) -> "CensusReport":
-        """Report on a sweep's bucket sizes by key; RuntimeError unless they hold all grids."""
-        grids: Counter[int] = Counter()
-        puzzles: Counter[int] = Counter()
-        for size in sizes.values():
-            grids[size] += size
-            puzzles[size] += 1
-        total = sum(grids.values())
-        if total != TOTAL_GRIDS:
-            raise RuntimeError(
-                f"{regime.value} census buckets hold {total} grids, expected {TOTAL_GRIDS}"
-            )
-        return cls(
-            regime=regime,
-            total_grids=total,
-            grids_by_solutions=dict(sorted(grids.items())),
-            puzzles_by_solutions=dict(sorted(puzzles.items())),
-            counts=sizes,
-        )
 
 
 def census(regime: PrescriptionRegime, threads: int | None = None) -> CensusReport:
     """Sweep all grids once and report bucket statistics for one regime."""
-    counts = _signature_counts((regime,), threads or 1)[0]
-    return CensusReport.from_bucket_sizes(regime, counts)
+    return CensusReport(regime, _signature_counts((regime,), threads or 1)[0])
 
 
 def census_all(threads: int | None = None) -> dict[PrescriptionRegime, CensusReport]:
@@ -174,8 +172,7 @@ def census_all(threads: int | None = None) -> dict[PrescriptionRegime, CensusRep
     regimes = tuple(PrescriptionRegime)
     all_counts = _signature_counts(regimes, threads or 1)
     return {
-        regime: CensusReport.from_bucket_sizes(regime, counts)
-        for regime, counts in zip(regimes, all_counts)
+        regime: CensusReport(regime, counts) for regime, counts in zip(regimes, all_counts)
     }
 
 
@@ -297,7 +294,7 @@ def cross_check(regime: PrescriptionRegime, sample: int, seed: int) -> bool:
         raise ValueError(f"sample must be nonnegative, got {sample}")
     if sample == 0:
         return True
-    counts = _signature_counts((regime,), threads=1)[0]
+    counts = census(regime, threads=1).counts
     rng = SplitMix64(seed)
     values = list(range(1, 10))
     for _ in range(sample):

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
+from .census import census
 from .core import ClueSet, Grid, PrescriptionRegime
 from .rng import SplitMix64
 from .solver import count_solutions
@@ -47,10 +48,7 @@ def _rigid_diagonal_grid(rng: SplitMix64) -> Grid:
 
 @cache
 def _bucket_counts(regime: PrescriptionRegime) -> dict[int, int]:
-    # deferred import: census also imports the solver
-    from .census import _signature_counts
-
-    return _signature_counts((regime,), threads=1)[0]
+    return census(regime, threads=1).counts
 
 
 def generate_puzzles(config: GeneratorConfig) -> list[ClueSet]:
@@ -63,6 +61,8 @@ def generate_puzzles(config: GeneratorConfig) -> list[ClueSet]:
     puzzle's signature bucket holds a single grid; every emitted puzzle is
     then re-verified with the brute-force solver rather than trusted.
     """
+    # resolved through fubuki.census at each call, not bound at import, so
+    # a wrapper installed on that module's name sees every rejection draw
     from .census import signature_key
 
     rng = SplitMix64(config.seed)
@@ -78,7 +78,7 @@ def generate_puzzles(config: GeneratorConfig) -> list[ClueSet]:
                     break
             clue = ClueSet.from_grid(grid, config.regime)
             if count_solutions(clue) != 1:
-                raise AssertionError(
+                raise RuntimeError(
                     f"generator produced a non-unique puzzle for {grid.cells}"
                 )
         else:

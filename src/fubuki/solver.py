@@ -170,7 +170,8 @@ def solve(clues: ClueSet, limit: int | None = None, prune: bool = True) -> Solve
         truncated = True
     solutions = [Grid(f) for f in found]
     for g in solutions:
-        assert clues.satisfied_by(g)
+        if not clues.satisfied_by(g):
+            raise RuntimeError(f"solver emitted {g.cells}, which does not satisfy the clues")
     return SolveResult(solutions=solutions, count=len(solutions), truncated=truncated)
 
 

@@ -125,23 +125,19 @@ class DiagonalClass:
 
     diagonal: frozenset[int]
     shifts: frozenset[int]
-    rigid: bool
-    max_solutions: int
 
-    def __post_init__(self) -> None:
-        assert self.rigid == (not self.shifts) == (self.max_solutions == 1)
+    @property
+    def rigid(self) -> bool:
+        return not self.shifts
+
+    @property
+    def max_solutions(self) -> int:
+        return 1 if self.rigid else 2
 
 
 def classify_diagonal(diagonal: Iterable[int]) -> DiagonalClass:
     diag = _check_diagonal(diagonal)
-    shifts = possible_shifts(diag)
-    rigid = not shifts
-    return DiagonalClass(
-        diagonal=frozenset(diag),
-        shifts=shifts,
-        rigid=rigid,
-        max_solutions=1 if rigid else 2,
-    )
+    return DiagonalClass(diagonal=frozenset(diag), shifts=possible_shifts(diag))
 
 
 def build_shift_table() -> dict[tuple[int, int, int], frozenset[int]]:
@@ -149,9 +145,10 @@ def build_shift_table() -> dict[tuple[int, int, int], frozenset[int]]:
     table = {
         diag: possible_shifts(diag) for diag in combinations(range(1, 10), 3)
     }
-    assert len(table) == 84
     # empirical bound over the whole table, checked rather than assumed
-    assert all(len(shifts) <= 2 for shifts in table.values())
+    for diag, shifts in table.items():
+        if len(shifts) > 2:
+            raise RuntimeError(f"diagonal {diag} admits {len(shifts)} shifts, expected at most 2")
     return table
 
 
@@ -175,20 +172,6 @@ def shift_table_to_csv(table: Mapping[tuple[int, int, int], frozenset[int]]) -> 
     return out.getvalue()
 
 
-def parse_shift_table_csv(text: str) -> dict[tuple[int, ...], frozenset[int]]:
-    import csv
-    import io
-
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0] != ["diagonal", "shifts"]:
-        raise ValueError("expected header 'diagonal,shifts'")
-    table: dict[tuple[int, ...], frozenset[int]] = {}
-    for diag_field, shifts_field in rows[1:]:
-        diag = tuple(int(v) for v in diag_field.split(","))
-        table[diag] = frozenset(int(c) for c in shifts_field.split(",") if c)
-    return table
-
-
 def shift_cells(cells: tuple[int, ...], shift: int) -> tuple[int, ...]:
     """Apply the shift pattern to flat row-major cells; no validity check."""
     out = list(cells)
@@ -197,18 +180,6 @@ def shift_cells(cells: tuple[int, ...], shift: int) -> tuple[int, ...]:
     for i in MINUS_FLAT:
         out[i] -= shift
     return tuple(out)
-
-
-def shift_grid(grid: Grid, shift: int) -> tuple[tuple[int, int, int], ...]:
-    """The raw shifted candidate as 3x3 rows.
-
-    The result keeps the diagonal and the line sums but is not necessarily a
-    legal grid: entries may leave 1..9 or collide. Validity is a separate
-    question answered by is_valid_shift.
-    """
-    _check_shift(shift)
-    c = shift_cells(grid.cells, shift)
-    return (c[0:3], c[3:6], c[6:9])
 
 
 def is_valid_shift(grid: Grid, shift: int) -> bool:
@@ -241,7 +212,6 @@ def shift_match_table() -> dict[tuple[int, int, int], tuple[tuple[int, tuple[int
         for c in sorted(shifts):
             for signed in (c, -c):
                 t = find_triplet(complement, signed)
-                assert t is not None  # a shift admits both signs or neither
                 entries.append((signed, t.values))
         table[diag] = tuple(entries)
     return table
@@ -249,13 +219,11 @@ def shift_match_table() -> dict[tuple[int, int, int], tuple[tuple[int, tuple[int
 
 def companion_cells(cells: tuple[int, ...]) -> list[tuple[int, ...]]:
     """All other cell tuples sharing this grid's diagonal and line sums."""
-    diag = tuple(sorted((cells[0], cells[4], cells[8])))
+    entries = shift_match_table()[tuple(sorted((cells[0], cells[4], cells[8])))]
+    if not entries:  # rigid diagonal: 35 of 84, no companion to match
+        return []
     plus = tuple(sorted((cells[1], cells[5], cells[6])))
-    return [
-        shift_cells(cells, shift)
-        for shift, required in shift_match_table()[diag]
-        if plus == required
-    ]
+    return [shift_cells(cells, shift) for shift, required in entries if plus == required]
 
 
 def companion_solutions(grid: Grid) -> list[Grid]:

@@ -18,6 +18,7 @@ from fubuki import (
     signature_key,
 )
 from fubuki.census import default_threads
+from fubuki.rng import SplitMix64
 from fubuki.theory import shift_cells
 
 # the package re-exports census() under the submodule's name
@@ -111,6 +112,27 @@ class TestSweepMechanics:
             assert a == signature_key(grid_two_b.cells, regime)
             assert a != signature_key(grid_unique.cells, regime)
 
+    def test_key_matches_field_by_field_packing(self, grid_two_a, grid_two_b, grid_unique):
+        def reference_key(cells, regime):
+            # the module docstring's layout: 5-bit r1, r2, c1, c2, then one
+            # 4-bit field appended per prescribed cell in regime order
+            key = 0
+            for line in ((0, 1, 2), (3, 4, 5), (0, 3, 6), (1, 4, 7)):
+                key = key << 5 | sum(cells[i] for i in line)
+            for i in regime.flat_cells:
+                key = key << 4 | cells[i]
+            return key
+
+        rng = SplitMix64(2024)
+        values = list(range(1, 10))
+        grids = [grid_two_a.cells, grid_two_b.cells, grid_unique.cells]
+        for _ in range(20000):
+            rng.shuffle(values)
+            grids.append(tuple(values))
+        for regime in PrescriptionRegime:
+            for cells in grids:
+                assert signature_key(cells, regime) == reference_key(cells, regime)
+
     def test_full_diagonal_buckets_partition_all_grids(self):
         report = census(R.FULL_DIAGONAL, threads=1)
         assert len(report.counts) == EXPECTED_PUZZLE_COUNTS[R.FULL_DIAGONAL]
@@ -120,7 +142,7 @@ class TestSweepMechanics:
 
     def test_report_rejects_a_short_sweep(self):
         with pytest.raises(RuntimeError, match="362879.*362880"):
-            CensusReport.from_bucket_sizes(R.NONE, {0: TOTAL_GRIDS - 1})
+            CensusReport(R.NONE, {0: TOTAL_GRIDS - 1})
 
     def test_workers_capped_at_cores(self, monkeypatch):
         started = []

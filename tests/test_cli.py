@@ -1,10 +1,12 @@
 """End-to-end CLI behavior through the real entry point."""
 
+import csv
+import io
 import json
 import subprocess
 import sys
 
-from fubuki import ClueSet, build_shift_table, count_solutions, parse_shift_table_csv
+from fubuki import ClueSet, build_shift_table, count_solutions
 
 TWO_SOLUTION_PUZZLE = {
     "prescribed": [
@@ -137,7 +139,13 @@ class TestTable:
     def test_csv_round_trips(self):
         result = run_cli("table")
         assert result.returncode == 0
-        assert parse_shift_table_csv(result.stdout) == build_shift_table()
+        rows = list(csv.reader(io.StringIO(result.stdout)))
+        assert rows[0] == ["diagonal", "shifts"]
+        parsed = {
+            tuple(int(v) for v in diag.split(",")): frozenset(int(c) for c in shifts.split(",") if c)
+            for diag, shifts in rows[1:]
+        }
+        assert parsed == build_shift_table()
         lines = result.stdout.splitlines()
         assert len(lines) == 85  # header + 84 rows
         assert '"2,3,7",3' in lines
@@ -206,12 +214,8 @@ class TestVerify:
         from fubuki.census import CensusReport
 
         def broken_census(regime, threads=None):
-            return CensusReport(
-                regime=regime,
-                total_grids=362880,
-                grids_by_solutions={1: 362880},
-                puzzles_by_solutions={1: 362880},
-            )
+            # every grid alone in its bucket: a full sweep with wrong keys
+            return CensusReport(regime, {key: 1 for key in range(362880)})
 
         monkeypatch.setattr(cli, "census", broken_census)
         code = cli.main(["verify", "--regime", "none", "--threads", "1"])

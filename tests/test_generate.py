@@ -5,6 +5,7 @@ from fubuki import (
     PrescriptionRegime,
     classify_diagonal,
     count_solutions,
+    generate,
     generate_puzzles,
 )
 from fubuki.rng import SplitMix64
@@ -72,3 +73,8 @@ class TestGenerator:
         (clue,) = generate_puzzles(GeneratorConfig(PrescriptionRegime.NONE, False, 4, 1))
         assert clue.prescribed == ()
         assert sum(clue.row_sums) == 45
+
+    def test_non_unique_draw_raises(self, monkeypatch):
+        monkeypatch.setattr(generate, "count_solutions", lambda clue: 2)
+        with pytest.raises(RuntimeError, match="non-unique"):
+            generate_puzzles(GeneratorConfig(PrescriptionRegime.NONE, True, 7, 1))

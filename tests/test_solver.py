@@ -1,6 +1,6 @@
 import pytest
 
-from fubuki import ClueSet, Grid, PrescriptionRegime, count_solutions, solve
+from fubuki import ClueSet, Grid, PrescriptionRegime, count_solutions, solve, solver
 from fubuki.rng import SplitMix64
 
 
@@ -55,6 +55,11 @@ class TestEdges:
         result = solve(clue)
         assert grid_two_a in result.solutions
         assert all(clue.satisfied_by(g) for g in result.solutions)
+
+    def test_post_check_rejects_a_wrong_grid(self, monkeypatch, clue_two, grid_unique):
+        monkeypatch.setattr(solver, "_search", lambda clues, prune, emit: emit(grid_unique.cells))
+        with pytest.raises(RuntimeError, match="does not satisfy"):
+            solve(clue_two)
 
 
 class TestCompleteness:

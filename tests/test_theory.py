@@ -1,3 +1,5 @@
+import csv
+import io
 from itertools import combinations
 
 import pytest
@@ -12,13 +14,12 @@ from fubuki import (
     companion_solutions,
     find_triplet,
     is_valid_shift,
-    parse_shift_table_csv,
     possible_shifts,
     rigid_diagonals,
-    shift_grid,
     shift_table_to_csv,
     solve,
 )
+from fubuki import theory
 from fubuki.theory import shift_cells
 
 
@@ -33,19 +34,19 @@ def brute_force_triplets(values: frozenset, shift: int) -> list[tuple[int, int, 
 
 class TestShiftGrid:
     def test_showcase_shift(self, grid_two_a, grid_two_b):
-        assert shift_grid(grid_two_a, 1) == grid_two_b.rows
+        assert shift_cells(grid_two_a.cells, 1) == grid_two_b.cells
 
     def test_shifts_cancel(self, grid_two_a, grid_two_b):
-        assert shift_grid(grid_two_b, -1) == grid_two_a.rows
-        # at the cell level, +a then -a is the identity even through
-        # candidates that are not legal grids
+        assert shift_cells(grid_two_b.cells, -1) == grid_two_a.cells
+        # +a then -a is the identity even through candidates that are not
+        # legal grids
         cells = grid_two_a.cells
         for a in range(1, 9):
             assert shift_cells(shift_cells(cells, a), -a) == cells
 
     def test_invalid_candidate_from_unique_grid(self, grid_unique, clue_unique):
-        candidate = shift_grid(grid_unique, 1)
-        assert candidate == ((1, 5, 5), (4, 2, 8), (9, 8, 3))  # collides: two 5s
+        candidate = shift_cells(grid_unique.cells, 1)
+        assert candidate == (1, 5, 5, 4, 2, 8, 9, 8, 3)  # collides: two 5s
         assert not is_valid_shift(grid_unique, 1)
         # brute force over the 720 fillings of that diagonal confirms
         # the puzzle has no other solution
@@ -53,7 +54,7 @@ class TestShiftGrid:
 
     def test_rejects_zero_or_oversized_shift(self, grid_two_a):
         with pytest.raises(ValueError):
-            shift_grid(grid_two_a, 0)
+            is_valid_shift(grid_two_a, 0)
         with pytest.raises(ValueError):
             is_valid_shift(grid_two_a, 9)
 
@@ -160,7 +161,17 @@ class TestShiftTable:
         assert lines[0] == "diagonal,shifts"
         assert len(lines) == 85
         assert '"1,2,3","1,3"' in lines
-        assert parse_shift_table_csv(text) == table
+        rows = list(csv.reader(io.StringIO(text)))
+        parsed = {
+            tuple(int(v) for v in diag.split(",")): frozenset(int(c) for c in shifts.split(",") if c)
+            for diag, shifts in rows[1:]
+        }
+        assert parsed == table
+
+    def test_more_than_two_shifts_raises(self, monkeypatch):
+        monkeypatch.setattr(theory, "possible_shifts", lambda diag: frozenset({1, 2, 3}))
+        with pytest.raises(RuntimeError, match="admits 3 shifts"):
+            build_shift_table()
 
 
 class TestCompanions:
