@@ -13,7 +13,9 @@ row sums and two leading column sums, 5 bits each (a line sum is at most
 third sums are omitted because all nine values always total 45, so they are
 forced by the first two and cannot separate two grids. Every regime
 prescribes a prefix of the diagonal, so a regime's key is the full-diagonal
-key with 4 bits dropped per unprescribed diagonal cell.
+key with 4 bits dropped per unprescribed diagonal cell. The first row sum r1
+leads every regime's key, so sweep parts split on r1 never share a key and
+their counts merge by plain dict update.
 """
 
 from __future__ import annotations
@@ -23,11 +25,11 @@ import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import islice, permutations
+from itertools import islice, permutations, repeat
 from math import factorial
 from typing import Iterator, NamedTuple
 
-from .core import ClueSet, Grid, PrescriptionRegime
+from .core import MAX_LINE_SUM, MIN_LINE_SUM, ClueSet, Grid, PrescriptionRegime
 from .rng import SplitMix64
 from .solver import count_solutions
 from .theory import build_shift_table, companion_cells
@@ -68,16 +70,20 @@ def signature_key(cells: tuple[int, ...], regime: PrescriptionRegime) -> int:
     return _pack(cells) >> _drop(regime)
 
 
-def _count_chunk(drops: tuple[int, ...], start: int, stop: int) -> list[dict[int, int]]:
-    """Signature counts per regime's key drop over one lexicographic permutation slice."""
+def _count_part(drops: tuple[int, ...], part: int, parts: int) -> list[dict[int, int]]:
+    """Signature counts per key drop over grids whose first row sum is `part` mod `parts`."""
     counts: list[dict[int, int]] = [{} for _ in drops]
     targets = tuple(zip(drops, counts))
     pack = _pack
-    for p in islice(permutations(range(1, 10)), start, stop):
-        full = pack(p)
-        for drop, d in targets:
-            key = full >> drop
-            d[key] = d.get(key, 0) + 1
+    digits = range(1, 10)
+    for row in permutations(digits, 3):
+        if sum(row) % parts != part:
+            continue
+        for rest in permutations([d for d in digits if d not in row]):
+            full = pack(row + rest)
+            for drop, d in targets:
+                key = full >> drop
+                d[key] = d.get(key, 0) + 1
     return counts
 
 
@@ -85,21 +91,18 @@ def _signature_counts(
     regimes: tuple[PrescriptionRegime, ...], threads: int
 ) -> list[dict[int, int]]:
     drops = tuple(_drop(r) for r in regimes)
-    # more workers than cores only adds processes and merge work
-    workers = min(threads, os.cpu_count() or 1)
+    # one part per process, at most one per core and per possible first row sum
+    workers = min(threads, os.cpu_count() or 1, MAX_LINE_SUM - MIN_LINE_SUM + 1)
     if workers <= 1:
-        return _count_chunk(drops, 0, TOTAL_GRIDS)
-    bounds = [TOTAL_GRIDS * i // workers for i in range(workers + 1)]
-    merged: list[dict[int, int]] = [{} for _ in regimes]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_count_chunk, drops, bounds[i], bounds[i + 1])
-            for i in range(workers)
-        ]
-        for fut in futures:
-            for whole, part in zip(merged, fut.result()):
-                for key, n in part.items():
-                    whole[key] = whole.get(key, 0) + n
+        return _count_part(drops, 0, 1)
+    # part 0 is swept here: each part sent back is unpickled in the pool's result
+    # thread, whose malloc arena stays grown once it is freed, raising later peaks
+    with ProcessPoolExecutor(max_workers=workers - 1) as pool:
+        rest = pool.map(_count_part, repeat(drops), range(1, workers), repeat(workers))
+        merged = _count_part(drops, 0, workers)
+        for part in rest:
+            for whole, counts in zip(merged, part):
+                whole.update(counts)
     return merged
 
 
@@ -206,41 +209,31 @@ def closed_form_puzzle_count() -> ClosedFormCount:
 
 @dataclass
 class CompanionScan:
-    """Full-diagonal statistics and (grid, companion) pairs from the shift structure."""
+    """Every (grid, companion) pair of the shift structure, and the full-diagonal
+    statistics they give; a puzzle is counted at its smallest solution."""
 
-    total_grids: int
-    grids_with_companion: int
-    single_solution_puzzles: int
-    solvable_puzzles: int
     pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] = field(repr=False)
+
+    @property
+    def grids_with_companion(self) -> int:
+        return len({p for p, _ in self.pairs})
+
+    @property
+    def single_solution_puzzles(self) -> int:
+        return TOTAL_GRIDS - self.grids_with_companion
+
+    @property
+    def solvable_puzzles(self) -> int:
+        return TOTAL_GRIDS - len({p for p, c in self.pairs if c < p})
 
 
 def companion_scan() -> CompanionScan:
-    """Scan all grids, counting puzzles via structural companions.
+    """Scan all grids for their structural companions.
 
-    A puzzle is counted once, at its lexicographically smallest solution;
-    no bucketing is involved, so this is a route to the puzzle count that is
+    No bucketing is involved, so this is a route to the puzzle count that is
     independent of the signature census.
     """
-    with_companion = 0
-    puzzles = 0
-    pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    for p in permutations(range(1, 10)):
-        companions = companion_cells(p)
-        if not companions:
-            puzzles += 1
-        else:
-            with_companion += 1
-            pairs.extend((p, c) for c in companions)
-            if all(p < c for c in companions):
-                puzzles += 1
-    return CompanionScan(
-        total_grids=TOTAL_GRIDS,
-        grids_with_companion=with_companion,
-        single_solution_puzzles=TOTAL_GRIDS - with_companion,
-        solvable_puzzles=puzzles,
-        pairs=pairs,
-    )
+    return CompanionScan([(p, c) for p in permutations(range(1, 10)) for c in companion_cells(p)])
 
 
 def companion_oracle_mismatches(

@@ -48,7 +48,11 @@ def _regime_name(regime: PrescriptionRegime) -> str:
 
 
 def _parse_regime(text: str) -> PrescriptionRegime:
-    return PrescriptionRegime.parse(text)
+    # argparse shows an ArgumentTypeError's own text, a ValueError's not
+    try:
+        return PrescriptionRegime.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_threads(text: str) -> int:
@@ -77,6 +81,8 @@ def _load_puzzle(path: str) -> ClueSet:
         raise _CliError(
             1, f"{name}: invalid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})"
         ) from None
+    except RecursionError:
+        raise _CliError(1, f"{name}: invalid JSON: nested too deeply") from None
     try:
         return ClueSet.from_dict(data)
     except PuzzleFormatError as exc:

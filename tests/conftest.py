@@ -1,6 +1,22 @@
+import tempfile
+
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from fubuki import ClueSet, Grid, PrescriptionRegime, census_all, companion_scan
+
+# Hypothesis caches the constants it finds in local sources under its home
+# directory, ./.hypothesis by default, even with no example database
+_hypothesis_home = tempfile.TemporaryDirectory()
+
+
+def pytest_configure(config):
+    set_hypothesis_home_dir(_hypothesis_home.name)
+
+
+def pytest_unconfigure(config):
+    set_hypothesis_home_dir(None)
+    _hypothesis_home.cleanup()
 
 
 @pytest.fixture

@@ -1,6 +1,5 @@
 import importlib
 from collections import Counter
-from concurrent.futures import Future
 from dataclasses import replace
 from itertools import permutations
 
@@ -12,6 +11,7 @@ from fubuki import (
     CensusReport,
     PrescriptionRegime,
     census,
+    census_all,
     closed_form_puzzle_count,
     companion_oracle_mismatches,
     cross_check,
@@ -94,7 +94,8 @@ class TestMaxSolutionsObserved:
 
 class TestSweepMechanics:
     def test_parallel_run_is_identical(self, census_reports):
-        assert census(R.FULL_DIAGONAL, threads=2) == census_reports[R.FULL_DIAGONAL]
+        # the fused four-regime sweep, split over two processes
+        assert census_all(threads=2) == census_reports
 
     def test_iteration_order_does_not_matter(self, census_reports):
         counts: Counter[int] = Counter()
@@ -144,6 +145,17 @@ class TestSweepMechanics:
         with pytest.raises(RuntimeError, match="362879.*362880"):
             CensusReport(R.NONE, {0: TOTAL_GRIDS - 1})
 
+    @pytest.mark.parametrize("parts", [2, 3])
+    def test_parts_share_no_key(self, census_reports, parts):
+        # `none` has the coarsest keys, so a shared key would show here first
+        drops = (census_module._drop(R.NONE),)
+        merged: dict[int, int] = {}
+        for part in range(parts):
+            counts = census_module._count_part(drops, part, parts)[0]
+            assert merged.keys().isdisjoint(counts)
+            merged.update(counts)
+        assert merged == census_reports[R.NONE].counts
+
     def test_workers_capped_at_cores(self, monkeypatch):
         started = []
 
@@ -157,28 +169,35 @@ class TestSweepMechanics:
             def __exit__(self, *exc):
                 return False
 
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
-        chunks = []
+        parts = []
 
-        def fake_chunk(flat_cells, start, stop):
-            chunks.append((start, stop))
-            return [{} for _ in flat_cells]
+        def fake_part(drops, part, of):
+            parts.append((part, of))
+            return [{} for _ in drops]
 
         monkeypatch.setattr(census_module, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(census_module, "_count_chunk", fake_chunk)
+        monkeypatch.setattr(census_module, "_count_part", fake_part)
         monkeypatch.setattr(census_module.os, "cpu_count", lambda: 2)
         census_module._signature_counts((R.NONE,), threads=64)
-        assert started == [2]
-        assert chunks == [(0, TOTAL_GRIDS // 2), (TOTAL_GRIDS // 2, TOTAL_GRIDS)]
+        # part 0 runs in this process, the others in the pool
+        assert started == [1]
+        assert sorted(parts) == [(0, 2), (1, 2)]
 
+        # one part per possible first row sum, 6..24, at most
+        parts.clear()
+        monkeypatch.setattr(census_module.os, "cpu_count", lambda: 64)
+        census_module._signature_counts((R.NONE,), threads=64)
+        assert started == [1, 18]
+        assert sorted(parts) == [(i, 19) for i in range(19)]
+
+        parts.clear()
         monkeypatch.setattr(census_module.os, "cpu_count", lambda: None)
         census_module._signature_counts((R.NONE,), threads=64)
-        assert started == [2]  # core count unknown: serial, no pool
-        assert chunks[-1] == (0, TOTAL_GRIDS)
+        assert started == [1, 18]  # core count unknown: serial, no pool
+        assert parts == [(0, 1)]
 
 
 class TestClosedForm:
@@ -190,7 +209,6 @@ class TestClosedForm:
 
 class TestCompanionScan:
     def test_scan_totals(self, full_scan):
-        assert full_scan.total_grids == TOTAL_GRIDS
         assert full_scan.grids_with_companion == 22896
         assert full_scan.single_solution_puzzles == 339984
         assert full_scan.solvable_puzzles == 351432

@@ -85,6 +85,14 @@ class TestSolve:
         assert result.returncode == 1
         assert "line 1" in result.stderr
 
+    def test_deeply_nested_json_exits_1_without_traceback(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+        result = run_cli("solve", str(path))
+        assert result.returncode == 1
+        assert "deep.json" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_bad_field_exits_1_naming_field(self, tmp_path):
         bad = dict(TWO_SOLUTION_PUZZLE, row_sums=[10, 15])
         result = run_cli("solve", write_puzzle(tmp_path, bad))
@@ -187,6 +195,7 @@ class TestGenerate:
     def test_bad_regime_exits_1(self):
         result = run_cli("generate", "--regime", "nope")
         assert result.returncode == 1
+        assert "expected one of: full-diagonal" in result.stderr
 
     def test_bad_count_exits_1(self):
         result = run_cli("generate", "--count", "0")
