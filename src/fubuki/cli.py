@@ -65,6 +65,19 @@ def _parse_threads(text: str) -> int:
     return threads
 
 
+_MAX_SEED = (1 << 64) - 1  # SplitMix64 keeps 64 bits of state
+
+
+def _parse_seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 0 <= seed <= _MAX_SEED:
+        raise argparse.ArgumentTypeError(f"must be in 0..{_MAX_SEED}, got {seed}")
+    return seed
+
+
 def _load_puzzle(path: str) -> ClueSet:
     if path == "-":
         name, text = "<stdin>", sys.stdin.read()
@@ -247,7 +260,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("generate", help="emit seeded puzzles as JSON lines")
     p.add_argument("--regime", type=_parse_regime, default=PrescriptionRegime.FULL_DIAGONAL)
     p.add_argument("--unique", action="store_true", help="guarantee exactly one solution")
-    p.add_argument("--seed", type=int, default=0, help="64-bit generator seed")
+    p.add_argument("--seed", type=_parse_seed, default=0, help="64-bit generator seed")
     p.add_argument("--count", type=int, default=1, help="number of puzzles")
     p.add_argument("--pretty", action="store_true", help="render boxes instead of JSON")
     p.set_defaults(func=_cmd_generate)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Iterable, Mapping
 
 from .core import Grid
@@ -217,9 +217,24 @@ def shift_match_table() -> dict[tuple[int, int, int], tuple[tuple[int, tuple[int
     return table
 
 
+class _OrderedMatchTable(dict):
+    """shift_match_table() under all six orderings of each diagonal, so a
+    grid's diagonal is looked up as it stands; filled on the first lookup."""
+
+    def __missing__(self, diagonal: tuple[int, int, int]):
+        if self:
+            raise KeyError(diagonal)
+        for diag, entries in shift_match_table().items():
+            self.update(dict.fromkeys(permutations(diag), entries))
+        return self[diagonal]
+
+
+_MATCHES = _OrderedMatchTable()
+
+
 def companion_cells(cells: tuple[int, ...]) -> list[tuple[int, ...]]:
     """All other cell tuples sharing this grid's diagonal and line sums."""
-    entries = shift_match_table()[tuple(sorted((cells[0], cells[4], cells[8])))]
+    entries = _MATCHES[cells[0], cells[4], cells[8]]
     if not entries:  # rigid diagonal: 35 of 84, no companion to match
         return []
     plus = tuple(sorted((cells[1], cells[5], cells[6])))

@@ -2,6 +2,7 @@ import importlib
 from collections import Counter
 from dataclasses import replace
 from itertools import permutations
+from operator import mul
 
 import pytest
 
@@ -133,6 +134,24 @@ class TestSweepMechanics:
         for regime in PrescriptionRegime:
             for cells in grids:
                 assert signature_key(cells, regime) == reference_key(cells, regime)
+
+    def test_sweep_matches_naive_count(self):
+        # one _pack call per grid, each regime's key a right shift of it
+        drops = tuple(census_module._drop(r) for r in R)
+        naive: list[Counter[int]] = [Counter() for _ in drops]
+        for cells in permutations(range(1, 10)):
+            key = census_module._pack(cells)
+            for drop, counts in zip(drops, naive):
+                counts[key >> drop] += 1
+        swept = census_module._count_part(drops, 0, 1)
+        for regime, got, want in zip(R, swept, naive):
+            assert type(got) is dict, regime
+            assert got == dict(want), regime
+
+    def test_key_is_weighted_cell_sum(self):
+        weights = census_module._WEIGHTS
+        for cells in permutations(range(1, 10)):
+            assert census_module._pack(cells) == sum(map(mul, cells, weights))
 
     def test_full_diagonal_buckets_partition_all_grids(self):
         report = census(R.FULL_DIAGONAL, threads=1)

@@ -201,6 +201,20 @@ class TestGenerate:
         result = run_cli("generate", "--count", "0")
         assert result.returncode == 1
 
+    def test_seed_range_ends_are_accepted(self):
+        for seed in ("0", str(2**64 - 1)):
+            result = run_cli("generate", "--seed", seed)
+            assert result.returncode == 0, seed
+            assert len(result.stdout.splitlines()) == 1
+
+    def test_seed_outside_64_bits_exits_1_with_usage(self):
+        # SplitMix64 would reduce these mod 2**64, aliasing another seed
+        for seed in ("-1", str(2**64)):
+            result = run_cli("generate", "--seed", seed)
+            assert result.returncode == 1, seed
+            assert result.stdout == ""
+            assert "usage:" in result.stderr and "--seed" in result.stderr
+
     def test_pretty_output(self):
         result = run_cli("generate", "--seed", "1", "--pretty")
         assert result.returncode == 0

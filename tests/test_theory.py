@@ -1,6 +1,6 @@
 import csv
 import io
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -20,7 +20,7 @@ from fubuki import (
     solve,
 )
 from fubuki import theory
-from fubuki.theory import shift_cells
+from fubuki.theory import companion_cells, shift_cells, shift_match_table
 
 
 def brute_force_triplets(values: frozenset, shift: int) -> list[tuple[int, int, int]]:
@@ -191,3 +191,21 @@ class TestCompanions:
         clue = ClueSet.from_grid(grid_two_a, PrescriptionRegime.FULL_DIAGONAL)
         for companion in companion_solutions(grid_two_a):
             assert clue.satisfied_by(companion)
+
+    def test_ordered_lookup_matches_sorted_lookup(self):
+        def sorted_lookup(cells):
+            # the match table keyed by the sorted diagonal, read directly
+            entries = shift_match_table()[tuple(sorted((cells[0], cells[4], cells[8])))]
+            plus = tuple(sorted((cells[1], cells[5], cells[6])))
+            return [shift_cells(cells, shift) for shift, required in entries if plus == required]
+
+        digits = range(1, 10)
+        found = 0
+        for diag in permutations(digits, 3):  # every ordered diagonal, 504
+            rest = [d for d in digits if d not in diag]
+            for off in permutations(rest):
+                cells = (diag[0], *off[:3], diag[1], *off[3:], diag[2])
+                companions = companion_cells(cells)
+                assert companions == sorted_lookup(cells)
+                found += len(companions)
+        assert found == 22896
