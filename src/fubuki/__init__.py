@@ -11,8 +11,6 @@ from .census import (
     closed_form_puzzle_count,
     companion_oracle_mismatches,
     companion_scan,
-    cross_check,
-    signature_key,
 )
 from .core import ClueSet, Grid, PrescriptionRegime, PuzzleFormatError
 from .generate import GeneratorConfig, generate_puzzles
@@ -20,14 +18,9 @@ from .rng import SplitMix64
 from .solver import SolveResult, count_solutions, solve
 from .theory import (
     DiagonalClass,
-    Triplet,
     build_shift_table,
     classify_diagonal,
     companion_solutions,
-    find_triplet,
-    is_valid_shift,
-    possible_shifts,
-    rigid_diagonals,
     shift_table_to_csv,
 )
 
@@ -47,7 +40,6 @@ __all__ = [
     "SolveResult",
     "SplitMix64",
     "TOTAL_GRIDS",
-    "Triplet",
     "build_shift_table",
     "census",
     "census_all",
@@ -57,13 +49,7 @@ __all__ = [
     "companion_scan",
     "companion_solutions",
     "count_solutions",
-    "cross_check",
-    "find_triplet",
     "generate_puzzles",
-    "is_valid_shift",
-    "possible_shifts",
-    "rigid_diagonals",
     "shift_table_to_csv",
-    "signature_key",
     "solve",
 ]

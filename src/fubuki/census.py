@@ -34,7 +34,6 @@ operand, so the 351,432 stored keys stay in 32-byte blocks.
 
 from __future__ import annotations
 
-import logging
 import os
 from collections import Counter, _count_elements
 from concurrent.futures import ProcessPoolExecutor
@@ -44,12 +43,8 @@ from math import factorial
 from operator import mul
 from typing import Iterator, NamedTuple
 
-from .core import MAX_LINE_SUM, MIN_LINE_SUM, ClueSet, Grid, PrescriptionRegime
-from .rng import SplitMix64
-from .solver import count_solutions
+from .core import MAX_LINE_SUM, MIN_LINE_SUM, PrescriptionRegime
 from .theory import build_shift_table, companion_cells
-
-logger = logging.getLogger(__name__)
 
 TOTAL_GRIDS = factorial(9)
 
@@ -303,36 +298,6 @@ def _oracle_violations(counts: dict[int, int], scan: CompanionScan) -> Iterator[
             yield f"bucket {key:#x} of {size} grids has {pairs} companion pairs"
     for key in sorted(pairs_per_key.keys() - counts.keys()):
         yield f"bucket {key:#x} has companion pairs but no census count"
-
-
-def cross_check(regime: PrescriptionRegime, sample: int, seed: int) -> bool:
-    """Validate signature bucketing against the solver on sampled grids.
-
-    For `sample` seeded-random grids, the size of the grid's signature
-    bucket must equal count_solutions over the grid's clue set. Returns True
-    when every sampled grid agrees; the first disagreement is logged.
-    """
-    if sample < 0:
-        raise ValueError(f"sample must be nonnegative, got {sample}")
-    if sample == 0:
-        return True
-    counts = census(regime, threads=1).counts
-    rng = SplitMix64(seed)
-    values = list(range(1, 10))
-    for _ in range(sample):
-        rng.shuffle(values)
-        cells = tuple(values)
-        bucket = counts[signature_key(cells, regime)]
-        solved = count_solutions(ClueSet.from_grid(Grid(cells), regime))
-        if bucket != solved:
-            logger.error(
-                "census cross-check mismatch: grid %s bucket size %d, solver found %d",
-                cells,
-                bucket,
-                solved,
-            )
-            return False
-    return True
 
 
 def default_threads() -> int:

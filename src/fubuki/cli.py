@@ -88,6 +88,8 @@ def _load_puzzle(path: str) -> ClueSet:
                 text = fh.read()
         except OSError as exc:
             raise _CliError(1, f"cannot read {path}: {exc.strerror or exc}") from None
+        except UnicodeDecodeError as exc:
+            raise _CliError(1, f"{name}: {exc}") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -24,11 +24,10 @@ from fubuki import (
     companion_oracle_mismatches,
     companion_scan,
     count_solutions,
-    find_triplet,
     generate_puzzles,
-    rigid_diagonals,
     solve,
 )
+from fubuki.theory import find_triplet, rigid_diagonals
 
 R = PrescriptionRegime
 

@@ -1,0 +1,69 @@
+"""The public API is what the CLI and the paper's results need, and the
+brute-force census stays independent of the solver it is checked against."""
+
+import ast
+from pathlib import Path
+
+import fubuki
+
+ROOT = Path(__file__).resolve().parent.parent
+
+PUBLIC_API = [
+    "CensusReport",
+    "ClosedFormCount",
+    "ClueSet",
+    "CompanionScan",
+    "DiagonalClass",
+    "EXPECTED_PUZZLE_COUNTS",
+    "GeneratorConfig",
+    "Grid",
+    "PrescriptionRegime",
+    "PuzzleFormatError",
+    "SolveResult",
+    "SplitMix64",
+    "TOTAL_GRIDS",
+    "build_shift_table",
+    "census",
+    "census_all",
+    "classify_diagonal",
+    "closed_form_puzzle_count",
+    "companion_oracle_mismatches",
+    "companion_scan",
+    "companion_solutions",
+    "count_solutions",
+    "generate_puzzles",
+    "shift_table_to_csv",
+    "solve",
+]
+
+
+def test_all_is_pinned():
+    assert sorted(fubuki.__all__) == PUBLIC_API
+
+
+def test_star_import_binds_exactly_the_public_names():
+    # raises AttributeError if a listed name does not resolve
+    namespace: dict = {}
+    exec("from fubuki import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == PUBLIC_API
+
+
+def imported_modules(path: Path):
+    """Every module, or module attribute, that a fubuki source file imports."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["fubuki" if node.level else "", node.module]))
+            yield module
+            yield from (f"{module}.{alias.name}" for alias in node.names)
+
+
+def test_census_imports_neither_solver_nor_rng():
+    offenders = [
+        name
+        for name in imported_modules(ROOT / "src" / "fubuki" / "census.py")
+        if name.split(".")[:2] in (["fubuki", "solver"], ["fubuki", "rng"])
+    ]
+    assert offenders == []

@@ -93,6 +93,14 @@ class TestSolve:
         assert "deep.json" in result.stderr
         assert "Traceback" not in result.stderr
 
+    def test_non_utf8_file_exits_1_naming_file(self, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe{")
+        result = run_cli("solve", str(path))
+        assert result.returncode == 1
+        assert result.stderr.startswith(f"fubuki: {path}: ")
+        assert "Traceback" not in result.stderr
+
     def test_bad_field_exits_1_naming_field(self, tmp_path):
         bad = dict(TWO_SOLUTION_PUZZLE, row_sums=[10, 15])
         result = run_cli("solve", write_puzzle(tmp_path, bad))

@@ -8,19 +8,23 @@ from fubuki import (
     ClueSet,
     Grid,
     PrescriptionRegime,
-    Triplet,
     build_shift_table,
     classify_diagonal,
     companion_solutions,
-    find_triplet,
-    is_valid_shift,
-    possible_shifts,
-    rigid_diagonals,
     shift_table_to_csv,
     solve,
 )
 from fubuki import theory
-from fubuki.theory import companion_cells, shift_cells, shift_match_table
+from fubuki.theory import (
+    Triplet,
+    companion_cells,
+    find_triplet,
+    is_valid_shift,
+    possible_shifts,
+    rigid_diagonals,
+    shift_cells,
+    shift_match_table,
+)
 
 
 def brute_force_triplets(values: frozenset, shift: int) -> list[tuple[int, int, int]]:
