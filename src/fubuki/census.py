@@ -14,8 +14,18 @@ third sums are omitted because all nine values always total 45, so they are
 forced by the first two and cannot separate two grids. Every regime
 prescribes a prefix of the diagonal, so a regime's key is the full-diagonal
 key with 4 bits dropped per unprescribed diagonal cell. The first row sum r1
-leads every regime's key, so sweep parts split on r1 never share a key and
-their counts merge by plain dict update.
+leads every regime's key, so two first row sums never share a key.
+
+The sweep counts one first row sum at a time (19 groups of at most 8 of the
+84 first-row digit sets). Because no key spans two groups, each group's
+counts are final: they are folded into a per-regime histogram of bucket
+sizes, the group's buckets of two or more grids are kept, and the rest is
+dropped before the next group is counted. A report is that histogram plus
+those multi-grid buckets, which is all that any reader needs: every
+statistic is a function of the histogram, and a key missing from the
+multi-grid buckets belongs to a single grid. Sweep parts split on r1 modulo
+the number of processes, so their histograms add and their multi-grid
+buckets merge by plain dict update.
 
 No field of the packing ever carries into the next (a line sum is at most
 24 < 32, a cell at most 9 < 16), so the key is linear in the cells: it is
@@ -40,11 +50,17 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations, islice, permutations, repeat
 from math import factorial
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterator, NamedTuple
 
-from .core import MAX_LINE_SUM, MIN_LINE_SUM, PrescriptionRegime
-from .theory import build_shift_table, companion_cells
+from .core import DIAGONAL_FLAT, MAX_LINE_SUM, MIN_LINE_SUM, PrescriptionRegime
+from .theory import (
+    MINUS_FLAT,
+    PLUS_FLAT,
+    build_shift_table,
+    companion_cells,
+    shift_match_table,
+)
 
 TOTAL_GRIDS = factorial(9)
 
@@ -84,8 +100,8 @@ def signature_key(cells: tuple[int, ...], regime: PrescriptionRegime) -> int:
     return _pack(cells) >> _drop(regime)
 
 
-def _count_part(drops: tuple[int, ...], part: int, parts: int) -> list[dict[int, int]]:
-    """Signature counts per key drop over grids whose first row sum is `part` mod `parts`."""
+def _count_group(drops: tuple[int, ...], r1: int) -> list[dict[int, int]]:
+    """Signature counts per key drop over grids whose first row sum is `r1`."""
     counts: list[dict[int, int]] = [{} for _ in drops]
     head_weights, tail_weights = _WEIGHTS[:3], _WEIGHTS[3:]
     top = 9 * sum(_WEIGHTS)  # at least every key
@@ -95,7 +111,7 @@ def _count_part(drops: tuple[int, ...], part: int, parts: int) -> list[dict[int,
     tails = [0] * factorial(6)
     lowers = [0] * factorial(6)
     for first in combinations(digits, 3):
-        if sum(first) % parts != part:
+        if sum(first) != r1:
             continue
         heads = [sum(map(mul, row, head_weights)) for row in permutations(first)]
         rest = [d for d in digits if d not in first]
@@ -110,9 +126,25 @@ def _count_part(drops: tuple[int, ...], part: int, parts: int) -> list[dict[int,
     return counts
 
 
-def _signature_counts(
-    regimes: tuple[PrescriptionRegime, ...], threads: int
-) -> list[dict[int, int]]:
+_Buckets = tuple[list[dict[int, int]], list[dict[int, int]]]
+
+
+def _count_part(drops: tuple[int, ...], part: int, parts: int) -> _Buckets:
+    """Bucket-size histograms and multi-grid buckets per key drop over grids
+    whose first row sum is `part` mod `parts`, counted one first row sum at a
+    time; the histograms map a size to its number of buckets."""
+    sizes: list[dict[int, int]] = [{} for _ in drops]
+    multi: list[dict[int, int]] = [{} for _ in drops]
+    for r1 in range(MIN_LINE_SUM, MAX_LINE_SUM + 1):
+        if r1 % parts != part:
+            continue
+        for counts, hist, kept in zip(_count_group(drops, r1), sizes, multi):
+            _count_elements(hist, counts.values())
+            kept.update({key: n for key, n in counts.items() if n >= 2})
+    return sizes, multi
+
+
+def _signature_counts(regimes: tuple[PrescriptionRegime, ...], threads: int) -> _Buckets:
     drops = tuple(_drop(r) for r in regimes)
     # one part per process, at most one per core and per possible first row sum
     workers = min(threads, os.cpu_count() or 1, MAX_LINE_SUM - MIN_LINE_SUM + 1)
@@ -122,44 +154,62 @@ def _signature_counts(
     # thread, whose malloc arena stays grown once it is freed, raising later peaks
     with ProcessPoolExecutor(max_workers=workers - 1) as pool:
         rest = pool.map(_count_part, repeat(drops), range(1, workers), repeat(workers))
-        merged = _count_part(drops, 0, workers)
-        for part in rest:
-            for whole, counts in zip(merged, part):
-                whole.update(counts)
-    return merged
+        sizes, multi = _count_part(drops, 0, workers)
+        for part_sizes, part_multi in rest:
+            for hist, part_hist in zip(sizes, part_sizes):
+                for size, n in part_hist.items():
+                    hist[size] = hist.get(size, 0) + n
+            for kept, part_kept in zip(multi, part_multi):
+                kept.update(part_kept)
+    return sizes, multi
 
 
 @dataclass
 class CensusReport:
     """Bucket-size statistics of one regime's sweep.
 
-    `counts` maps each signature key to its bucket size, the raw sweep
-    result; every statistic is derived from it, and construction raises
-    RuntimeError unless the buckets hold all 362,880 grids.
-    `grids_by_solutions[k]` is the number of grids living in puzzles with
-    exactly k solutions; `puzzles_by_solutions[k]` is the number of such
-    puzzles. `solvable_puzzles` is the total number of distinct clue sets
-    answered by at least one grid, the quantity the published counts refer
-    to.
+    `sizes[k]` is the number of buckets of exactly k grids, that is of
+    puzzles with exactly k solutions, and `multi` maps the signature key of
+    every bucket of two or more grids to its size; a grid whose key is not
+    in `multi` is the only solution of its puzzle. Every statistic is
+    derived from `sizes`. Construction raises RuntimeError unless the
+    buckets hold all 362,880 grids and `multi` holds exactly the buckets
+    that `sizes` counts at k >= 2. `grids_by_solutions[k]` is the number of
+    grids living in puzzles with exactly k solutions;
+    `puzzles_by_solutions[k]` is the number of such puzzles.
+    `solvable_puzzles` is the total number of distinct clue sets answered
+    by at least one grid, the quantity the published counts refer to.
     """
 
     regime: PrescriptionRegime
-    counts: dict[int, int] = field(repr=False)
+    sizes: dict[int, int]
+    multi: dict[int, int] = field(repr=False)
 
     def __post_init__(self) -> None:
+        name = self.regime.value
         if self.total_grids != TOTAL_GRIDS:
             raise RuntimeError(
-                f"{self.regime.value} census buckets hold {self.total_grids} grids, "
-                f"expected {TOTAL_GRIDS}"
+                f"{name} census buckets hold {self.total_grids} grids, expected {TOTAL_GRIDS}"
+            )
+        if min(self.multi.values(), default=2) < 2:
+            raise RuntimeError(
+                f"{name} census multi-grid buckets include one of "
+                f"{min(self.multi.values())} grids"
+            )
+        multi_sizes = dict(sorted(Counter(self.multi.values()).items()))
+        wanted = {k: n for k, n in self.puzzles_by_solutions.items() if k >= 2}
+        if multi_sizes != wanted:
+            raise RuntimeError(
+                f"{name} census multi-grid buckets by size are {multi_sizes}, expected {wanted}"
             )
 
     @property
     def total_grids(self) -> int:
-        return sum(self.counts.values())
+        return sum(k * n for k, n in self.sizes.items())
 
     @property
     def puzzles_by_solutions(self) -> dict[int, int]:
-        return dict(sorted(Counter(self.counts.values()).items()))
+        return dict(sorted(self.sizes.items()))
 
     @property
     def grids_by_solutions(self) -> dict[int, int]:
@@ -167,15 +217,15 @@ class CensusReport:
 
     @property
     def solvable_puzzles(self) -> int:
-        return len(self.counts)
+        return sum(self.sizes.values())
 
     @property
     def single_solution_puzzles(self) -> int:
-        return self.puzzles_by_solutions.get(1, 0)
+        return self.sizes.get(1, 0)
 
     @property
     def max_solutions(self) -> int:
-        return max(self.counts.values())
+        return max(self.sizes)
 
     def to_dict(self) -> dict:
         return {
@@ -188,18 +238,24 @@ class CensusReport:
         }
 
 
+def _reports(
+    regimes: tuple[PrescriptionRegime, ...], threads: int | None
+) -> dict[PrescriptionRegime, CensusReport]:
+    sizes, multi = _signature_counts(regimes, threads or 1)
+    return {
+        regime: CensusReport(regime, hist, kept)
+        for regime, hist, kept in zip(regimes, sizes, multi)
+    }
+
+
 def census(regime: PrescriptionRegime, threads: int | None = None) -> CensusReport:
     """Sweep all grids once and report bucket statistics for one regime."""
-    return CensusReport(regime, _signature_counts((regime,), threads or 1)[0])
+    return _reports((regime,), threads)[regime]
 
 
 def census_all(threads: int | None = None) -> dict[PrescriptionRegime, CensusReport]:
     """All four regimes from a single shared permutation sweep."""
-    regimes = tuple(PrescriptionRegime)
-    all_counts = _signature_counts(regimes, threads or 1)
-    return {
-        regime: CensusReport(regime, counts) for regime, counts in zip(regimes, all_counts)
-    }
+    return _reports(tuple(PrescriptionRegime), threads)
 
 
 class ClosedFormCount(NamedTuple):
@@ -232,8 +288,9 @@ def closed_form_puzzle_count() -> ClosedFormCount:
 
 @dataclass
 class CompanionScan:
-    """Every (grid, companion) pair of the shift structure, and the full-diagonal
-    statistics they give; a puzzle is counted at its smallest solution."""
+    """Every (grid, companion) pair of the shift structure, sorted, and the
+    full-diagonal statistics they give; a puzzle is counted at its smallest
+    solution."""
 
     pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] = field(repr=False)
 
@@ -250,34 +307,58 @@ class CompanionScan:
         return TOTAL_GRIDS - len({p for p, c in self.pairs if c < p})
 
 
-def companion_scan() -> CompanionScan:
-    """Scan all grids for their structural companions.
+# cells of a grid from its diagonal, +cell and -cell values, in that order
+_SCATTER = itemgetter(*((DIAGONAL_FLAT + PLUS_FLAT + MINUS_FLAT).index(i) for i in range(9)))
 
-    No bucketing is involved, so this is a route to the puzzle count that is
-    independent of the signature census.
+
+def companion_scan() -> CompanionScan:
+    """Find every grid's structural companions from the shift table.
+
+    A grid has a companion exactly when an entry (shift, required) of its
+    diagonal's row in `shift_match_table()` lists its sorted +cell values.
+    So each entry names its candidate grids: the diagonal's 6 orderings on
+    the diagonal, the 6 orderings of `required` on the +cells and the 6 of
+    the other three values on the -cells. The 106 entries give 22,896
+    candidates, each passed to `companion_cells`; a grid outside them has
+    no companion. No bucketing is involved, so this is a route to the
+    puzzle count that is independent of the signature census.
     """
-    return CompanionScan([(p, c) for p in permutations(range(1, 10)) for c in companion_cells(p)])
+    pairs = []
+    for diagonal, entries in shift_match_table().items():
+        for _, required in entries:
+            minus = set(range(1, 10)).difference(diagonal, required)
+            for d in permutations(diagonal):
+                for p in permutations(required):
+                    for m in permutations(minus):
+                        cells = _SCATTER(d + p + m)
+                        pairs.extend((cells, c) for c in companion_cells(cells))
+    pairs.sort()
+    return CompanionScan(pairs)
 
 
 def companion_oracle_mismatches(
-    counts: dict[int, int], scan: CompanionScan, max_report: int = 5
+    multi: dict[int, int], scan: CompanionScan, max_report: int = 5
 ) -> list[str]:
     """Check the structural companions against the brute-force census.
 
-    `counts` maps each full-diagonal signature key to its bucket size and
-    `scan` lists every (grid, companion) pair the shift structure yields.
-    Write B(p) for grid p's bucket and C(p) for its companions. (1) Each
-    pair (p, c) holds two permutations of 1..9 with c != p and c in B(p),
-    and no pair repeats, so C(p) is a subset of B(p) - {p}. (2) A bucket of
-    s grids has exactly s * (s - 1) pairs, and every pair's key is in
-    `counts`; each of its s grids has at most s - 1 companions, so each has
-    exactly s - 1. Hence C(p) = B(p) - {p} for all 362,880 grids. Returns
-    the first `max_report` violations; empty means the routes agree.
+    `multi` maps the full-diagonal signature key of every bucket of two or
+    more grids to its size, so the census puts every other grid alone in
+    its bucket, and `scan` lists every (grid, companion) pair the shift
+    structure yields. Write B(p) for grid p's bucket, s(p) for its size in
+    the census and C(p) for p's companions. (1) Each pair (p, c) holds two
+    permutations of 1..9 with c != p and c in B(p), and no pair repeats, so
+    C(p) is a subset of B(p) - {p}. (2) A bucket in `multi` of s grids has
+    exactly s * (s - 1) pairs, and (3) no pair's key is missing from
+    `multi`, so a bucket of one grid has none, 1 * 0. So every bucket gets
+    s * (s - 1) pairs; each of its s grids has at most s - 1 companions,
+    so each has exactly s - 1. Hence C(p) = B(p) - {p} for all 362,880
+    grids. Returns the first `max_report` violations; empty means the
+    routes agree.
     """
-    return list(islice(_oracle_violations(counts, scan), max_report))
+    return list(islice(_oracle_violations(multi, scan), max_report))
 
 
-def _oracle_violations(counts: dict[int, int], scan: CompanionScan) -> Iterator[str]:
+def _oracle_violations(multi: dict[int, int], scan: CompanionScan) -> Iterator[str]:
     regime = PrescriptionRegime.FULL_DIAGONAL
     digits = list(range(1, 10))
     pairs_per_key: Counter[int] = Counter()
@@ -292,12 +373,12 @@ def _oracle_violations(counts: dict[int, int], scan: CompanionScan) -> Iterator[
             yield f"pair {p} -> {c}: companion outside the grid's bucket"
     if len(set(scan.pairs)) != len(scan.pairs):
         yield "a (grid, companion) pair is listed more than once"
-    for key, size in counts.items():
+    for key, size in multi.items():
         pairs = pairs_per_key.get(key, 0)
         if pairs != size * (size - 1):
             yield f"bucket {key:#x} of {size} grids has {pairs} companion pairs"
-    for key in sorted(pairs_per_key.keys() - counts.keys()):
-        yield f"bucket {key:#x} has companion pairs but no census count"
+    for key in sorted(pairs_per_key.keys() - multi.keys()):
+        yield f"bucket {key:#x} has companion pairs but one grid in the census"
 
 
 def default_threads() -> int:

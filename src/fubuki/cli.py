@@ -199,7 +199,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         scan = companion_scan()
         line("companion scan: solvable puzzles", scan.solvable_puzzles, expected)
         mismatches = companion_oracle_mismatches(
-            reports[PrescriptionRegime.FULL_DIAGONAL].counts, scan
+            reports[PrescriptionRegime.FULL_DIAGONAL].multi, scan
         )
         status = "PASS" if not mismatches else "FAIL"
         print(

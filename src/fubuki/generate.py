@@ -47,8 +47,8 @@ def _rigid_diagonal_grid(rng: SplitMix64) -> Grid:
 
 
 @cache
-def _bucket_counts(regime: PrescriptionRegime) -> dict[int, int]:
-    return census(regime, threads=1).counts
+def _multi_buckets(regime: PrescriptionRegime) -> dict[int, int]:
+    return census(regime, threads=1).multi
 
 
 def generate_puzzles(config: GeneratorConfig) -> list[ClueSet]:
@@ -58,8 +58,9 @@ def generate_puzzles(config: GeneratorConfig) -> list[ClueSet]:
     sampled from the 35 sets admitting no shift, which forces uniqueness by
     construction (existence is witnessed by the sampled grid itself). Under
     the weaker regimes, grids are rejection-sampled until the induced
-    puzzle's signature bucket holds a single grid; every emitted puzzle is
-    then re-verified with the brute-force solver rather than trusted.
+    puzzle's signature is not among the census's multi-grid buckets; every
+    emitted puzzle is then re-verified with the brute-force solver rather
+    than trusted.
     """
     # resolved through fubuki.census at each call, not bound at import, so
     # a wrapper installed on that module's name sees every rejection draw
@@ -71,10 +72,10 @@ def generate_puzzles(config: GeneratorConfig) -> list[ClueSet]:
         if config.require_unique and config.regime is PrescriptionRegime.FULL_DIAGONAL:
             clue = ClueSet.from_grid(_rigid_diagonal_grid(rng), config.regime)
         elif config.require_unique:
-            buckets = _bucket_counts(config.regime)
+            multi = _multi_buckets(config.regime)
             while True:
                 grid = _random_grid(rng)
-                if buckets[signature_key(grid.cells, config.regime)] == 1:
+                if signature_key(grid.cells, config.regime) not in multi:
                     break
             clue = ClueSet.from_grid(grid, config.regime)
             if count_solutions(clue) != 1:

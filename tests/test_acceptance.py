@@ -147,8 +147,8 @@ def test_criterion_4_at_most_two_solutions(census_reports):
 
 def test_criterion_5_companion_oracle_equivalence(census_reports):
     with criterion(5, "structural companions equal brute-force buckets, all grids"):
-        counts = census_reports[R.FULL_DIAGONAL].counts
-        assert companion_oracle_mismatches(counts, companion_scan()) == []
+        multi = census_reports[R.FULL_DIAGONAL].multi
+        assert companion_oracle_mismatches(multi, companion_scan()) == []
         # and the solver proper agrees at the solution-set level on a
         # seeded sample, tying the bucket grouping back to solve()
         from fubuki import companion_solutions

@@ -1,4 +1,7 @@
 import importlib
+import re
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 from itertools import permutations
@@ -20,13 +23,15 @@ from fubuki import (
     count_solutions,
 )
 from fubuki.census import default_threads, signature_key
+from fubuki.core import MAX_LINE_SUM, MIN_LINE_SUM
 from fubuki.rng import SplitMix64
-from fubuki.theory import shift_cells
+from fubuki.theory import companion_cells, shift_cells
 
 # the package re-exports census() under the submodule's name
 census_module = importlib.import_module("fubuki.census")
 
 R = PrescriptionRegime
+FIRST_ROW_SUMS = range(MIN_LINE_SUM, MAX_LINE_SUM + 1)
 
 # regression pins from exhaustive runs (no published reference values)
 MAX_SOLUTIONS = {R.FULL_DIAGONAL: 2, R.FIRST_TWO_DIAGONAL: 6, R.TOP_LEFT: 18, R.NONE: 80}
@@ -144,9 +149,13 @@ class TestSweepMechanics:
             key = census_module._pack(cells)
             for drop, counts in zip(drops, naive):
                 counts[key >> drop] += 1
-        swept = census_module._count_part(drops, 0, 1)
+        swept: list[dict[int, int]] = [{} for _ in drops]
+        for r1 in FIRST_ROW_SUMS:
+            for merged, counts in zip(swept, census_module._count_group(drops, r1)):
+                assert type(counts) is dict
+                assert merged.keys().isdisjoint(counts)
+                merged.update(counts)
         for regime, got, want in zip(R, swept, naive):
-            assert type(got) is dict, regime
             assert got == dict(want), regime
 
     def test_key_is_weighted_cell_sum(self):
@@ -155,15 +164,54 @@ class TestSweepMechanics:
             assert census_module._pack(cells) == sum(map(mul, cells, weights))
 
     def test_full_diagonal_buckets_partition_all_grids(self):
+        drops = (census_module._drop(R.FULL_DIAGONAL),)
+        counts: dict[int, int] = {}
+        for r1 in FIRST_ROW_SUMS:
+            counts.update(census_module._count_group(drops, r1)[0])
+        assert len(counts) == EXPECTED_PUZZLE_COUNTS[R.FULL_DIAGONAL]
+        assert sum(counts.values()) == TOTAL_GRIDS
+        assert max(counts.values()) == 2
         report = census(R.FULL_DIAGONAL, threads=1)
-        assert len(report.counts) == EXPECTED_PUZZLE_COUNTS[R.FULL_DIAGONAL]
-        assert sum(report.counts.values()) == TOTAL_GRIDS
-        assert max(report.counts.values()) == 2
+        assert report.sizes == dict(Counter(counts.values())) == {1: 339984, 2: 11448}
+        assert report.multi == {key: n for key, n in counts.items() if n >= 2}
         assert report.max_solutions == 2
 
     def test_report_rejects_a_short_sweep(self):
         with pytest.raises(RuntimeError, match="362879.*362880"):
-            CensusReport(R.NONE, {0: TOTAL_GRIDS - 1})
+            CensusReport(R.NONE, {1: TOTAL_GRIDS - 1}, {})
+
+    def test_report_rejects_multi_buckets_that_disagree_with_sizes(self, census_reports):
+        report = census_reports[R.FULL_DIAGONAL]
+        multi = dict(report.multi)
+        del multi[next(iter(multi))]
+        with pytest.raises(RuntimeError, match=re.escape("are {2: 11447}, expected {2: 11448}")):
+            CensusReport(R.FULL_DIAGONAL, report.sizes, multi)
+
+    def test_report_rejects_a_single_grid_multi_bucket(self, census_reports):
+        # sizes and total stay consistent: one single-grid bucket is also
+        # listed among the multi-grid buckets
+        report = census_reports[R.FULL_DIAGONAL]
+        multi = {**report.multi, 0: 1}
+        with pytest.raises(RuntimeError, match="include one of 1 grids"):
+            CensusReport(R.FULL_DIAGONAL, report.sizes, multi)
+
+    def test_report_checks_hold_under_optimize(self):
+        # the checks are real exceptions, not asserts that -O strips
+        code = (
+            "from fubuki.census import CensusReport, TOTAL_GRIDS\n"
+            "from fubuki.core import PrescriptionRegime as R\n"
+            "for sizes, multi in [({1: TOTAL_GRIDS - 1}, {}), ({1: TOTAL_GRIDS}, {0: 1}),\n"
+            "                     ({1: TOTAL_GRIDS - 2, 2: 1}, {})]:\n"
+            "    try:\n"
+            "        CensusReport(R.NONE, sizes, multi)\n"
+            "    except RuntimeError:\n"
+            "        continue\n"
+            "    raise SystemExit(f'accepted {sizes} {multi}')\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
 
     @pytest.mark.parametrize("parts", [2, 3])
     def test_parts_share_no_key(self, census_reports, parts):
@@ -171,10 +219,18 @@ class TestSweepMechanics:
         drops = (census_module._drop(R.NONE),)
         merged: dict[int, int] = {}
         for part in range(parts):
-            counts = census_module._count_part(drops, part, parts)[0]
+            counts: dict[int, int] = {}
+            for r1 in FIRST_ROW_SUMS[part::parts]:
+                counts.update(census_module._count_group(drops, r1)[0])
             assert merged.keys().isdisjoint(counts)
             merged.update(counts)
-        assert merged == census_reports[R.NONE].counts
+            # each part folds its groups into exactly these statistics
+            (sizes,), (multi,) = census_module._count_part(drops, part, parts)
+            assert sizes == dict(Counter(counts.values()))
+            assert multi == {key: n for key, n in counts.items() if n >= 2}
+        report = census_reports[R.NONE]
+        assert dict(Counter(merged.values())) == report.sizes
+        assert {key: n for key, n in merged.items() if n >= 2} == report.multi
 
     def test_workers_capped_at_cores(self, monkeypatch):
         started = []
@@ -196,7 +252,7 @@ class TestSweepMechanics:
 
         def fake_part(drops, part, of):
             parts.append((part, of))
-            return [{} for _ in drops]
+            return [{} for _ in drops], [{} for _ in drops]
 
         monkeypatch.setattr(census_module, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(census_module, "_count_part", fake_part)
@@ -234,18 +290,40 @@ class TestCompanionScan:
         assert full_scan.solvable_puzzles == 351432
         assert len(full_scan.pairs) == 22896
 
+    def test_pairs_equal_a_walk_over_all_grids(self, full_scan):
+        # the scan lists only the grids the shift table names; walking all
+        # 9! grids finds the same pairs in the same order
+        walked = [(p, c) for p in permutations(range(1, 10)) for c in companion_cells(p)]
+        assert full_scan.pairs == walked
+
 
 class TestCompanionOracle:
     # the clean run is acceptance criterion 5; each case here breaks one input
-    @pytest.mark.parametrize("size, wrong", [(2, 1), (1, 2), (2, None)])
-    def test_detects_a_wrong_bucket_size(self, census_reports, full_scan, size, wrong):
-        counts = dict(census_reports[R.FULL_DIAGONAL].counts)
-        key = next(k for k, n in counts.items() if n == size)
-        if wrong is None:
-            del counts[key]
+    @pytest.mark.parametrize(
+        "size, wrong, found",
+        [
+            (2, 1, "of 1 grids has 2 companion pairs"),
+            # a multi-grid bucket that gets no pairs
+            (1, 2, "of 2 grids has 0 companion pairs"),
+            # pairs whose key is missing from multi
+            (2, None, "has companion pairs but one grid in the census"),
+        ],
+        ids=["2-1", "1-2", "2-None"],
+    )
+    def test_detects_a_wrong_bucket_size(
+        self, census_reports, full_scan, grid_unique, size, wrong, found
+    ):
+        multi = dict(census_reports[R.FULL_DIAGONAL].multi)
+        if size == 1:  # a single-grid bucket, absent from multi
+            key = signature_key(grid_unique.cells, R.FULL_DIAGONAL)
+            assert key not in multi
         else:
-            counts[key] = wrong
-        assert companion_oracle_mismatches(counts, full_scan) != []
+            key = next(iter(multi))
+        if wrong is None:
+            del multi[key]
+        else:
+            multi[key] = wrong
+        assert companion_oracle_mismatches(multi, full_scan) == [f"bucket {key:#x} {found}"]
 
     @pytest.mark.parametrize(
         "fault", ["dropped", "not-a-permutation", "other-bucket", "equals-grid", "repeated"]
@@ -266,8 +344,8 @@ class TestCompanionOracle:
         else:  # the reverse pair (c, p) becomes a second (p, c)
             pairs[pairs.index((c, p))] = (p, c)
         scan = replace(full_scan, pairs=pairs)
-        counts = census_reports[R.FULL_DIAGONAL].counts
-        assert companion_oracle_mismatches(counts, scan) != []
+        multi = census_reports[R.FULL_DIAGONAL].multi
+        assert companion_oracle_mismatches(multi, scan) != []
 
     def test_report_is_capped(self, full_scan):
         assert len(companion_oracle_mismatches({}, full_scan, max_report=3)) == 3
@@ -276,14 +354,14 @@ class TestCompanionOracle:
 def bucket_solver_mismatches(report: CensusReport, sample: int) -> list[str]:
     """Seeded-random grids whose signature bucket size in `report` differs
     from the solver's count of their clue set's solutions."""
-    regime, counts = report.regime, report.counts
+    regime, multi = report.regime, report.multi
     rng = SplitMix64(42)
     values = list(range(1, 10))
     mismatches = []
     for _ in range(sample):
         rng.shuffle(values)
         cells = tuple(values)
-        bucket = counts[signature_key(cells, regime)]
+        bucket = multi.get(signature_key(cells, regime), 1)
         solved = count_solutions(ClueSet.from_grid(Grid(cells), regime))
         if bucket != solved:
             mismatches.append(f"grid {cells}: bucket size {bucket}, solver found {solved}")

@@ -229,7 +229,27 @@ class TestGenerate:
         assert result.stdout.count("+----+----+----+") == 4
 
 
+VERIFY_ALL_STDOUT = """\
+regime full-diagonal: solvable puzzles: 351432 (expected 351432) PASS
+regime first-two-diagonal: solvable puzzles: 281304 (expected 281304) PASS
+regime top-left: solvable puzzles: 163387 (expected 163387) PASS
+regime none: solvable puzzles: 46147 (expected 46147) PASS
+closed form 151200 + 184680 + 15552: 351432 (expected 351432) PASS
+companion scan: solvable puzzles: 351432 (expected 351432) PASS
+companion oracle: 362880/362880 grids match brute force PASS
+"""
+
+
 class TestVerify:
+    def test_all_prints_the_golden_report_serial_and_parallel(self):
+        for threads in ("1", "2"):
+            result = run_cli("verify", "--all", "--threads", threads)
+            assert (result.returncode, result.stdout, result.stderr) == (
+                0,
+                VERIFY_ALL_STDOUT,
+                "",
+            ), threads
+
     def test_single_weak_regime(self):
         result = run_cli("verify", "--regime", "top-left", "--threads", "1")
         assert result.returncode == 0
@@ -246,7 +266,7 @@ class TestVerify:
 
         def broken_census(regime, threads=None):
             # every grid alone in its bucket: a full sweep with wrong keys
-            return CensusReport(regime, {key: 1 for key in range(362880)})
+            return CensusReport(regime, {1: 362880}, {})
 
         monkeypatch.setattr(cli, "census", broken_census)
         code = cli.main(["verify", "--regime", "none", "--threads", "1"])
@@ -263,7 +283,7 @@ class TestVerify:
         detail = "pair (1, 2, 3, 4, 5, 6, 7, 8, 9) -> (9, 8, 7, 6, 5, 4, 3, 2, 1): injected"
         monkeypatch.setattr(cli, "census", lambda regime, threads=None: census_reports[regime])
         monkeypatch.setattr(cli, "companion_scan", lambda: full_scan)
-        monkeypatch.setattr(cli, "companion_oracle_mismatches", lambda counts, scan: [detail])
+        monkeypatch.setattr(cli, "companion_oracle_mismatches", lambda multi, scan: [detail])
         code = cli.main(["verify", "--regime", "full-diagonal", "--threads", "1"])
         captured = capsys.readouterr()
         assert code == 3
