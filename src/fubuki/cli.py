@@ -23,7 +23,7 @@ from .census import (
     TOTAL_GRIDS,
 )
 from .core import ClueSet, Grid, PrescriptionRegime, PuzzleFormatError
-from .generate import GeneratorConfig, generate_puzzles
+from .generate import _MAX_SEED, GeneratorConfig, generate_puzzles
 from .solver import solve
 from .theory import build_shift_table, classify_diagonal, shift_table_to_csv
 
@@ -63,9 +63,6 @@ def _parse_threads(text: str) -> int:
     if threads < 0:
         raise argparse.ArgumentTypeError(f"must be 0 (default) or positive, got {threads}")
     return threads
-
-
-_MAX_SEED = (1 << 64) - 1  # SplitMix64 keeps 64 bits of state
 
 
 def _parse_seed(text: str) -> int:

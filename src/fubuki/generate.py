@@ -13,6 +13,12 @@ from .theory import rigid_diagonals
 
 # Flat indices the off-diagonal values fill, in row-major reading order.
 _OFF_DIAGONAL_FLAT = (1, 2, 3, 5, 6, 7)
+_DIGITS = range(1, 10)
+_MAX_SEED = (1 << 64) - 1  # SplitMix64 keeps 64 bits of state
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -23,12 +29,17 @@ class GeneratorConfig:
     count: int
 
     def __post_init__(self) -> None:
+        # bounded here, not only at the CLI, so no two seeds alias one stream
+        if not (_is_int(self.seed) and 0 <= self.seed <= _MAX_SEED):
+            raise ValueError(f"seed must be an int in 0..{_MAX_SEED}, got {self.seed!r}")
+        if not _is_int(self.count):
+            raise ValueError(f"count must be an int, got {self.count!r}")
         if self.count < 1:
             raise ValueError(f"count must be at least 1, got {self.count}")
 
 
 def _random_grid(rng: SplitMix64) -> Grid:
-    values = list(range(1, 10))
+    values = list(_DIGITS)
     rng.shuffle(values)
     return Grid(tuple(values))
 
@@ -58,15 +69,19 @@ def generate_puzzles(config: GeneratorConfig) -> list[ClueSet]:
     sampled from the 35 sets admitting no shift, which forces uniqueness by
     construction (existence is witnessed by the sampled grid itself). Under
     the weaker regimes, grids are rejection-sampled until the induced
-    puzzle's signature is not among the census's multi-grid buckets; every
-    emitted puzzle is then re-verified with the brute-force solver rather
-    than trusted.
+    puzzle's signature is not among the census's multi-grid buckets. A draw
+    is a bare cell tuple, a shuffle of 1..9 and so a valid grid by
+    construction; only the accepted draw is built and validated as a `Grid`.
+    Every emitted puzzle is then re-verified with the brute-force solver
+    rather than trusted. The seed-7 output of every regime is pinned by a
+    test, so a change here must keep the stream byte-identical.
     """
     # resolved through fubuki.census at each call, not bound at import, so
     # a wrapper installed on that module's name sees every rejection draw
     from .census import signature_key
 
     rng = SplitMix64(config.seed)
+    values = list(_DIGITS)
     puzzles: list[ClueSet] = []
     for _ in range(config.count):
         if config.require_unique and config.regime is PrescriptionRegime.FULL_DIAGONAL:
@@ -74,13 +89,15 @@ def generate_puzzles(config: GeneratorConfig) -> list[ClueSet]:
         elif config.require_unique:
             multi = _multi_buckets(config.regime)
             while True:
-                grid = _random_grid(rng)
-                if signature_key(grid.cells, config.regime) not in multi:
+                values[:] = _DIGITS  # each draw shuffles 1..9 afresh
+                rng.shuffle(values)
+                cells = tuple(values)
+                if signature_key(cells, config.regime) not in multi:
                     break
-            clue = ClueSet.from_grid(grid, config.regime)
+            clue = ClueSet.from_grid(Grid(cells), config.regime)
             if count_solutions(clue) != 1:
                 raise RuntimeError(
-                    f"generator produced a non-unique puzzle for {grid.cells}"
+                    f"generator produced a non-unique puzzle for {cells}"
                 )
         else:
             clue = ClueSet.from_grid(_random_grid(rng), config.regime)

@@ -8,7 +8,8 @@ implementations, unlike the stdlib's Mersenne Twister convenience methods.
 
 from __future__ import annotations
 
-_MASK64 = (1 << 64) - 1
+_SPAN = 1 << 64
+_MASK64 = _SPAN - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
@@ -29,16 +30,25 @@ class SplitMix64:
         """Uniform integer in [0, n), bias-free via rejection."""
         if n < 1:
             raise ValueError(f"bound must be positive, got {n}")
-        limit = ((1 << 64) // n) * n
+        limit = _SPAN - _SPAN % n  # largest multiple of n not above 2**64
         while True:
             u = self.next_u64()
             if u < limit:
                 return u % n
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates, iterating from the last index down."""
+        """In-place Fisher-Yates, iterating from the last index down.
+
+        Each index is drawn by `below`'s rejection rule, inline: the same
+        `next_u64` values are consumed and the same permutation results.
+        """
+        next_u64 = self.next_u64
         for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
+            n = i + 1
+            limit = _SPAN - _SPAN % n
+            while (u := next_u64()) >= limit:
+                pass
+            j = u % n
             items[i], items[j] = items[j], items[i]
 
     def choice(self, seq):

@@ -1,14 +1,42 @@
+import hashlib
+import sys
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fubuki import (
     GeneratorConfig,
+    Grid,
     PrescriptionRegime,
     classify_diagonal,
     count_solutions,
     generate,
     generate_puzzles,
 )
+from fubuki.cli import main
 from fubuki.rng import SplitMix64
+
+PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=300)
+MAX_SEED = (1 << 64) - 1
+
+
+def reference_shuffle(rng: SplitMix64, items: list) -> None:
+    """Fisher-Yates from the last index down, each index drawn by `below`."""
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.below(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+class Scripted(SplitMix64):
+    """SplitMix64 whose first draws are scripted, so rejections can be forced."""
+
+    def __init__(self, seed: int, script: list[int]) -> None:
+        super().__init__(seed)
+        self.script = list(script)
+
+    def next_u64(self) -> int:
+        return self.script.pop() if self.script else super().next_u64()
 
 
 class TestSplitMix64:
@@ -36,11 +64,49 @@ class TestSplitMix64:
         assert sorted(items) == list(range(1, 10))
         assert items != list(range(1, 10))
 
+    @PROPERTY
+    @given(st.integers(0, MAX_SEED), st.integers(0, 20))
+    def test_shuffle_is_fisher_yates_on_below(self, seed, length):
+        fast, reference = SplitMix64(seed), SplitMix64(seed)
+        a, b = list(range(length)), list(range(length))
+        fast.shuffle(a)
+        reference_shuffle(reference, b)
+        assert a == b
+        # states agree only after the same number of next_u64 draws
+        assert fast._state == reference._state
+
+    @PROPERTY
+    @given(
+        st.integers(0, MAX_SEED),
+        st.integers(0, 20),
+        st.lists(st.integers(MAX_SEED - 40, MAX_SEED), max_size=30),
+    )
+    def test_shuffle_rejects_as_below_does(self, seed, length, script):
+        # draws this close to 2**64 are rejected for most bounds up to 20
+        fast, reference = Scripted(seed, script), Scripted(seed, script)
+        a, b = list(range(length)), list(range(length))
+        fast.shuffle(a)
+        reference_shuffle(reference, b)
+        assert a == b
+        assert fast.script == reference.script
+        assert fast._state == reference._state
+
 
 class TestGenerator:
     def test_config_rejects_bad_count(self):
         with pytest.raises(ValueError):
             GeneratorConfig(PrescriptionRegime.NONE, True, 1, 0)
+
+    @pytest.mark.parametrize("count", [True, 2.5, "3", None])
+    def test_config_rejects_a_count_that_is_not_an_int(self, count):
+        with pytest.raises(ValueError, match="count must be an int"):
+            GeneratorConfig(PrescriptionRegime.NONE, True, 1, count)
+
+    @pytest.mark.parametrize("seed", [-1, MAX_SEED + 1, MAX_SEED + 6, True, 5.0, "5"])
+    def test_config_rejects_a_seed_outside_64_bits(self, seed):
+        # -1 and 2**64 + 5 would alias 2**64 - 1 and 5 in SplitMix64's state
+        with pytest.raises(ValueError, match="seed must be an int"):
+            GeneratorConfig(PrescriptionRegime.NONE, False, seed, 1)
 
     def test_deterministic_per_config(self):
         config = GeneratorConfig(PrescriptionRegime.TOP_LEFT, True, 77, 10)
@@ -78,3 +144,60 @@ class TestGenerator:
         monkeypatch.setattr(generate, "count_solutions", lambda clue: 2)
         with pytest.raises(RuntimeError, match="non-unique"):
             generate_puzzles(GeneratorConfig(PrescriptionRegime.NONE, True, 7, 1))
+
+
+# SHA-256 of `fubuki generate ... --seed 7 --count 100` stdout, per regime.
+GOLDEN_UNIQUE = {
+    "full-diagonal": "7423f6e29644a152fa93bfa0b850d61717a12956320a7c1bddc42d745fb27d15",
+    "first-two-diagonal": "432551e639a9efaa68146d22493450c5e0514a1193c0ce2d5893aecda7bfad45",
+    "top-left": "6719d9c331be8d821aaee0daf17d6df4bc434cffc54b7fb706f8a6c1e66bc506",
+    "none": "4fc41f92c19abdc385d63be5dda384985ac3046385502c720083fe45bc28b2ea",
+}
+GOLDEN_NONE_NOT_UNIQUE = "edf7c13015ef189a17ca9f5b3888689b39b02310fac2c4c3be7ec33e730362a2"
+
+# signature_key calls (one per rejection draw) at --seed 7 --count 100
+DRAWS_SEED_7 = {
+    PrescriptionRegime.FULL_DIAGONAL: 0,
+    PrescriptionRegime.FIRST_TWO_DIAGONAL: 167,
+    PrescriptionRegime.TOP_LEFT: 593,
+    PrescriptionRegime.NONE: 15910,
+}
+
+
+class TestSeededOutput:
+    def stdout_digest(self, capsys, argv):
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        return hashlib.sha256(out.encode()).hexdigest()
+
+    @pytest.mark.parametrize("regime", sorted(GOLDEN_UNIQUE))
+    def test_unique_output_is_pinned(self, capsys, regime):
+        argv = ["generate", "--regime", regime, "--unique", "--seed", "7", "--count", "100"]
+        assert self.stdout_digest(capsys, argv) == GOLDEN_UNIQUE[regime]
+
+    def test_non_unique_output_is_pinned(self, capsys):
+        argv = ["generate", "--regime", "none", "--seed", "7", "--count", "100"]
+        assert self.stdout_digest(capsys, argv) == GOLDEN_NONE_NOT_UNIQUE
+
+    @pytest.mark.parametrize("regime", list(DRAWS_SEED_7), ids=lambda r: r.name)
+    def test_one_key_per_draw_and_one_grid_per_puzzle(self, monkeypatch, regime):
+        if regime is not PrescriptionRegime.FULL_DIAGONAL:
+            generate._multi_buckets(regime)  # the bucket sweep is not counted
+        calls = {"key": 0, "grid": 0}
+        census_module = sys.modules["fubuki.census"]
+        key, post_init = census_module.signature_key, Grid.__post_init__
+
+        def counted_key(cells, regime):
+            calls["key"] += 1
+            return key(cells, regime)
+
+        def counted_post_init(self):
+            calls["grid"] += 1
+            post_init(self)
+
+        monkeypatch.setattr(census_module, "signature_key", counted_key)
+        monkeypatch.setattr(Grid, "__post_init__", counted_post_init)
+        puzzles = generate_puzzles(GeneratorConfig(regime, True, 7, 100))
+        assert len(puzzles) == 100
+        assert calls == {"key": DRAWS_SEED_7[regime], "grid": 100}

@@ -24,7 +24,8 @@ def test_sources_have_no_assert():
 def test_unit_suites_pass_under_optimize():
     result = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q",
-         "tests/test_theory.py", "tests/test_core.py", "tests/test_solver.py"],
+         "tests/test_theory.py", "tests/test_core.py", "tests/test_solver.py",
+         "tests/test_generate.py"],
         cwd=ROOT,
         capture_output=True,
         text=True,
