@@ -86,9 +86,8 @@ def _pack(cells: tuple[int, ...]) -> int:
 _WEIGHTS = tuple(_pack(tuple(int(i == j) for j in range(9))) for i in range(9))
 
 
-def _drop(regime: PrescriptionRegime) -> int:
-    """Bits the regime's key drops off the full-diagonal key."""
-    return 4 * (3 - len(regime.flat_cells))
+# bits each regime's key drops off the full-diagonal key
+_DROP = {r: 4 * (3 - len(r.flat_cells)) for r in PrescriptionRegime}
 
 
 def signature_key(cells: tuple[int, ...], regime: PrescriptionRegime) -> int:
@@ -97,7 +96,7 @@ def signature_key(cells: tuple[int, ...], regime: PrescriptionRegime) -> int:
     Two grids map to the same key exactly when they induce identical clue
     sets under the regime.
     """
-    return _pack(cells) >> _drop(regime)
+    return _pack(cells) >> _DROP[regime]
 
 
 def _count_group(drops: tuple[int, ...], r1: int) -> list[dict[int, int]]:
@@ -145,7 +144,7 @@ def _count_part(drops: tuple[int, ...], part: int, parts: int) -> _Buckets:
 
 
 def _signature_counts(regimes: tuple[PrescriptionRegime, ...], threads: int) -> _Buckets:
-    drops = tuple(_drop(r) for r in regimes)
+    drops = tuple(_DROP[r] for r in regimes)
     # one part per process, at most one per core and per possible first row sum
     workers = min(threads, os.cpu_count() or 1, MAX_LINE_SUM - MIN_LINE_SUM + 1)
     if workers <= 1:

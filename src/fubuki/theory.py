@@ -7,8 +7,10 @@ those six positions form the only degree of freedom once the diagonal and
 sums are pinned. Such a shift produces a legal grid exactly when the six
 off-diagonal values can be split into three pairs each differing by the
 shift, with the pair bases sitting at the +shift positions. This module
-computes which shifts each diagonal admits, classifies all 84 diagonals,
-and derives companion solutions directly instead of searching for them.
+works out once, on first use, which shifts each diagonal admits, in the one
+table `shift_match_table()`, the only place that pairs values or checks the
+bound of at most two shifts. Classifying the 84 diagonals and deriving
+companion solutions, instead of searching for them, project that table.
 """
 
 from __future__ import annotations
@@ -64,18 +66,20 @@ class Triplet:
         return frozenset(self.values) | frozenset(v + self.shift for v in self.values)
 
 
+def _is_digit(v: object) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and 1 <= v <= 9
+
+
 def _check_six(values: Iterable[int]) -> frozenset[int]:
     s = frozenset(values)
-    if len(s) != 6 or not all(isinstance(v, int) and 1 <= v <= 9 for v in s):
+    if len(s) != 6 or not all(map(_is_digit, s)):
         raise ValueError(f"expected 6 distinct values in 1..9, got {sorted(s)}")
     return s
 
 
 def _check_diagonal(values: Iterable[int]) -> tuple[int, int, int]:
     t = tuple(sorted(values))
-    if len(t) != 3 or len(set(t)) != 3 or not all(
-        isinstance(v, int) and 1 <= v <= 9 for v in t
-    ):
+    if len(t) != 3 or len(set(t)) != 3 or not all(map(_is_digit, t)):
         raise ValueError(f"expected 3 distinct values in 1..9, got {values!r}")
     return t
 
@@ -105,13 +109,37 @@ def find_triplet(values: Iterable[int], shift: int) -> Triplet | None:
     return Triplet((bases[0], bases[1], bases[2]), shift)
 
 
+_Matches = dict[tuple[int, int, int], tuple[tuple[int, tuple[int, int, int]], ...]]
+
+
+@cache
+def shift_match_table() -> _Matches:
+    """The one shift table: each diagonal's shifts and the +cell values they need.
+
+    Maps each sorted diagonal, in lex order, to ((shift, required), ...)
+    where a grid with that diagonal has the shifted companion exactly when
+    the sorted values at its three +shift cells equal `required`. Entries
+    are ordered by |shift| ascending, positive before negative, which fixes
+    companion order. Built on first use, not at import; the only caller of
+    `find_triplet`. Raises RuntimeError if a diagonal admits more than two
+    shifts, a bound checked rather than assumed. Every other reader of the
+    shift structure projects this table.
+    """
+    table: _Matches = {}
+    signed = [s for c in range(1, MAX_SHIFT + 1) for s in (c, -c)]  # 1, -1, 2, -2, ...
+    for diag in combinations(range(1, 10), 3):
+        complement = frozenset(range(1, 10)).difference(diag)
+        entries = [(s, t.values) for s in signed if (t := find_triplet(complement, s)) is not None]
+        if len(shifts := {abs(s) for s, _ in entries}) > 2:
+            raise RuntimeError(f"diagonal {diag} admits {len(shifts)} shifts, expected at most 2")
+        table[diag] = tuple(entries)
+    return table
+
+
 def possible_shifts(diagonal: Iterable[int]) -> frozenset[int]:
     """All positive shifts the complement of this diagonal can be paired by."""
-    diag = _check_diagonal(diagonal)
-    complement = frozenset(range(1, 10)) - frozenset(diag)
-    return frozenset(
-        c for c in range(1, MAX_SHIFT + 1) if find_triplet(complement, c) is not None
-    )
+    entries = shift_match_table()[_check_diagonal(diagonal)]
+    return frozenset(shift for shift, _ in entries if shift > 0)
 
 
 @dataclass(frozen=True)
@@ -141,21 +169,15 @@ def classify_diagonal(diagonal: Iterable[int]) -> DiagonalClass:
 
 
 def build_shift_table() -> dict[tuple[int, int, int], frozenset[int]]:
-    """Admissible positive shifts for every 3-subset of 1..9, in lex order."""
-    table = {
-        diag: possible_shifts(diag) for diag in combinations(range(1, 10), 3)
-    }
-    # empirical bound over the whole table, checked rather than assumed
-    for diag, shifts in table.items():
-        if len(shifts) > 2:
-            raise RuntimeError(f"diagonal {diag} admits {len(shifts)} shifts, expected at most 2")
-    return table
+    """Admissible positive shifts for every 3-subset of 1..9, in lex order,
+    as a fresh dict projected from `shift_match_table()`."""
+    return {diag: possible_shifts(diag) for diag in shift_match_table()}
 
 
 @cache
 def rigid_diagonals() -> tuple[tuple[int, int, int], ...]:
     """The diagonals admitting no shift, in lex order."""
-    return tuple(d for d, shifts in build_shift_table().items() if not shifts)
+    return tuple(d for d, entries in shift_match_table().items() if not entries)
 
 
 def shift_table_to_csv(table: Mapping[tuple[int, int, int], frozenset[int]]) -> str:
@@ -197,44 +219,16 @@ def is_valid_shift(grid: Grid, shift: int) -> bool:
 
 
 @cache
-def shift_match_table() -> dict[tuple[int, int, int], tuple[tuple[int, tuple[int, int, int]], ...]]:
-    """For each diagonal, the shifts to try and the +cell values they need.
-
-    Maps each sorted diagonal to ((shift, required), ...) where a grid with
-    that diagonal has the shifted companion exactly when the sorted values at
-    its three +shift cells equal `required`. Entries are ordered by |shift|
-    ascending, positive before negative, which fixes companion order.
-    """
-    table: dict[tuple[int, int, int], tuple[tuple[int, tuple[int, int, int]], ...]] = {}
-    for diag, shifts in build_shift_table().items():
-        entries: list[tuple[int, tuple[int, int, int]]] = []
-        complement = frozenset(range(1, 10)) - frozenset(diag)
-        for c in sorted(shifts):
-            for signed in (c, -c):
-                t = find_triplet(complement, signed)
-                entries.append((signed, t.values))
-        table[diag] = tuple(entries)
-    return table
-
-
-class _OrderedMatchTable(dict):
+def _ordered_matches() -> _Matches:
     """shift_match_table() under all six orderings of each diagonal, so a
-    grid's diagonal is looked up as it stands; filled on the first lookup."""
-
-    def __missing__(self, diagonal: tuple[int, int, int]):
-        if self:
-            raise KeyError(diagonal)
-        for diag, entries in shift_match_table().items():
-            self.update(dict.fromkeys(permutations(diag), entries))
-        return self[diagonal]
-
-
-_MATCHES = _OrderedMatchTable()
+    grid's diagonal is looked up as it stands."""
+    table = shift_match_table()
+    return {ordered: table[diag] for diag in table for ordered in permutations(diag)}
 
 
 def companion_cells(cells: tuple[int, ...]) -> list[tuple[int, ...]]:
     """All other cell tuples sharing this grid's diagonal and line sums."""
-    entries = _MATCHES[cells[0], cells[4], cells[8]]
+    entries = _ordered_matches()[cells[0], cells[4], cells[8]]
     if not entries:  # rigid diagonal: 35 of 84, no companion to match
         return []
     plus = tuple(sorted((cells[1], cells[5], cells[6])))

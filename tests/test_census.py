@@ -143,7 +143,7 @@ class TestSweepMechanics:
 
     def test_sweep_matches_naive_count(self):
         # one _pack call per grid, each regime's key a right shift of it
-        drops = tuple(census_module._drop(r) for r in R)
+        drops = tuple(census_module._DROP[r] for r in R)
         naive: list[Counter[int]] = [Counter() for _ in drops]
         for cells in permutations(range(1, 10)):
             key = census_module._pack(cells)
@@ -164,7 +164,7 @@ class TestSweepMechanics:
             assert census_module._pack(cells) == sum(map(mul, cells, weights))
 
     def test_full_diagonal_buckets_partition_all_grids(self):
-        drops = (census_module._drop(R.FULL_DIAGONAL),)
+        drops = (census_module._DROP[R.FULL_DIAGONAL],)
         counts: dict[int, int] = {}
         for r1 in FIRST_ROW_SUMS:
             counts.update(census_module._count_group(drops, r1)[0])
@@ -216,7 +216,7 @@ class TestSweepMechanics:
     @pytest.mark.parametrize("parts", [2, 3])
     def test_parts_share_no_key(self, census_reports, parts):
         # `none` has the coarsest keys, so a shared key would show here first
-        drops = (census_module._drop(R.NONE),)
+        drops = (census_module._DROP[R.NONE],)
         merged: dict[int, int] = {}
         for part in range(parts):
             counts: dict[int, int] = {}

@@ -1,12 +1,17 @@
 """End-to-end CLI behavior through the real entry point."""
 
 import csv
+import hashlib
 import io
 import json
 import subprocess
 import sys
+from itertools import combinations
+
+import pytest
 
 from fubuki import ClueSet, build_shift_table, count_solutions
+from fubuki.cli import main
 
 TWO_SOLUTION_PUZZLE = {
     "prescribed": [
@@ -173,6 +178,30 @@ class TestTable:
         assert len(rows) == 84
         rebuilt = {tuple(r["diagonal"]): frozenset(r["shifts"]) for r in rows}
         assert rebuilt == build_shift_table()
+
+
+# SHA-256 of stdout, pinned independently of build_shift_table(); the
+# classify digest covers all 84 diagonals in lex order, outputs concatenated
+GOLDEN_SHIFT_OUTPUT = {
+    "classify": "f9c35efc20ca2d775fc5434941f5b57bf4f8b3a29508b805d1688c5a952f7743",
+    "table": "6e0c2bcdc463b8ba9c90cec5b546a9410d0ed25c7cd6e83e396136417edb46ff",
+    "table --format json": "8cdedec649fef83ee81db9531f6ac5b4ca0495ed5a47c2f200b2fbf8fc6d39d4",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_SHIFT_OUTPUT))
+def test_shift_table_output_is_pinned(capsys, command):
+    if command == "classify":
+        runs = [["classify", *map(str, d)] for d in combinations(range(1, 10), 3)]
+    else:
+        runs = [command.split()]
+    out = ""
+    for argv in runs:
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        out += captured.out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHIFT_OUTPUT[command]
 
 
 class TestGenerate:

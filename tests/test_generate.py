@@ -108,6 +108,15 @@ class TestGenerator:
         with pytest.raises(ValueError, match="seed must be an int"):
             GeneratorConfig(PrescriptionRegime.NONE, False, seed, 1)
 
+    @pytest.mark.parametrize(
+        "regime, unique", [("none", True), ("none", False), (None, True), (None, False)]
+    )
+    def test_config_rejects_a_regime_that_is_not_a_prescription_regime(self, regime, unique):
+        # the CLI's name "none" used to get as far as census or ClueSet and
+        # raise AttributeError there
+        with pytest.raises(ValueError, match="regime must be a PrescriptionRegime"):
+            generate_puzzles(GeneratorConfig(regime, unique, 7, 1))
+
     def test_deterministic_per_config(self):
         config = GeneratorConfig(PrescriptionRegime.TOP_LEFT, True, 77, 10)
         assert generate_puzzles(config) == generate_puzzles(config)

@@ -1,5 +1,7 @@
 import csv
 import io
+import subprocess
+import sys
 from itertools import combinations, permutations
 
 import pytest
@@ -10,6 +12,7 @@ from fubuki import (
     PrescriptionRegime,
     build_shift_table,
     classify_diagonal,
+    closed_form_puzzle_count,
     companion_solutions,
     shift_table_to_csv,
     solve,
@@ -25,6 +28,29 @@ from fubuki.theory import (
     shift_cells,
     shift_match_table,
 )
+
+
+# the shift table's caches, emptied around a test that patches its builder
+CACHED = (shift_match_table, theory._ordered_matches, rigid_diagonals)
+
+# every reader of the shift table, each as a call that reads it
+READERS = {
+    "build_shift_table": build_shift_table,
+    "possible_shifts": lambda: possible_shifts((1, 2, 3)),
+    "classify_diagonal": lambda: classify_diagonal((1, 2, 3)),
+    "rigid_diagonals": rigid_diagonals,
+    "companion_cells": lambda: companion_cells((1, 4, 5, 7, 2, 6, 8, 9, 3)),
+}
+
+
+@pytest.fixture
+def fresh_table():
+    """No shift table cached before the test, and none left over after it."""
+    for f in CACHED:
+        f.cache_clear()
+    yield
+    for f in CACHED:
+        f.cache_clear()
 
 
 def brute_force_triplets(values: frozenset, shift: int) -> list[tuple[int, int, int]]:
@@ -116,6 +142,11 @@ class TestFindTriplet:
         with pytest.raises(ValueError, match="shift"):
             find_triplet({4, 5, 6, 7, 8, 9}, 0)
 
+    def test_rejects_bools(self):
+        # True == 1, so {True, 2, ..., 6} used to pair as if it held 1
+        with pytest.raises(ValueError, match="6 distinct"):
+            find_triplet({True, 2, 3, 4, 5, 6}, 1)
+
 
 class TestPossibleShifts:
     def test_examples(self):
@@ -133,6 +164,11 @@ class TestPossibleShifts:
     def test_classify_rejects_duplicates(self):
         with pytest.raises(ValueError):
             classify_diagonal((1, 1, 2))
+
+    @pytest.mark.parametrize("read", [classify_diagonal, possible_shifts])
+    def test_rejects_bools(self, read):
+        with pytest.raises(ValueError, match="3 distinct"):
+            read((True, 2, 3))
 
 
 class TestShiftTable:
@@ -172,10 +208,53 @@ class TestShiftTable:
         }
         assert parsed == table
 
-    def test_more_than_two_shifts_raises(self, monkeypatch):
-        monkeypatch.setattr(theory, "possible_shifts", lambda diag: frozenset({1, 2, 3}))
-        with pytest.raises(RuntimeError, match="admits 3 shifts"):
-            build_shift_table()
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_more_than_two_shifts_raises(self, fresh_table, monkeypatch, reader):
+        real = theory.find_triplet
+
+        def three_shifts(values, shift):
+            # diagonal (1, 2, 3) admits 1 and 3; claim 2 as well
+            if set(values) == {4, 5, 6, 7, 8, 9} and abs(shift) == 2:
+                return real(values, shift // 2)
+            return real(values, shift)
+
+        monkeypatch.setattr(theory, "find_triplet", three_shifts)
+        with pytest.raises(RuntimeError, match=r"\(1, 2, 3\) admits 3 shifts"):
+            READERS[reader]()
+
+    def test_table_is_built_once(self, fresh_table, monkeypatch):
+        calls = []
+        real = theory.find_triplet
+
+        def counted(values, shift):
+            calls.append((values, shift))
+            return real(values, shift)
+
+        monkeypatch.setattr(theory, "find_triplet", counted)
+        grid = Grid((1, 4, 5, 7, 2, 6, 8, 9, 3))
+        per_pass = []
+        for _ in range(2):
+            calls.clear()
+            for read in READERS.values():
+                read()
+            companion_solutions(grid)
+            closed_form_puzzle_count()
+            per_pass.append(len(calls))
+        assert per_pass == [84 * 16, 0]  # every diagonal under every signed shift, once
+
+    def test_import_builds_no_table(self):
+        # a table built at import would be timed as set-up by every command
+        code = (
+            "import fubuki.cli\n"
+            "from fubuki import theory as t\n"
+            "for f in (t.shift_match_table, t._ordered_matches, t.rigid_diagonals):\n"
+            "    if f.cache_info().currsize:\n"
+            "        raise SystemExit(f'{f.__name__} is built at import')\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
 
 
 class TestCompanions:
