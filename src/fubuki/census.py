@@ -53,7 +53,7 @@ from math import factorial
 from operator import itemgetter, mul
 from typing import Iterator, NamedTuple
 
-from .core import DIAGONAL_FLAT, MAX_LINE_SUM, MIN_LINE_SUM, PrescriptionRegime
+from .core import DIAGONAL_FLAT, MAX_LINE_SUM, MIN_LINE_SUM, PrescriptionRegime, _is_int
 from .theory import (
     MINUS_FLAT,
     PLUS_FLAT,
@@ -240,6 +240,8 @@ class CensusReport:
 def _reports(
     regimes: tuple[PrescriptionRegime, ...], threads: int | None
 ) -> dict[PrescriptionRegime, CensusReport]:
+    if threads is not None and not (_is_int(threads) and threads >= 1):
+        raise ValueError(f"threads must be None or a positive int, got {threads!r}")
     sizes, multi = _signature_counts(regimes, threads or 1)
     return {
         regime: CensusReport(regime, hist, kept)

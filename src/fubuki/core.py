@@ -59,7 +59,13 @@ _REGIME_CELL_COUNT = {
 }
 
 
+def _is_int(value: object) -> bool:
+    """An int that is not a bool: the integer test the validators share."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_cell_value(v: object, what: str) -> int:
+    # spelled out, not `_is_int`: every Grid construction runs this per cell
     if not isinstance(v, int) or isinstance(v, bool) or not 1 <= v <= 9:
         raise ValueError(f"{what} must be an integer in 1..9, got {v!r}")
     return v
@@ -161,7 +167,7 @@ class ClueSet:
             if len(sums) != 3:
                 raise ValueError(f"{name} must be a tuple of 3 integers, got {sums!r}")
             for s in sums:
-                if not isinstance(s, int) or isinstance(s, bool):
+                if not _is_int(s):
                     raise ValueError(f"{name} must contain integers, got {s!r}")
                 if not MIN_LINE_SUM <= s <= MAX_LINE_SUM:
                     raise ValueError(
@@ -182,7 +188,7 @@ class ClueSet:
                 raise ValueError(f"prescribed entry must be (row, col, value), got {entry!r}")
             r, c, v = entry
             for name, x in (("row", r), ("col", c)):
-                if not isinstance(x, int) or isinstance(x, bool) or not 1 <= x <= 3:
+                if not _is_int(x) or not 1 <= x <= 3:
                     raise ValueError(f"prescribed {name} must be in 1..3, got {x!r}")
             _check_cell_value(v, "prescribed value")
             if (r, c) in seen_pos:
@@ -225,9 +231,7 @@ class ClueSet:
 
         def sums(name: str) -> tuple[int, int, int]:
             raw = data.get(name)
-            if not isinstance(raw, list) or len(raw) != 3 or any(
-                not isinstance(s, int) or isinstance(s, bool) for s in raw
-            ):
+            if not isinstance(raw, list) or len(raw) != 3 or not all(map(_is_int, raw)):
                 raise PuzzleFormatError(f"'{name}' must be a list of 3 integers")
             return (raw[0], raw[1], raw[2])
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .census import census
-from .core import ClueSet, Grid, PrescriptionRegime
+from .core import ClueSet, Grid, PrescriptionRegime, _is_int
 from .rng import SplitMix64
 from .solver import count_solutions
 from .theory import rigid_diagonals
@@ -15,10 +15,6 @@ from .theory import rigid_diagonals
 _OFF_DIAGONAL_FLAT = (1, 2, 3, 5, 6, 7)
 _DIGITS = range(1, 10)
 _MAX_SEED = (1 << 64) - 1  # SplitMix64 keeps 64 bits of state
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,20 @@
 """Brute-force solving for arbitrary clue sets.
 
-This is the ground truth the structural machinery is validated against: it
-fills unprescribed cells in row-major order with the unused values in
-ascending order, pruning on partial line sums, and therefore emits solutions
-in lexicographic order of the row-major cells. The search space never
-exceeds 9! so no cleverness beyond sum pruning is warranted.
+This is the ground truth the structural machinery is validated against. One
+pruned search fills the unprescribed cells in row-major order with the
+unused values in ascending order, and so finds solutions in lexicographic
+order of the row-major cells. Each row and column tracks the sum its free
+cells still need and how many free cells it has left; a value is placed only
+if both of its lines stay completable from the unused digits. The search
+space never exceeds 9! so no cleverness beyond sum pruning is warranted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from functools import cache
 
-from .core import ClueSet, Grid
+from .core import ClueSet, Grid, _is_int
 
 
 @dataclass
@@ -24,164 +26,119 @@ class SolveResult:
     """
 
     solutions: list[Grid]
-    count: int
     truncated: bool
+
+    @property
+    def count(self) -> int:
+        return len(self.solutions)
 
 
 class _StopSearch(Exception):
     pass
 
 
-def _search(clues: ClueSet, prune: bool, emit: Callable[[tuple[int, ...]], None]) -> None:
-    """Backtracking enumeration; calls `emit` once per satisfying grid.
+@cache
+def _spans() -> dict[int, list[tuple[int, int]]]:
+    """`_spans()[left][unused]`: sums of the `left` smallest and largest digits.
 
-    A line's last unprescribed cell takes a single forced candidate (the
-    residual of the line's target), which is the completed-line exactness
-    rule applied before the candidate loop instead of inside it; the
-    enumeration order is unchanged since at most one candidate survives.
+    `unused` is a bitmask with bit d set for each unused digit d. Built on
+    first use, so importing the package does not pay for it.
     """
-    prescribed: list[int | None] = [None] * 9
-    for r, c, v in clues.prescribed:
-        prescribed[(r - 1) * 3 + (c - 1)] = v
-    row_target = clues.row_sums
-    col_target = clues.col_sums
+    digits = [[d for d in range(1, 10) if mask >> d & 1] for mask in range(1 << 10)]
+    return {left: [(sum(ds[:left]), sum(ds[-left:])) for ds in digits] for left in (2, 3)}
 
-    # Per position: fixed sum contributed by prescribed cells later in the
-    # same line, and how many free cells the line still has after it.
-    row_fixed_after = [0] * 9
-    row_free_after = [0] * 9
-    col_fixed_after = [0] * 9
-    col_free_after = [0] * 9
-    for pos in range(9):
-        i, j = divmod(pos, 3)
-        for jj in range(j + 1, 3):
-            v = prescribed[i * 3 + jj]
-            if v is not None:
-                row_fixed_after[pos] += v
-            else:
-                row_free_after[pos] += 1
-        for ii in range(i + 1, 3):
-            v = prescribed[ii * 3 + j]
-            if v is not None:
-                col_fixed_after[pos] += v
-            else:
-                col_free_after[pos] += 1
 
-    used = {v for _, _, v in clues.prescribed}
-    avail = [False] + [v not in used for v in range(1, 10)]
+def _search(clues: ClueSet, limit: int | None) -> list[tuple[int, ...]]:
+    """Every satisfying grid's cells in lexicographic order, or the first `limit + 1`.
+
+    Each row and column holds the sum its free cells still need and its
+    count of free cells. A line with `left` free cells that needs `need` is
+    completable if `left == 0` and `need == 0`, if `left == 1` and `need` is
+    an unused digit, or else if `need` lies between the sums of the `left`
+    smallest and the `left` largest unused digits. A line's last free cell
+    therefore takes the single value its sum leaves, and every line is exact
+    once it is full. A candidate is tested before any state is written.
+    """
+    spans = _spans()
     cells = [0] * 9
-    row_run = [0, 0, 0]
-    col_run = [0, 0, 0]
+    unused = 0b1111111110
+    row_need = list(clues.row_sums)
+    col_need = list(clues.col_sums)
+    row_free = [3, 3, 3]
+    col_free = [3, 3, 3]
+    for r, c, v in clues.prescribed:
+        cells[(r - 1) * 3 + (c - 1)] = v
+        unused ^= 1 << v
+        row_need[r - 1] -= v
+        col_need[c - 1] -= v
+        row_free[r - 1] -= 1
+        col_free[c - 1] -= 1
+    free = [divmod(pos, 3) for pos in range(9) if not cells[pos]]
+    found: list[tuple[int, ...]] = []
 
-    def line_feasible(need: int, free: int, skip: int) -> bool:
-        # `need` must be reachable as a sum of `free` distinct available
-        # values, ignoring `skip` (the value being placed right now).
-        if free == 0:
+    def completable(need: int, left: int, unused: int) -> bool:
+        if left == 0:
             return need == 0
-        if free == 1:
-            return 1 <= need <= 9 and avail[need] and need != skip
-        # free == 2: bound by the two smallest and two largest available
-        lo = hi = 0
-        found = 0
-        for v in range(1, 10):
-            if avail[v] and v != skip:
-                lo += v
-                found += 1
-                if found == 2:
-                    break
-        if found < 2:
-            return False
-        found = 0
-        for v in range(9, 0, -1):
-            if avail[v] and v != skip:
-                hi += v
-                found += 1
-                if found == 2:
-                    break
+        if left == 1:
+            return 0 < need < 10 and unused >> need & 1 == 1
+        lo, hi = spans[left][unused]
         return lo <= need <= hi
 
-    def rec(pos: int) -> None:
-        if pos == 9:
-            filled = tuple(cells)
-            if not prune:
-                g = Grid(filled)
-                if g.row_sums() != row_target or g.col_sums() != col_target:
-                    return
-            emit(filled)
+    def rec(k: int, unused: int) -> None:
+        if k == len(free):
+            found.append(tuple(cells))
+            if limit is not None and len(found) > limit:
+                raise _StopSearch
             return
-        i, j = divmod(pos, 3)
-        fixed = prescribed[pos]
-        if fixed is not None:
-            candidates: tuple[int, ...] | range = (fixed,)
-        elif prune and row_free_after[pos] == 0:
-            v = row_target[i] - row_run[i] - row_fixed_after[pos]
-            candidates = (v,) if 1 <= v <= 9 and avail[v] else ()
-        elif prune and col_free_after[pos] == 0:
-            v = col_target[j] - col_run[j] - col_fixed_after[pos]
-            candidates = (v,) if 1 <= v <= 9 and avail[v] else ()
+        i, j = free[k]
+        rneed, cneed = row_need[i], col_need[j]
+        rleft, cleft = row_free[i] - 1, col_free[j] - 1
+        if rleft == 0:
+            candidates: tuple[int, ...] | range = (rneed,) if 0 < rneed < 10 else ()
+        elif cleft == 0:
+            candidates = (cneed,) if 0 < cneed < 10 else ()
         else:
             candidates = range(1, 10)
         for v in candidates:
-            if fixed is None and not avail[v]:
+            rest = unused ^ 1 << v
+            if not (
+                rest < unused  # v was unused
+                and completable(rneed - v, rleft, rest)
+                and completable(cneed - v, cleft, rest)
+            ):
                 continue
-            if prune:
-                need_row = row_target[i] - row_run[i] - v - row_fixed_after[pos]
-                if not line_feasible(need_row, row_free_after[pos], v):
-                    continue
-                need_col = col_target[j] - col_run[j] - v - col_fixed_after[pos]
-                if not line_feasible(need_col, col_free_after[pos], v):
-                    continue
-            cells[pos] = v
-            row_run[i] += v
-            col_run[j] += v
-            if fixed is None:
-                avail[v] = False
-            rec(pos + 1)
-            if fixed is None:
-                avail[v] = True
-            row_run[i] -= v
-            col_run[j] -= v
+            cells[i * 3 + j] = v
+            row_need[i], col_need[j] = rneed - v, cneed - v
+            row_free[i], col_free[j] = rleft, cleft
+            rec(k + 1, rest)
+            row_need[i], col_need[j] = rneed, cneed
+            row_free[i], col_free[j] = rleft + 1, cleft + 1
 
-    rec(0)
+    lines = zip(row_need + col_need, row_free + col_free)
+    if all(completable(need, left, unused) for need, left in lines):
+        try:
+            rec(0, unused)
+        except _StopSearch:
+            pass
+    return found
 
 
-def solve(clues: ClueSet, limit: int | None = None, prune: bool = True) -> SolveResult:
-    """Enumerate every grid satisfying the clues, optionally capped.
+def solve(clues: ClueSet, limit: int | None = None) -> SolveResult:
+    """Enumerate every grid satisfying the clues, optionally capped at `limit`.
 
     Unsatisfiable clues (including sums that cannot total 45) yield an empty
-    result rather than an error. `prune=False` disables sum pruning and
-    exists for differential testing; the solution set is identical.
+    result rather than an error. `limit` must be None or a positive int.
     """
-    if limit is not None and limit < 1:
-        raise ValueError(f"limit must be positive, got {limit}")
-    found: list[tuple[int, ...]] = []
-
-    def emit(filled: tuple[int, ...]) -> None:
-        found.append(filled)
-        # collect one past the limit so truncation is known, not guessed
-        if limit is not None and len(found) > limit:
-            raise _StopSearch
-
-    try:
-        _search(clues, prune, emit)
-        truncated = False
-    except _StopSearch:
-        found.pop()
-        truncated = True
-    solutions = [Grid(f) for f in found]
+    if limit is not None and not (_is_int(limit) and limit >= 1):
+        raise ValueError(f"limit must be positive, got {limit!r}")
+    found = _search(clues, limit)
+    solutions = [Grid(f) for f in found[:limit]]
     for g in solutions:
         if not clues.satisfied_by(g):
             raise RuntimeError(f"solver emitted {g.cells}, which does not satisfy the clues")
-    return SolveResult(solutions=solutions, count=len(solutions), truncated=truncated)
+    return SolveResult(solutions=solutions, truncated=len(found) > len(solutions))
 
 
 def count_solutions(clues: ClueSet) -> int:
-    """Same enumeration as solve, without materializing grids."""
-    n = 0
-
-    def emit(_: tuple[int, ...]) -> None:
-        nonlocal n
-        n += 1
-
-    _search(clues, prune=True, emit=emit)
-    return n
+    """Same search as solve, counting cell tuples without building grids."""
+    return len(_search(clues, None))

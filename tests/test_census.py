@@ -232,6 +232,13 @@ class TestSweepMechanics:
         assert dict(Counter(merged.values())) == report.sizes
         assert {key: n for key, n in merged.items() if n >= 2} == report.multi
 
+    @pytest.mark.parametrize("threads", [-3, 0, True, 2.5, "2"])
+    def test_threads_must_be_none_or_a_positive_int(self, threads):
+        with pytest.raises(ValueError, match="threads must be"):
+            census(R.FULL_DIAGONAL, threads=threads)
+        with pytest.raises(ValueError, match="threads must be"):
+            census_all(threads)
+
     def test_workers_capped_at_cores(self, monkeypatch):
         started = []
 

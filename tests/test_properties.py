@@ -5,10 +5,21 @@ examples; `conftest.py` keeps Hypothesis's other caches out of the working
 tree.
 """
 
+from collections import defaultdict
+from itertools import permutations
+
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fubuki import ClueSet, Grid, PrescriptionRegime, PuzzleFormatError, solve
+from fubuki import (
+    ClueSet,
+    Grid,
+    PrescriptionRegime,
+    PuzzleFormatError,
+    count_solutions,
+    solve,
+)
 from fubuki.theory import companion_solutions
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=300)
@@ -20,14 +31,45 @@ grids = st.permutations(range(1, 10)).map(Grid)
 SHOWCASE = Grid.from_rows([(1, 4, 5), (7, 2, 6), (8, 9, 3)])
 
 
+# 0-9 distinct (row, col) positions
+cell_positions = st.lists(
+    st.tuples(st.integers(1, 3), st.integers(1, 3)), unique=True, max_size=9
+)
+
+
 @st.composite
 def clue_sets(draw) -> ClueSet:
-    cells = st.tuples(st.integers(1, 3), st.integers(1, 3))
-    positions = draw(st.lists(cells, unique=True, max_size=9))
+    positions = draw(cell_positions)
     values = draw(st.permutations(range(1, 10)))
     line_sums = st.tuples(*[st.integers(6, 24)] * 3)
     prescribed = tuple((r, c, v) for (r, c), v in zip(positions, values))
     return ClueSet(prescribed, draw(line_sums), draw(line_sums))
+
+
+@st.composite
+def solvable_clue_sets(draw) -> ClueSet:
+    """A random grid's line sums with 0-9 of its cells prescribed.
+
+    `clue_sets()` draws random sums, which almost never total 45, so its
+    clue sets almost never have a solution.
+    """
+    grid = draw(grids)
+    prescribed = tuple((r, c, grid.value_at(r, c)) for r, c in draw(cell_positions))
+    return ClueSet(prescribed, grid.row_sums(), grid.col_sums())
+
+
+@pytest.fixture(scope="module")
+def grids_by_line_sums() -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    """All 9! cell tuples, in lexicographic order, keyed by their six line sums.
+
+    Module-scoped, so its memory is freed once this file's tests are done.
+    """
+    index = defaultdict(list)
+    for c in permutations(range(1, 10)):
+        sums = (c[0] + c[1] + c[2], c[3] + c[4] + c[5], c[6] + c[7] + c[8],
+                c[0] + c[3] + c[6], c[1] + c[4] + c[7], c[2] + c[5] + c[8])
+        index[sums].append(c)
+    return index
 
 
 # any value json.loads can return, with the document field names mixed in
@@ -78,6 +120,21 @@ def test_companions_share_the_clues_and_number_at_most_one(grid):
     for companion in companions:
         assert companion != grid
         assert clues.satisfied_by(companion)
+
+
+@PROPERTY
+@given(clue_sets() | solvable_clue_sets())
+@example(ClueSet.from_grid(SHOWCASE, PrescriptionRegime.NONE))
+@example(ClueSet.from_grid(SHOWCASE, PrescriptionRegime.FULL_DIAGONAL))
+def test_solver_finds_exactly_the_reference_solutions(grids_by_line_sums, clues):
+    # the reference shares no code with the solver: it filters the index
+    reference = [
+        Grid(c)
+        for c in grids_by_line_sums.get(clues.row_sums + clues.col_sums, [])
+        if all(c[(r - 1) * 3 + (col - 1)] == v for r, col, v in clues.prescribed)
+    ]
+    assert solve(clues).solutions == reference
+    assert count_solutions(clues) == len(reference)
 
 
 @PROPERTY

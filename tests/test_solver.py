@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 
 from fubuki import ClueSet, Grid, PrescriptionRegime, count_solutions, solve, solver
@@ -36,8 +38,14 @@ class TestEdges:
         assert result.count == 2 and not result.truncated
 
     def test_limit_must_be_positive(self, clue_two):
-        with pytest.raises(ValueError):
+        # the CLI prints this text for --limit 0
+        with pytest.raises(ValueError, match="^limit must be positive, got 0$"):
             solve(clue_two, limit=0)
+
+    @pytest.mark.parametrize("limit", [True, 1.5, "3"])
+    def test_limit_must_be_a_positive_int(self, clue_two, limit):
+        with pytest.raises(ValueError, match="limit must be positive"):
+            solve(clue_two, limit=limit)
 
     def test_fully_prescribed_grid(self, grid_two_a):
         prescribed = tuple(
@@ -57,7 +65,7 @@ class TestEdges:
         assert all(clue.satisfied_by(g) for g in result.solutions)
 
     def test_post_check_rejects_a_wrong_grid(self, monkeypatch, clue_two, grid_unique):
-        monkeypatch.setattr(solver, "_search", lambda clues, prune, emit: emit(grid_unique.cells))
+        monkeypatch.setattr(solver, "_search", lambda clues, limit: [grid_unique.cells])
         with pytest.raises(RuntimeError, match="does not satisfy"):
             solve(clue_two)
 
@@ -87,9 +95,9 @@ class TestCompleteness:
 def random_clue_sets(n: int, seed: int) -> list[ClueSet]:
     """Seeded clue sets with 2..6 prescribed cells at arbitrary positions.
 
-    Prescription counts lean high because the unpruned solver enumerates
-    (9 - k)! fillings per clue set. A slice of them gets a corrupted sum so
-    the unsatisfiable path is exercised too.
+    Prescription counts lean high because the brute-force reference tries
+    all (9 - k)! fillings per clue set. A slice of them gets a corrupted sum
+    so the unsatisfiable path is exercised too.
     """
     rng = SplitMix64(seed)
     clue_sets = []
@@ -112,9 +120,33 @@ def random_clue_sets(n: int, seed: int) -> list[ClueSet]:
     return clue_sets
 
 
+def reference_solutions(clue: ClueSet) -> list[Grid]:
+    """Every grid satisfying `clue`, sorted, found with no pruning at all.
+
+    Shares no code with the solver's search: it puts every permutation of
+    the unused values on the free cells and keeps the grids the clue set
+    accepts.
+    """
+    cells = [0] * 9
+    for r, c, v in clue.prescribed:
+        cells[(r - 1) * 3 + (c - 1)] = v
+    free = [pos for pos in range(9) if not cells[pos]]
+    grids = []
+    for values in permutations(sorted(set(range(1, 10)) - set(cells))):
+        for pos, v in zip(free, values):
+            cells[pos] = v
+        grid = Grid(tuple(cells))
+        if clue.satisfied_by(grid):
+            grids.append(grid)
+    return sorted(grids)
+
+
 class TestPruneSoundness:
     def test_pruning_never_changes_the_solution_set(self):
         for clue in random_clue_sets(1000, seed=424242):
-            pruned = solve(clue, prune=True)
-            unpruned = solve(clue, prune=False)
-            assert pruned.solutions == unpruned.solutions
+            reference = reference_solutions(clue)
+            assert solve(clue).solutions == reference
+            for limit in (1, 2):
+                result = solve(clue, limit=limit)
+                assert result.solutions == reference[:limit]
+                assert result.truncated == (len(reference) > limit)
