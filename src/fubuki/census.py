@@ -19,13 +19,14 @@ leads every regime's key, so two first row sums never share a key.
 The sweep counts one first row sum at a time (19 groups of at most 8 of the
 84 first-row digit sets). Because no key spans two groups, each group's
 counts are final: they are folded into a per-regime histogram of bucket
-sizes, the group's buckets of two or more grids are kept, and the rest is
-dropped before the next group is counted. A report is that histogram plus
-those multi-grid buckets, which is all that any reader needs: every
-statistic is a function of the histogram, and a key missing from the
-multi-grid buckets belongs to a single grid. Sweep parts split on r1 modulo
-the number of processes, so their histograms add and their multi-grid
-buckets merge by plain dict update.
+sizes, the group's buckets of two or more grids are kept where a reader
+asks for them, and the rest is dropped before the next group is counted.
+The whole sweep runs in the calling process. A report is that histogram
+plus, if kept, those multi-grid buckets: every statistic is a function of
+the histogram, and a key missing from the multi-grid buckets belongs to a
+single grid. Only the generator and the companion oracle read the buckets,
+so `census(regime)` keeps its regime's and `census_all()` keeps only the
+full diagonal's.
 
 No field of the packing ever carries into the next (a line sum is at most
 24 < 32, a cell at most 9 < 16), so the key is linear in the cells: it is
@@ -44,16 +45,14 @@ operand, so the 351,432 stored keys stay in 32-byte blocks.
 
 from __future__ import annotations
 
-import os
 from collections import Counter, _count_elements
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import combinations, islice, permutations, repeat
+from itertools import combinations, islice, permutations
 from math import factorial
 from operator import itemgetter, mul
 from typing import Iterator, NamedTuple
 
-from .core import DIAGONAL_FLAT, MAX_LINE_SUM, MIN_LINE_SUM, PrescriptionRegime, _is_int
+from .core import DIAGONAL_FLAT, MAX_LINE_SUM, MIN_LINE_SUM, PrescriptionRegime
 from .theory import (
     MINUS_FLAT,
     PLUS_FLAT,
@@ -125,41 +124,20 @@ def _count_group(drops: tuple[int, ...], r1: int) -> list[dict[int, int]]:
     return counts
 
 
-_Buckets = tuple[list[dict[int, int]], list[dict[int, int]]]
-
-
-def _count_part(drops: tuple[int, ...], part: int, parts: int) -> _Buckets:
-    """Bucket-size histograms and multi-grid buckets per key drop over grids
-    whose first row sum is `part` mod `parts`, counted one first row sum at a
-    time; the histograms map a size to its number of buckets."""
+def _count_part(
+    drops: tuple[int, ...], keep: tuple[bool, ...]
+) -> tuple[list[dict[int, int]], list[dict[int, int] | None]]:
+    """Bucket-size histograms per key drop over all grids, counted one first
+    row sum at a time, and the multi-grid buckets of each drop whose `keep`
+    flag is set (None for the others); a histogram maps a size to its number
+    of buckets."""
     sizes: list[dict[int, int]] = [{} for _ in drops]
-    multi: list[dict[int, int]] = [{} for _ in drops]
+    multi: list[dict[int, int] | None] = [{} if k else None for k in keep]
     for r1 in range(MIN_LINE_SUM, MAX_LINE_SUM + 1):
-        if r1 % parts != part:
-            continue
         for counts, hist, kept in zip(_count_group(drops, r1), sizes, multi):
             _count_elements(hist, counts.values())
-            kept.update({key: n for key, n in counts.items() if n >= 2})
-    return sizes, multi
-
-
-def _signature_counts(regimes: tuple[PrescriptionRegime, ...], threads: int) -> _Buckets:
-    drops = tuple(_DROP[r] for r in regimes)
-    # one part per process, at most one per core and per possible first row sum
-    workers = min(threads, os.cpu_count() or 1, MAX_LINE_SUM - MIN_LINE_SUM + 1)
-    if workers <= 1:
-        return _count_part(drops, 0, 1)
-    # part 0 is swept here: each part sent back is unpickled in the pool's result
-    # thread, whose malloc arena stays grown once it is freed, raising later peaks
-    with ProcessPoolExecutor(max_workers=workers - 1) as pool:
-        rest = pool.map(_count_part, repeat(drops), range(1, workers), repeat(workers))
-        sizes, multi = _count_part(drops, 0, workers)
-        for part_sizes, part_multi in rest:
-            for hist, part_hist in zip(sizes, part_sizes):
-                for size, n in part_hist.items():
-                    hist[size] = hist.get(size, 0) + n
-            for kept, part_kept in zip(multi, part_multi):
-                kept.update(part_kept)
+            if kept is not None:
+                kept.update({key: n for key, n in counts.items() if n >= 2})
     return sizes, multi
 
 
@@ -168,21 +146,23 @@ class CensusReport:
     """Bucket-size statistics of one regime's sweep.
 
     `sizes[k]` is the number of buckets of exactly k grids, that is of
-    puzzles with exactly k solutions, and `multi` maps the signature key of
-    every bucket of two or more grids to its size; a grid whose key is not
-    in `multi` is the only solution of its puzzle. Every statistic is
+    puzzles with exactly k solutions. `multi`, where the sweep kept it, maps
+    the signature key of every bucket of two or more grids to its size, so a
+    grid whose key is not in `multi` is the only solution of its puzzle;
+    `multi` is None where the sweep dropped those buckets. Every statistic is
     derived from `sizes`. Construction raises RuntimeError unless the
-    buckets hold all 362,880 grids and `multi` holds exactly the buckets
-    that `sizes` counts at k >= 2. `grids_by_solutions[k]` is the number of
-    grids living in puzzles with exactly k solutions;
-    `puzzles_by_solutions[k]` is the number of such puzzles.
-    `solvable_puzzles` is the total number of distinct clue sets answered
-    by at least one grid, the quantity the published counts refer to.
+    buckets hold all 362,880 grids and, where `multi` is kept, it holds
+    exactly the buckets that `sizes` counts at k >= 2.
+    `grids_by_solutions[k]` is the number of grids living in puzzles with
+    exactly k solutions; `puzzles_by_solutions[k]` is the number of such
+    puzzles. `solvable_puzzles` is the total number of distinct clue sets
+    answered by at least one grid, the quantity the published counts refer
+    to.
     """
 
     regime: PrescriptionRegime
     sizes: dict[int, int]
-    multi: dict[int, int] = field(repr=False)
+    multi: dict[int, int] | None = field(repr=False)
 
     def __post_init__(self) -> None:
         name = self.regime.value
@@ -190,6 +170,8 @@ class CensusReport:
             raise RuntimeError(
                 f"{name} census buckets hold {self.total_grids} grids, expected {TOTAL_GRIDS}"
             )
+        if self.multi is None:
+            return
         if min(self.multi.values(), default=2) < 2:
             raise RuntimeError(
                 f"{name} census multi-grid buckets include one of "
@@ -238,25 +220,27 @@ class CensusReport:
 
 
 def _reports(
-    regimes: tuple[PrescriptionRegime, ...], threads: int | None
+    regimes: tuple[PrescriptionRegime, ...], kept: tuple[PrescriptionRegime, ...]
 ) -> dict[PrescriptionRegime, CensusReport]:
-    if threads is not None and not (_is_int(threads) and threads >= 1):
-        raise ValueError(f"threads must be None or a positive int, got {threads!r}")
-    sizes, multi = _signature_counts(regimes, threads or 1)
+    drops = tuple(_DROP[r] for r in regimes)
+    sizes, multi = _count_part(drops, tuple(r in kept for r in regimes))
     return {
-        regime: CensusReport(regime, hist, kept)
-        for regime, hist, kept in zip(regimes, sizes, multi)
+        regime: CensusReport(regime, hist, buckets)
+        for regime, hist, buckets in zip(regimes, sizes, multi)
     }
 
 
-def census(regime: PrescriptionRegime, threads: int | None = None) -> CensusReport:
-    """Sweep all grids once and report bucket statistics for one regime."""
-    return _reports((regime,), threads)[regime]
+def census(regime: PrescriptionRegime) -> CensusReport:
+    """Sweep all grids once and report bucket statistics for one regime,
+    multi-grid buckets included."""
+    return _reports((regime,), (regime,))[regime]
 
 
-def census_all(threads: int | None = None) -> dict[PrescriptionRegime, CensusReport]:
-    """All four regimes from a single shared permutation sweep."""
-    return _reports(tuple(PrescriptionRegime), threads)
+def census_all() -> dict[PrescriptionRegime, CensusReport]:
+    """All four regimes from a single shared permutation sweep. Only the
+    full diagonal's report keeps its multi-grid buckets, which the companion
+    oracle reads; the other three carry `multi=None`."""
+    return _reports(tuple(PrescriptionRegime), (PrescriptionRegime.FULL_DIAGONAL,))
 
 
 class ClosedFormCount(NamedTuple):
@@ -380,17 +364,3 @@ def _oracle_violations(multi: dict[int, int], scan: CompanionScan) -> Iterator[s
             yield f"bucket {key:#x} of {size} grids has {pairs} companion pairs"
     for key in sorted(pairs_per_key.keys() - multi.keys()):
         yield f"bucket {key:#x} has companion pairs but one grid in the census"
-
-
-def default_threads() -> int:
-    """Census parallelism: FUBUKI_THREADS if set, else the available cores."""
-    raw = os.environ.get("FUBUKI_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise ValueError(f"FUBUKI_THREADS must be a positive integer, got {raw!r}") from None
-    if threads < 1:
-        raise ValueError(f"FUBUKI_THREADS must be a positive integer, got {raw!r}")
-    return threads

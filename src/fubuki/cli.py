@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import NoReturn
 
@@ -19,7 +20,6 @@ from .census import (
     closed_form_puzzle_count,
     companion_oracle_mismatches,
     companion_scan,
-    default_threads,
     TOTAL_GRIDS,
 )
 from .core import ClueSet, Grid, PrescriptionRegime, PuzzleFormatError
@@ -63,6 +63,18 @@ def _parse_threads(text: str) -> int:
     if threads < 0:
         raise argparse.ArgumentTypeError(f"must be 0 (default) or positive, got {threads}")
     return threads
+
+
+def _check_threads_env() -> None:
+    """Validate FUBUKI_THREADS, which like --threads is accepted and has no
+    effect: the sweep runs in the calling process."""
+    raw = os.environ.get("FUBUKI_THREADS")
+    try:
+        if raw is None or int(raw) >= 1:
+            return
+    except ValueError:
+        pass
+    raise ValueError(f"FUBUKI_THREADS must be a positive integer, got {raw!r}")
 
 
 def _parse_seed(text: str) -> int:
@@ -166,11 +178,12 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     regimes = list(PrescriptionRegime) if args.all else [args.regime]
-    threads = args.threads if args.threads else default_threads()
+    if not args.threads:
+        _check_threads_env()
     if len(regimes) > 1:
-        reports = census_all(threads)
+        reports = census_all()
     else:
-        reports = {regimes[0]: census(regimes[0], threads)}
+        reports = {regimes[0]: census(regimes[0])}
 
     failures: list[str] = []
 
@@ -253,7 +266,8 @@ def _build_parser() -> _Parser:
     group.add_argument("--regime", type=_parse_regime, help="one prescription regime")
     group.add_argument("--all", action="store_true", help="all four regimes in one sweep")
     p.add_argument("--threads", type=_parse_threads, default=0, metavar="N",
-                   help="sweep parallelism (default: FUBUKI_THREADS or all cores)")
+                   help="accepted for compatibility, like FUBUKI_THREADS; no effect, "
+                        "the sweep runs in one process")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("generate", help="emit seeded puzzles as JSON lines")

@@ -57,7 +57,7 @@ def _rigid_diagonal_grid(rng: SplitMix64) -> Grid:
 
 @cache
 def _multi_buckets(regime: PrescriptionRegime) -> dict[int, int]:
-    return census(regime, threads=1).multi
+    return census(regime).multi
 
 
 def generate_puzzles(config: GeneratorConfig) -> list[ClueSet]:

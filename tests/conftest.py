@@ -3,7 +3,7 @@ import tempfile
 import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from fubuki import ClueSet, Grid, PrescriptionRegime, census_all, companion_scan
+from fubuki import ClueSet, Grid, PrescriptionRegime, census, companion_scan
 
 # Hypothesis caches the constants it finds in local sources under its home
 # directory, ./.hypothesis by default, even with no example database
@@ -49,8 +49,10 @@ def clue_unique(grid_unique) -> ClueSet:
 
 @pytest.fixture(scope="session")
 def census_reports():
-    """One shared single-threaded sweep of all four regimes."""
-    return census_all(threads=1)
+    """One sweep per regime, shared by the session; unlike census_all, each
+    report keeps its multi-grid buckets, so every report runs the
+    multi-against-sizes check and the cross-checks can read the buckets."""
+    return {regime: census(regime) for regime in PrescriptionRegime}
 
 
 @pytest.fixture(scope="session")

@@ -102,7 +102,7 @@ def test_criterion_1_full_diagonal_count_three_routes():
         assert "companion scan: solvable puzzles: 351432 (expected 351432) PASS" in out
         assert elapsed < 60.0, f"verify took {elapsed:.1f}s"
         # the same three routes through the library, value for value
-        assert census(R.FULL_DIAGONAL, threads=1).solvable_puzzles == FULL_COUNT
+        assert census(R.FULL_DIAGONAL).solvable_puzzles == FULL_COUNT
         assert companion_scan().solvable_puzzles == FULL_COUNT
         closed = closed_form_puzzle_count()
         assert closed.addends == (151200, 184680, 15552)
@@ -118,7 +118,7 @@ def test_criterion_2_weak_regime_counts():
         assert "regime top-left: solvable puzzles: 163387 (expected 163387) PASS" in out
         assert "regime none: solvable puzzles: 46147 (expected 46147) PASS" in out
         assert elapsed < 120.0, f"verify --all took {elapsed:.1f}s"
-        reports = census_all(threads=1)
+        reports = census_all()
         assert reports[R.FIRST_TWO_DIAGONAL].solvable_puzzles == 281304
         assert reports[R.TOP_LEFT].solvable_puzzles == 163387
         assert reports[R.NONE].solvable_puzzles == 46147

@@ -67,3 +67,15 @@ def test_census_imports_neither_solver_nor_rng():
         if name.split(".")[:2] in (["fubuki", "solver"], ["fubuki", "rng"])
     ]
     assert offenders == []
+
+
+def test_no_module_imports_a_process_or_thread_pool():
+    # the sweep runs in the calling process; importing concurrent.futures
+    # would add its import time to every command
+    offenders = [
+        f"{path.name}: {name}"
+        for path in sorted((ROOT / "src" / "fubuki").glob("*.py"))
+        for name in imported_modules(path)
+        if name.split(".")[0] in ("concurrent", "multiprocessing")
+    ]
+    assert offenders == []

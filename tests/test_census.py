@@ -16,13 +16,12 @@ from fubuki import (
     ClueSet,
     Grid,
     PrescriptionRegime,
-    census,
     census_all,
     closed_form_puzzle_count,
     companion_oracle_mismatches,
     count_solutions,
 )
-from fubuki.census import default_threads, signature_key
+from fubuki.census import signature_key
 from fubuki.core import MAX_LINE_SUM, MIN_LINE_SUM
 from fubuki.rng import SplitMix64
 from fubuki.theory import companion_cells, shift_cells
@@ -41,6 +40,18 @@ SINGLE_SOLUTION_PUZZLES = {
     R.TOP_LEFT: 65704,
     R.NONE: 2736,
 }
+MULTI_GRID_BUCKETS = {
+    R.FULL_DIAGONAL: 11448,
+    R.FIRST_TWO_DIAGONAL: 65288,
+    R.TOP_LEFT: 97683,
+    R.NONE: 43411,
+}
+
+
+@pytest.fixture(scope="module")
+def all_reports():
+    """The fused four-regime sweep, as `verify --all` runs it."""
+    return census_all()
 
 
 class TestCensusReports:
@@ -84,6 +95,20 @@ class TestCensusReports:
                 ratios[regime], abs=5e-5
             )
 
+    def test_multi_grid_bucket_counts(self, census_reports):
+        for regime, report in census_reports.items():
+            assert len(report.multi) == MULTI_GRID_BUCKETS[regime]
+
+    def test_census_all_matches_each_census(self, census_reports, all_reports):
+        for regime in R:
+            assert all_reports[regime].sizes == census_reports[regime].sizes
+
+    def test_census_all_keeps_only_the_full_diagonal_buckets(self, census_reports, all_reports):
+        # the companion oracle reads the full diagonal's; nothing reads the others
+        assert all_reports[R.FULL_DIAGONAL].multi == census_reports[R.FULL_DIAGONAL].multi
+        for regime in (R.FIRST_TWO_DIAGONAL, R.TOP_LEFT, R.NONE):
+            assert all_reports[regime].multi is None
+
     def test_to_dict_shape(self, census_reports):
         data = census_reports[R.FULL_DIAGONAL].to_dict()
         assert data["regime"] == "full_diagonal"
@@ -100,10 +125,6 @@ class TestMaxSolutionsObserved:
 
 
 class TestSweepMechanics:
-    def test_parallel_run_is_identical(self, census_reports):
-        # the fused four-regime sweep, split over two processes
-        assert census_all(threads=2) == census_reports
-
     def test_iteration_order_does_not_matter(self, census_reports):
         counts: Counter[int] = Counter()
         perms = list(permutations(range(1, 10)))
@@ -163,7 +184,7 @@ class TestSweepMechanics:
         for cells in permutations(range(1, 10)):
             assert census_module._pack(cells) == sum(map(mul, cells, weights))
 
-    def test_full_diagonal_buckets_partition_all_grids(self):
+    def test_full_diagonal_buckets_partition_all_grids(self, census_reports):
         drops = (census_module._DROP[R.FULL_DIAGONAL],)
         counts: dict[int, int] = {}
         for r1 in FIRST_ROW_SUMS:
@@ -171,14 +192,16 @@ class TestSweepMechanics:
         assert len(counts) == EXPECTED_PUZZLE_COUNTS[R.FULL_DIAGONAL]
         assert sum(counts.values()) == TOTAL_GRIDS
         assert max(counts.values()) == 2
-        report = census(R.FULL_DIAGONAL, threads=1)
+        report = census_reports[R.FULL_DIAGONAL]
         assert report.sizes == dict(Counter(counts.values())) == {1: 339984, 2: 11448}
         assert report.multi == {key: n for key, n in counts.items() if n >= 2}
         assert report.max_solutions == 2
 
     def test_report_rejects_a_short_sweep(self):
-        with pytest.raises(RuntimeError, match="362879.*362880"):
-            CensusReport(R.NONE, {1: TOTAL_GRIDS - 1}, {})
+        # also when the multi-grid buckets were not kept
+        for multi in ({}, None):
+            with pytest.raises(RuntimeError, match="362879.*362880"):
+                CensusReport(R.NONE, {1: TOTAL_GRIDS - 1}, multi)
 
     def test_report_rejects_multi_buckets_that_disagree_with_sizes(self, census_reports):
         report = census_reports[R.FULL_DIAGONAL]
@@ -200,8 +223,8 @@ class TestSweepMechanics:
         code = (
             "from fubuki.census import CensusReport, TOTAL_GRIDS\n"
             "from fubuki.core import PrescriptionRegime as R\n"
-            "for sizes, multi in [({1: TOTAL_GRIDS - 1}, {}), ({1: TOTAL_GRIDS}, {0: 1}),\n"
-            "                     ({1: TOTAL_GRIDS - 2, 2: 1}, {})]:\n"
+            "for sizes, multi in [({1: TOTAL_GRIDS - 1}, {}), ({1: TOTAL_GRIDS - 1}, None),\n"
+            "                     ({1: TOTAL_GRIDS}, {0: 1}), ({1: TOTAL_GRIDS - 2, 2: 1}, {})]:\n"
             "    try:\n"
             "        CensusReport(R.NONE, sizes, multi)\n"
             "    except RuntimeError:\n"
@@ -214,73 +237,37 @@ class TestSweepMechanics:
         assert result.returncode == 0, result.stderr
 
     @pytest.mark.parametrize("parts", [2, 3])
-    def test_parts_share_no_key(self, census_reports, parts):
-        # `none` has the coarsest keys, so a shared key would show here first
-        drops = (census_module._DROP[R.NONE],)
-        merged: dict[int, int] = {}
+    def test_parts_share_no_key(self, census_reports, monkeypatch, parts):
+        # `none` has the coarsest keys, so a shared key would show there first
+        regimes = (R.NONE, R.TOP_LEFT)
+        drops = tuple(census_module._DROP[r] for r in regimes)
+        groups = {r1: census_module._count_group(drops, r1) for r1 in FIRST_ROW_SUMS}
+        merged: list[dict[int, int]] = [{} for _ in drops]
         for part in range(parts):
-            counts: dict[int, int] = {}
-            for r1 in FIRST_ROW_SUMS[part::parts]:
-                counts.update(census_module._count_group(drops, r1)[0])
-            assert merged.keys().isdisjoint(counts)
-            merged.update(counts)
-            # each part folds its groups into exactly these statistics
-            (sizes,), (multi,) = census_module._count_part(drops, part, parts)
-            assert sizes == dict(Counter(counts.values()))
-            assert multi == {key: n for key, n in counts.items() if n >= 2}
-        report = census_reports[R.NONE]
-        assert dict(Counter(merged.values())) == report.sizes
-        assert {key: n for key, n in merged.items() if n >= 2} == report.multi
-
-    @pytest.mark.parametrize("threads", [-3, 0, True, 2.5, "2"])
-    def test_threads_must_be_none_or_a_positive_int(self, threads):
-        with pytest.raises(ValueError, match="threads must be"):
-            census(R.FULL_DIAGONAL, threads=threads)
-        with pytest.raises(ValueError, match="threads must be"):
-            census_all(threads)
-
-    def test_workers_capped_at_cores(self, monkeypatch):
-        started = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        parts = []
-
-        def fake_part(drops, part, of):
-            parts.append((part, of))
-            return [{} for _ in drops], [{} for _ in drops]
-
-        monkeypatch.setattr(census_module, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(census_module, "_count_part", fake_part)
-        monkeypatch.setattr(census_module.os, "cpu_count", lambda: 2)
-        census_module._signature_counts((R.NONE,), threads=64)
-        # part 0 runs in this process, the others in the pool
-        assert started == [1]
-        assert sorted(parts) == [(0, 2), (1, 2)]
-
-        # one part per possible first row sum, 6..24, at most
-        parts.clear()
-        monkeypatch.setattr(census_module.os, "cpu_count", lambda: 64)
-        census_module._signature_counts((R.NONE,), threads=64)
-        assert started == [1, 18]
-        assert sorted(parts) == [(i, 19) for i in range(19)]
-
-        parts.clear()
-        monkeypatch.setattr(census_module.os, "cpu_count", lambda: None)
-        census_module._signature_counts((R.NONE,), threads=64)
-        assert started == [1, 18]  # core count unknown: serial, no pool
-        assert parts == [(0, 1)]
+            sums = FIRST_ROW_SUMS[part::parts]
+            counts: list[dict[int, int]] = [{} for _ in drops]
+            for r1 in sums:
+                for d, group in zip(counts, groups[r1]):
+                    d.update(group)
+            for whole, d in zip(merged, counts):
+                assert whole.keys().isdisjoint(d)
+                whole.update(d)
+            # _count_part folds this part's groups alone into exactly their
+            # histograms, and keeps their multi-grid buckets where asked
+            monkeypatch.setattr(
+                census_module,
+                "_count_group",
+                lambda drops, r1: groups[r1] if r1 in sums else [{} for _ in drops],
+            )
+            for keep in [(True, False), (False, True)]:
+                sizes, multi = census_module._count_part(drops, keep)
+                for d, hist, kept, wanted in zip(counts, sizes, multi, keep):
+                    assert hist == dict(Counter(d.values()))
+                    assert kept == ({key: n for key, n in d.items() if n >= 2} if wanted else None)
+        for regime, whole in zip(regimes, merged):
+            report = census_reports[regime]
+            assert dict(Counter(whole.values())) == report.sizes
+            assert {key: n for key, n in whole.items() if n >= 2} == report.multi
 
 
 class TestClosedForm:
@@ -389,21 +376,3 @@ class TestCrossCheck:
 
     def test_none_sample(self, census_reports):
         assert bucket_solver_mismatches(census_reports[R.NONE], 100) == []
-
-
-class TestDefaultThreads:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("FUBUKI_THREADS", "3")
-        assert default_threads() == 3
-
-    def test_env_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("FUBUKI_THREADS", "zero")
-        with pytest.raises(ValueError):
-            default_threads()
-        monkeypatch.setenv("FUBUKI_THREADS", "0")
-        with pytest.raises(ValueError):
-            default_threads()
-
-    def test_default_is_positive(self, monkeypatch):
-        monkeypatch.delenv("FUBUKI_THREADS", raising=False)
-        assert default_threads() >= 1

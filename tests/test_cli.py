@@ -293,7 +293,7 @@ class TestVerify:
         import fubuki.cli as cli
         from fubuki.census import CensusReport
 
-        def broken_census(regime, threads=None):
+        def broken_census(regime):
             # every grid alone in its bucket: a full sweep with wrong keys
             return CensusReport(regime, {1: 362880}, {})
 
@@ -310,7 +310,7 @@ class TestVerify:
         import fubuki.cli as cli
 
         detail = "pair (1, 2, 3, 4, 5, 6, 7, 8, 9) -> (9, 8, 7, 6, 5, 4, 3, 2, 1): injected"
-        monkeypatch.setattr(cli, "census", lambda regime, threads=None: census_reports[regime])
+        monkeypatch.setattr(cli, "census", lambda regime: census_reports[regime])
         monkeypatch.setattr(cli, "companion_scan", lambda: full_scan)
         monkeypatch.setattr(cli, "companion_oracle_mismatches", lambda multi, scan: [detail])
         code = cli.main(["verify", "--regime", "full-diagonal", "--threads", "1"])
@@ -323,6 +323,30 @@ class TestVerify:
         result = run_cli("verify", "--regime", "none", "--threads", "-1")
         assert result.returncode == 1
         assert "usage:" in result.stderr and "--threads" in result.stderr
+
+
+class TestThreadsEnv:
+    """FUBUKI_THREADS, like --threads, is validated and has no effect."""
+
+    def test_env_is_accepted_and_changes_nothing(self, monkeypatch, capsys):
+        monkeypatch.delenv("FUBUKI_THREADS", raising=False)
+        assert main(["verify", "--regime", "none"]) == 0
+        unset = capsys.readouterr()
+        monkeypatch.setenv("FUBUKI_THREADS", "3")
+        assert main(["verify", "--regime", "none"]) == 0
+        assert capsys.readouterr() == unset
+
+    @pytest.mark.parametrize("raw", ["zero", "0", "-2", ""])
+    def test_env_rejects_garbage(self, monkeypatch, capsys, raw):
+        monkeypatch.setenv("FUBUKI_THREADS", raw)
+        assert main(["verify", "--regime", "none"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"fubuki: FUBUKI_THREADS must be a positive integer, got {raw!r}\n"
+
+    def test_threads_flag_skips_the_env(self, monkeypatch):
+        monkeypatch.setenv("FUBUKI_THREADS", "zero")
+        assert main(["verify", "--regime", "none", "--threads", "2"]) == 0
 
 
 class TestUsage:
