@@ -328,7 +328,12 @@ class TestVerify:
 class TestThreadsEnv:
     """FUBUKI_THREADS, like --threads, is validated and has no effect."""
 
-    def test_env_is_accepted_and_changes_nothing(self, monkeypatch, capsys):
+    def test_env_unset_is_accepted(self, monkeypatch, capsys):
+        monkeypatch.delenv("FUBUKI_THREADS", raising=False)
+        assert main(["verify", "--regime", "none"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_env_override_changes_nothing(self, monkeypatch, capsys):
         monkeypatch.delenv("FUBUKI_THREADS", raising=False)
         assert main(["verify", "--regime", "none"]) == 0
         unset = capsys.readouterr()
