@@ -24,9 +24,11 @@ asks for them, and the rest is dropped before the next group is counted.
 The whole sweep runs in the calling process. A report is that histogram
 plus, if kept, those multi-grid buckets: every statistic is a function of
 the histogram, and a key missing from the multi-grid buckets belongs to a
-single grid. Only the generator and the companion oracle read the buckets,
-so `census(regime)` keeps its regime's and `census_all()` keeps only the
-full diagonal's.
+single grid. `census(regime)` keeps its regime's buckets and `census_all()`
+keeps only the full diagonal's, which the companion oracle reads. The
+generator sweeps no census: `group_multi_buckets` counts one regime's group
+of one first row sum alone, and the generator calls it for a group only when
+a draw first lands there, so a run counts only the groups its draws need.
 
 No field of the packing ever carries into the next (a line sum is at most
 24 < 32, a cell at most 9 < 16), so the key is linear in the cells: it is
@@ -124,6 +126,29 @@ def _count_group(drops: tuple[int, ...], r1: int) -> list[dict[int, int]]:
     return counts
 
 
+def _multi_of(counts: dict[int, int]) -> dict[int, int]:
+    """The buckets of two or more grids among one group's final counts."""
+    return {key: n for key, n in counts.items() if n >= 2}
+
+
+def group_multi_buckets(regime: PrescriptionRegime, r1: int) -> dict[int, int]:
+    """The multi-grid buckets of `regime` among grids of first row sum `r1`.
+
+    r1 leads every key, so this group's buckets are the whole sweep's buckets
+    of its keys. Raises RuntimeError unless the group was counted over all of
+    its grids, 4,320 per first-row digit set summing to `r1`.
+    """
+    (counts,) = _count_group((_DROP[regime],), r1)
+    digit_sets = sum(sum(first) == r1 for first in combinations(range(1, 10), 3))
+    # each digit set gives 3! first rows, each over the 6! fillings below
+    grids, wanted = sum(counts.values()), factorial(3) * factorial(6) * digit_sets
+    if grids != wanted:
+        raise RuntimeError(
+            f"{regime.value} group of first row sum {r1} holds {grids} grids, expected {wanted}"
+        )
+    return _multi_of(counts)
+
+
 def _count_part(
     drops: tuple[int, ...], keep: tuple[bool, ...]
 ) -> tuple[list[dict[int, int]], list[dict[int, int] | None]]:
@@ -137,7 +162,7 @@ def _count_part(
         for counts, hist, kept in zip(_count_group(drops, r1), sizes, multi):
             _count_elements(hist, counts.values())
             if kept is not None:
-                kept.update({key: n for key, n in counts.items() if n >= 2})
+                kept.update(_multi_of(counts))
     return sizes, multi
 
 
@@ -344,17 +369,17 @@ def companion_oracle_mismatches(
 
 
 def _oracle_violations(multi: dict[int, int], scan: CompanionScan) -> Iterator[str]:
-    regime = PrescriptionRegime.FULL_DIAGONAL
+    # the full diagonal drops no bits, so its signature key is _pack itself
     digits = list(range(1, 10))
     pairs_per_key: Counter[int] = Counter()
     for p, c in scan.pairs:
-        key = signature_key(p, regime)
+        key = _pack(p)
         pairs_per_key[key] += 1
         if sorted(p) != digits or sorted(c) != digits:
             yield f"pair {p} -> {c}: not both permutations of 1..9"
         elif c == p:
             yield f"pair {p} -> {c}: companion equals the grid"
-        elif signature_key(c, regime) != key:
+        elif _pack(c) != key:
             yield f"pair {p} -> {c}: companion outside the grid's bucket"
     if len(set(scan.pairs)) != len(scan.pairs):
         yield "a (grid, companion) pair is listed more than once"

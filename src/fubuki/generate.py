@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .census import census
+from .census import group_multi_buckets
 from .core import ClueSet, Grid, PrescriptionRegime, _is_int
 from .rng import SplitMix64
 from .solver import count_solutions
@@ -55,9 +55,24 @@ def _rigid_diagonal_grid(rng: SplitMix64) -> Grid:
     return Grid(tuple(cells))
 
 
+class _BucketGroups(dict):
+    """One weaker regime's multi-grid buckets by first row sum. A group is
+    counted on the first lookup of its sum and kept; r1 leads every key, so
+    a grid whose key is missing from its sum's group is the only solution of
+    its puzzle."""
+
+    def __init__(self, regime: PrescriptionRegime) -> None:
+        super().__init__()
+        self.regime = regime
+
+    def __missing__(self, r1: int) -> dict[int, int]:
+        group = self[r1] = group_multi_buckets(self.regime, r1)
+        return group
+
+
 @cache
-def _multi_buckets(regime: PrescriptionRegime) -> dict[int, int]:
-    return census(regime).multi
+def _bucket_groups(regime: PrescriptionRegime) -> _BucketGroups:
+    return _BucketGroups(regime)
 
 
 def generate_puzzles(config: GeneratorConfig) -> list[ClueSet]:
@@ -67,8 +82,11 @@ def generate_puzzles(config: GeneratorConfig) -> list[ClueSet]:
     sampled from the 35 sets admitting no shift, which forces uniqueness by
     construction (existence is witnessed by the sampled grid itself). Under
     the weaker regimes, grids are rejection-sampled until the induced
-    puzzle's signature is not among the census's multi-grid buckets. A draw
-    is a bare cell tuple, a shuffle of 1..9 and so a valid grid by
+    puzzle's signature is not among the multi-grid buckets of the draw's
+    first row sum. The buckets of a first row sum are counted by
+    `census.group_multi_buckets` on the first draw that lands there and are
+    kept for the process, so a run counts only the groups its draws need. A
+    draw is a bare cell tuple, a shuffle of 1..9 and so a valid grid by
     construction; only the accepted draw is built and validated as a `Grid`.
     Every emitted puzzle is then re-verified with the brute-force solver
     rather than trusted. The seed-7 output of every regime is pinned by a
@@ -85,11 +103,12 @@ def generate_puzzles(config: GeneratorConfig) -> list[ClueSet]:
         if config.require_unique and config.regime is PrescriptionRegime.FULL_DIAGONAL:
             clue = ClueSet.from_grid(_rigid_diagonal_grid(rng), config.regime)
         elif config.require_unique:
-            multi = _multi_buckets(config.regime)
+            groups = _bucket_groups(config.regime)
             while True:
                 values[:] = _DIGITS  # each draw shuffles 1..9 afresh
                 rng.shuffle(values)
                 cells = tuple(values)
+                multi = groups[cells[0] + cells[1] + cells[2]]
                 if signature_key(cells, config.regime) not in multi:
                     break
             clue = ClueSet.from_grid(Grid(cells), config.regime)

@@ -270,6 +270,47 @@ class TestSweepMechanics:
             assert {key: n for key, n in whole.items() if n >= 2} == report.multi
 
 
+class TestGroupMultiBuckets:
+    @pytest.mark.parametrize(
+        "regime", [R.FIRST_TWO_DIAGONAL, R.TOP_LEFT, R.NONE], ids=lambda r: r.name
+    )
+    def test_groups_make_up_the_sweeps_buckets(self, census_reports, regime):
+        union: dict[int, int] = {}
+        for r1 in FIRST_ROW_SUMS:
+            group = census_module.group_multi_buckets(regime, r1)
+            assert union.keys().isdisjoint(group)
+            union.update(group)
+        assert union == census_reports[regime].multi
+
+    def test_rejects_a_group_short_of_grids_under_optimize(self):
+        # a real raise, not an assert that -O strips; first row sum 6 has one
+        # digit set, {1, 2, 3}, so 3! * 6! grids
+        code = (
+            "import importlib\n"
+            "from fubuki.core import PrescriptionRegime as R\n"
+            "census = importlib.import_module('fubuki.census')\n"
+            "count_group = census._count_group\n"
+            "def short_group(drops, r1):\n"
+            "    (counts,) = count_group(drops, r1)\n"
+            "    del counts[next(iter(counts))]\n"
+            "    return [counts]\n"
+            "census._count_group = short_group\n"
+            "try:\n"
+            "    census.group_multi_buckets(R.NONE, 6)\n"
+            "except RuntimeError as error:\n"
+            "    print(error)\n"
+            "else:\n"
+            "    raise SystemExit('accepted a short group')\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        assert re.fullmatch(
+            r"none group of first row sum 6 holds \d+ grids, expected 4320\n", result.stdout
+        )
+
+
 class TestClosedForm:
     def test_total_and_addends(self):
         cf = closed_form_puzzle_count()

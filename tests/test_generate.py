@@ -1,4 +1,5 @@
 import hashlib
+import subprocess
 import sys
 
 import pytest
@@ -15,10 +16,12 @@ from fubuki import (
     generate_puzzles,
 )
 from fubuki.cli import main
+from fubuki.core import MAX_LINE_SUM, MIN_LINE_SUM
 from fubuki.rng import SplitMix64
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=300)
 MAX_SEED = (1 << 64) - 1
+FIRST_ROW_SUMS = range(MIN_LINE_SUM, MAX_LINE_SUM + 1)
 
 
 def reference_shuffle(rng: SplitMix64, items: list) -> None:
@@ -192,7 +195,9 @@ class TestSeededOutput:
     @pytest.mark.parametrize("regime", list(DRAWS_SEED_7), ids=lambda r: r.name)
     def test_one_key_per_draw_and_one_grid_per_puzzle(self, monkeypatch, regime):
         if regime is not PrescriptionRegime.FULL_DIAGONAL:
-            generate._multi_buckets(regime)  # the bucket sweep is not counted
+            groups = generate._bucket_groups(regime)
+            for r1 in FIRST_ROW_SUMS:
+                groups[r1]  # the bucket counting is not counted
         calls = {"key": 0, "grid": 0}
         census_module = sys.modules["fubuki.census"]
         key, post_init = census_module.signature_key, Grid.__post_init__
@@ -210,3 +215,56 @@ class TestSeededOutput:
         puzzles = generate_puzzles(GeneratorConfig(regime, True, 7, 100))
         assert len(puzzles) == 100
         assert calls == {"key": DRAWS_SEED_7[regime], "grid": 100}
+
+
+class TestLazyBuckets:
+    def test_import_and_config_count_no_group(self):
+        # a profile hook sees every _count_group call, those made while the
+        # package imports included
+        code = (
+            "import sys\n"
+            "calls = []\n"
+            "def hook(frame, event, arg):\n"
+            "    if event == 'call' and frame.f_code.co_name == '_count_group':\n"
+            "        calls.append(1)\n"
+            "sys.setprofile(hook)\n"
+            "import fubuki.cli\n"
+            "from fubuki import GeneratorConfig, PrescriptionRegime\n"
+            "for regime in PrescriptionRegime:\n"
+            "    GeneratorConfig(regime, True, 7, 1)\n"
+            "sys.setprofile(None)\n"
+            "print(len(calls))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (0, "0\n", "")
+
+    def test_a_call_counts_only_the_groups_its_draws_land_in(self, monkeypatch, capsys):
+        census_module = sys.modules["fubuki.census"]
+        count_group, key = census_module._count_group, census_module.signature_key
+        built, drawn = [], []
+
+        def recorded_group(drops, r1):
+            built.append(r1)
+            return count_group(drops, r1)
+
+        def recorded_key(cells, regime):
+            drawn.append(cells[0] + cells[1] + cells[2])
+            return key(cells, regime)
+
+        generate._bucket_groups.cache_clear()
+        monkeypatch.setattr(census_module, "_count_group", recorded_group)
+        monkeypatch.setattr(census_module, "signature_key", recorded_key)
+        argv = ["generate", "--regime", "first-two-diagonal", "--unique", "--seed", "7",
+                "--count", "1"]
+        assert main(argv) == 0
+        first = capsys.readouterr()
+        # each group is counted once, when a draw first lands in it
+        assert drawn and built == list(dict.fromkeys(drawn))
+        assert len(built) < len(FIRST_ROW_SUMS)
+        built.clear()
+        drawn.clear()
+        assert main(argv) == 0
+        assert capsys.readouterr() == first
+        assert drawn and built == []
