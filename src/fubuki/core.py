@@ -31,6 +31,11 @@ class PrescriptionRegime(Enum):
     TOP_LEFT = "top_left"
     NONE = "none"
 
+    # members compare by identity, so hash by identity too: Enum's own
+    # __hash__ runs in Python, once per regime-keyed lookup such as the
+    # generator's one signature_key call per rejection draw
+    __hash__ = object.__hash__
+
     @property
     def cells(self) -> tuple[tuple[int, int], ...]:
         """Prescribed (row, col) positions, 1-based."""

@@ -4,32 +4,69 @@ SplitMix64 (Steele, Lea & Flood's fixed-increment generator) with rejection
 sampling for bounded draws and Fisher-Yates shuffling. The algorithm is
 fully specified here, so seeded output is stable across Python versions and
 implementations, unlike the stdlib's Mersenne Twister convenience methods.
+
+Outputs are mixed up to 8 at a time in one packed int: output i of a batch
+sits in the 128-bit lane i, every xor-shift and multiply acts on all lanes
+at once, and masking each lane back to 64 bits before the next step reads
+it keeps each lane's arithmetic exactly the scalar mixer's. A 64-bit value times a 64-bit
+constant fits in 128 bits, so no lane carries into the next. The stream is
+the same as mixing one output at a time.
 """
 
 from __future__ import annotations
+
+import struct
+from typing import Callable
+
+from .core import _is_int
 
 _SPAN = 1 << 64
 _MASK64 = _SPAN - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_BATCH = 8  # outputs mixed at once: one shuffle of 3x3 cells
+
+
+def _lanes(k: int) -> tuple[int, int, int, int, Callable[[bytes], tuple[int, ...]]]:
+    """Constants that mix k outputs at once: ONES (1 in every lane), STEPS
+    (lane i holds (i+1)·GAMMA), LOW (the 64-bit mask in every lane), the
+    byte size and the unpacker of the low 8 bytes of each lane."""
+    ones = sum(1 << (128 * i) for i in range(k))
+    steps = sum((i + 1) * _GAMMA << (128 * i) for i in range(k))
+    return ones, steps, _MASK64 * ones, 16 * k, struct.Struct("<" + "Q8x" * k).unpack
+
+
+_LANES = tuple(_lanes(k) for k in range(_BATCH + 1))
 
 
 class SplitMix64:
     def __init__(self, seed: int) -> None:
-        self._state = seed & _MASK64
+        if not (_is_int(seed) and 0 <= seed <= _MASK64):
+            raise ValueError(f"seed must be an int in 0..{_MASK64}, got {seed!r}")
+        self._state = seed
+
+    def _take(self, k: int) -> tuple[int, ...]:
+        """The next k outputs of the stream, 0 <= k <= 8, mixed together."""
+        ones, steps, low, size, unpack = _LANES[k]
+        state = self._state
+        self._state = (state + k * _GAMMA) & _MASK64
+        z = (state * ones + steps) & low
+        z = (z ^ (z >> 30)) & low
+        z = z * _MIX1 & low
+        z = (z ^ (z >> 27)) & low
+        z = z * _MIX2 & low
+        # no mask after the last xor-shift: unpack reads only the low 8
+        # bytes of each lane
+        return unpack((z ^ (z >> 31)).to_bytes(size, "little"))
 
     def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return z ^ (z >> 31)
+        return self._take(1)[0]
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n), bias-free via rejection."""
-        if n < 1:
-            raise ValueError(f"bound must be positive, got {n}")
+        if not (_is_int(n) and 1 <= n <= _SPAN):
+            raise ValueError(f"bound must be an int in 1..{_SPAN}, got {n!r}")
         limit = _SPAN - _SPAN % n  # largest multiple of n not above 2**64
         while True:
             u = self.next_u64()
@@ -40,16 +77,21 @@ class SplitMix64:
         """In-place Fisher-Yates, iterating from the last index down.
 
         Each index is drawn by `below`'s rejection rule, inline: the same
-        `next_u64` values are consumed and the same permutation results.
+        stream outputs are consumed, in the same order, and the same
+        permutation results. Outputs are mixed up to 8 at a time; a rejected
+        output leaves the index where it is, and the next output redraws
+        it. A batch never holds more outputs than indices left to draw, so
+        every output mixed is consumed.
         """
-        next_u64 = self.next_u64
-        for i in range(len(items) - 1, 0, -1):
-            n = i + 1
-            limit = _SPAN - _SPAN % n
-            while (u := next_u64()) >= limit:
-                pass
-            j = u % n
-            items[i], items[j] = items[j], items[i]
+        take = self._take
+        i = len(items) - 1
+        while i > 0:
+            for u in take(i if i < _BATCH else _BATCH):
+                n = i + 1
+                if u < _SPAN - _SPAN % n:
+                    j = u % n
+                    items[i], items[j] = items[j], items[i]
+                    i -= 1
 
     def choice(self, seq):
         return seq[self.below(len(seq))]

@@ -20,7 +20,12 @@ from fubuki.core import MAX_LINE_SUM, MIN_LINE_SUM
 from fubuki.rng import SplitMix64
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=300)
-MAX_SEED = (1 << 64) - 1
+SPAN = 1 << 64
+MAX_SEED = SPAN - 1
+GAMMA = 0x9E3779B97F4A7C15
+# states from which output i (1..8) of a batch lands exactly on 2**64, and
+# their neighbours: the lanes wrap there
+WRAP_STATES = sorted({(-i * GAMMA + d) % SPAN for i in range(1, 9) for d in (-1, 0, 1)})
 FIRST_ROW_SUMS = range(MIN_LINE_SUM, MAX_LINE_SUM + 1)
 
 
@@ -31,15 +36,35 @@ def reference_shuffle(rng: SplitMix64, items: list) -> None:
         items[i], items[j] = items[j], items[i]
 
 
+class Scalar(SplitMix64):
+    """The published SplitMix64 step, mixing one output at a time: the
+    reference the lane-packed mixer is checked against."""
+
+    def _take(self, k: int) -> tuple[int, ...]:
+        outputs = []
+        for _ in range(k):
+            self._state = z = (self._state + GAMMA) % SPAN
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % SPAN
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % SPAN
+            outputs.append(z ^ (z >> 31))
+        return tuple(outputs)
+
+
 class Scripted(SplitMix64):
-    """SplitMix64 whose first draws are scripted, so rejections can be forced."""
+    """SplitMix64 whose first outputs are scripted, so rejections can be forced.
+
+    Scripted outputs come before the stream's own and do not move its state.
+    Every draw, single or batched, goes through `_take`, so overriding it
+    scripts `below` and `shuffle` alike.
+    """
 
     def __init__(self, seed: int, script: list[int]) -> None:
         super().__init__(seed)
         self.script = list(script)
 
-    def next_u64(self) -> int:
-        return self.script.pop() if self.script else super().next_u64()
+    def _take(self, k: int) -> tuple[int, ...]:
+        scripted = tuple(self.script.pop() for _ in range(min(k, len(self.script))))
+        return scripted + super()._take(k - len(scripted))
 
 
 class TestSplitMix64:
@@ -93,6 +118,56 @@ class TestSplitMix64:
         assert a == b
         assert fast.script == reference.script
         assert fast._state == reference._state
+
+    @PROPERTY
+    @given(st.integers(0, MAX_SEED), st.integers(0, 8))
+    def test_take_is_k_scalar_steps(self, seed, k):
+        fast, scalar = SplitMix64(seed), Scalar(seed)
+        assert fast._take(k) == scalar._take(k)
+        assert fast._state == scalar._state
+
+    @pytest.mark.parametrize("k", range(9))
+    def test_take_is_k_scalar_steps_where_the_state_wraps(self, k):
+        for state in WRAP_STATES:
+            fast, scalar = SplitMix64(state), Scalar(state)
+            assert fast._take(k) == scalar._take(k), hex(state)
+            assert fast._state == scalar._state
+
+    def test_take_nothing(self):
+        rng = SplitMix64(MAX_SEED)
+        assert rng._take(0) == ()
+        assert rng._state == MAX_SEED
+
+    @pytest.mark.parametrize("length", [9, 17, 64])
+    def test_shuffle_past_one_batch_is_scalar_fisher_yates(self, length):
+        for seed in (0, 7, MAX_SEED, *WRAP_STATES):
+            fast, scalar = SplitMix64(seed), Scalar(seed)
+            a, b = list(range(length)), list(range(length))
+            fast.shuffle(a)
+            reference_shuffle(scalar, b)
+            assert a == b, hex(seed)
+            assert fast._state == scalar._state
+
+    @pytest.mark.parametrize("seed", [-1, SPAN, True, 1.5, "5", None])
+    def test_rejects_a_seed_outside_64_bits(self, seed):
+        # -1 and 2**64 would alias 2**64 - 1 and 0
+        with pytest.raises(ValueError, match="seed must be an int"):
+            SplitMix64(seed)
+
+    @pytest.mark.parametrize("n", [0, -3, SPAN + 1, True, 2.5, "3", None])
+    def test_below_rejects_a_bound_outside_1_to_2_64(self, n):
+        # above 2**64 no output is below the rejection limit, so it would
+        # never return; True would return 0 and 2.5 a float
+
+        class NoDraws(SplitMix64):
+            def _take(self, k):
+                raise AssertionError("a bad bound drew an output")
+
+        with pytest.raises(ValueError, match="bound must be an int"):
+            NoDraws(1).below(n)
+
+    def test_below_2_64_is_the_output_itself(self):
+        assert SplitMix64(0).below(SPAN) == 0xE220A8397B1DCDAF
 
 
 class TestGenerator:
@@ -191,6 +266,32 @@ class TestSeededOutput:
     def test_non_unique_output_is_pinned(self, capsys):
         argv = ["generate", "--regime", "none", "--seed", "7", "--count", "100"]
         assert self.stdout_digest(capsys, argv) == GOLDEN_NONE_NOT_UNIQUE
+
+    def test_pins_and_input_checks_hold_under_optimize(self):
+        # under -O every assert is gone, so neither may rest on one
+        code = (
+            "import contextlib, hashlib, io, sys\n"
+            "from fubuki.cli import main\n"
+            "from fubuki.rng import SplitMix64\n"
+            "print(sys.flags.optimize)\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            "    code = main(['generate', '--regime', 'none', '--unique', '--seed', '7',\n"
+            "                 '--count', '100'])\n"
+            "print(code, hashlib.sha256(out.getvalue().encode()).hexdigest())\n"
+            "rng = SplitMix64(7)\n"
+            "for bad in (lambda: SplitMix64(-1), lambda: SplitMix64(1.5),\n"
+            "            lambda: rng.below(True), lambda: rng.below(2.5)):\n"
+            "    try:\n"
+            "        bad()\n"
+            "    except ValueError:\n"
+            "        print('ValueError')\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=120
+        )
+        expected = f"1\n0 {GOLDEN_UNIQUE['none']}\n" + "ValueError\n" * 4
+        assert (result.returncode, result.stdout, result.stderr) == (0, expected, "")
 
     @pytest.mark.parametrize("regime", list(DRAWS_SEED_7), ids=lambda r: r.name)
     def test_one_key_per_draw_and_one_grid_per_puzzle(self, monkeypatch, regime):
