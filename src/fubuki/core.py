@@ -48,11 +48,16 @@ class PrescriptionRegime(Enum):
 
     @classmethod
     def parse(cls, text: str) -> "PrescriptionRegime":
-        """Accepts the canonical name with either '-' or '_' separators."""
+        """Accepts the canonical name with either '-' or '_' separators.
+
+        Raises ValueError for anything else, a value that is not a str included.
+        """
+        names = ", ".join(r.value.replace("_", "-") for r in cls)
+        if not isinstance(text, str):
+            raise ValueError(f"regime must be a str, one of: {names}; got {text!r}")
         try:
             return cls(text.strip().lower().replace("-", "_"))
         except ValueError:
-            names = ", ".join(r.value.replace("_", "-") for r in cls)
             raise ValueError(f"unknown regime {text!r}; expected one of: {names}") from None
 
 

@@ -27,6 +27,8 @@ class GeneratorConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.regime, PrescriptionRegime):
             raise ValueError(f"regime must be a PrescriptionRegime, got {self.regime!r}")
+        if not isinstance(self.require_unique, bool):
+            raise ValueError(f"require_unique must be a bool, got {self.require_unique!r}")
         # bounded here, not only at the CLI, so no two seeds alias one stream
         if not (_is_int(self.seed) and 0 <= self.seed <= _MAX_SEED):
             raise ValueError(f"seed must be an int in 0..{_MAX_SEED}, got {self.seed!r}")

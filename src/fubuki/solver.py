@@ -1,20 +1,27 @@
-"""Brute-force solving for arbitrary clue sets.
+"""Exhaustive solving for arbitrary clue sets.
 
-This is the ground truth the structural machinery is validated against. One
-pruned search fills the unprescribed cells in row-major order with the
-unused values in ascending order, and so finds solutions in lexicographic
-order of the row-major cells. Each row and column tracks the sum its free
-cells still need and how many free cells it has left; a value is placed only
-if both of its lines stay completable from the unused digits. The search
-space never exceeds 9! so no cleverness beyond sum pruning is warranted.
+This is the ground truth the structural machinery is validated against. The
+search works a whole row at a time. A table lists, for every line sum, the
+ordered triples of distinct digits that reach it. Rows 1 and 2 are drawn
+from their sums' triples, keeping those that agree with the row's
+prescribed cells, and then the column sums force row 3: each of its cells
+is its column's sum less the two cells above. A grid is kept only if row 3
+is a triple of digits that agrees with its own prescribed cells and the
+three rows use all of 1..9. A line sum has at most 48 triples, and row 2's
+are paired only with the row 1s they share no digit with. Both rows are
+tried in lexicographic order and row 3 is a function of them, so solutions
+come out in lexicographic order of the row-major cells.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import permutations
 
-from .core import ClueSet, Grid, _is_int
+from .core import MAX_LINE_SUM, MIN_LINE_SUM, ClueSet, Grid, _is_int
+
+_ALL_DIGITS = 0b1111111110  # bit d set for each digit 1..9
 
 
 @dataclass
@@ -33,93 +40,51 @@ class SolveResult:
         return len(self.solutions)
 
 
-class _StopSearch(Exception):
-    pass
-
-
 @cache
-def _spans() -> dict[int, list[tuple[int, int]]]:
-    """`_spans()[left][unused]`: sums of the `left` smallest and largest digits.
-
-    `unused` is a bitmask with bit d set for each unused digit d. Built on
-    first use, so importing the package does not pay for it.
+def _rows() -> dict[int, list[tuple[int, int, int, int]]]:
+    """`_rows()[s]`: each ordered triple of distinct digits summing to s, in
+    lexicographic order, as `(a, b, c, mask)` with bit d of `mask` set for
+    each of its digits d. 504 triples in all; built on first search, so
+    importing the package does not pay for it.
     """
-    digits = [[d for d in range(1, 10) if mask >> d & 1] for mask in range(1 << 10)]
-    return {left: [(sum(ds[:left]), sum(ds[-left:])) for ds in digits] for left in (2, 3)}
+    rows: dict[int, list[tuple[int, int, int, int]]] = {
+        s: [] for s in range(MIN_LINE_SUM, MAX_LINE_SUM + 1)
+    }
+    for a, b, c in permutations(range(1, 10), 3):
+        rows[a + b + c].append((a, b, c, 1 << a | 1 << b | 1 << c))
+    return rows
 
 
 def _search(clues: ClueSet, limit: int | None) -> list[tuple[int, ...]]:
     """Every satisfying grid's cells in lexicographic order, or the first `limit + 1`.
 
-    Each row and column holds the sum its free cells still need and its
-    count of free cells. A line with `left` free cells that needs `need` is
-    completable if `left == 0` and `need == 0`, if `left == 1` and `need` is
-    an unused digit, or else if `need` lies between the sums of the `left`
-    smallest and the `left` largest unused digits. A line's last free cell
-    therefore takes the single value its sum leaves, and every line is exact
-    once it is full. A candidate is tested before any state is written.
+    Row 3's sum is the 45 that the column sums total less rows 1 and 2, so
+    once both totals are 45 a row 3 of digits always meets its row sum.
     """
-    spans = _spans()
-    cells = [0] * 9
-    unused = 0b1111111110
-    row_need = list(clues.row_sums)
-    col_need = list(clues.col_sums)
-    row_free = [3, 3, 3]
-    col_free = [3, 3, 3]
+    row_sums, col_sums = clues.row_sums, clues.col_sums
+    if sum(row_sums) != 45 or sum(col_sums) != 45:
+        return []
+    rows = _rows()
+    # each row's triples, less those that disagree with its prescribed cells
+    fits = [rows[s] for s in row_sums]
     for r, c, v in clues.prescribed:
-        cells[(r - 1) * 3 + (c - 1)] = v
-        unused ^= 1 << v
-        row_need[r - 1] -= v
-        col_need[c - 1] -= v
-        row_free[r - 1] -= 1
-        col_free[c - 1] -= 1
-    free = [divmod(pos, 3) for pos in range(9) if not cells[pos]]
+        fits[r - 1] = [t for t in fits[r - 1] if t[c - 1] == v]
+    first, second, third = fits[0], fits[1], set(fits[2])
+    # one lookup in `third` checks that row 3 is digits that agree with its
+    # prescribed cells and are the three that rows 1 and 2 leave
+    disjoint: dict[int, list[tuple[int, int, int, int]]] = {}  # row-1 mask -> row 2s
+    s1, s2, s3 = col_sums
     found: list[tuple[int, ...]] = []
-
-    def completable(need: int, left: int, unused: int) -> bool:
-        if left == 0:
-            return need == 0
-        if left == 1:
-            return 0 < need < 10 and unused >> need & 1 == 1
-        lo, hi = spans[left][unused]
-        return lo <= need <= hi
-
-    def rec(k: int, unused: int) -> None:
-        if k == len(free):
-            found.append(tuple(cells))
-            if limit is not None and len(found) > limit:
-                raise _StopSearch
-            return
-        i, j = free[k]
-        rneed, cneed = row_need[i], col_need[j]
-        rleft, cleft = row_free[i] - 1, col_free[j] - 1
-        if rleft == 0:
-            candidates: tuple[int, ...] | range = (rneed,) if 0 < rneed < 10 else ()
-        elif cleft == 0:
-            candidates = (cneed,) if 0 < cneed < 10 else ()
-        else:
-            candidates = range(1, 10)
-        for v in candidates:
-            rest = unused ^ 1 << v
-            if not (
-                rest < unused  # v was unused
-                and completable(rneed - v, rleft, rest)
-                and completable(cneed - v, cleft, rest)
-            ):
-                continue
-            cells[i * 3 + j] = v
-            row_need[i], col_need[j] = rneed - v, cneed - v
-            row_free[i], col_free[j] = rleft, cleft
-            rec(k + 1, rest)
-            row_need[i], col_need[j] = rneed, cneed
-            row_free[i], col_free[j] = rleft + 1, cleft + 1
-
-    lines = zip(row_need + col_need, row_free + col_free)
-    if all(completable(need, left, unused) for need, left in lines):
-        try:
-            rec(0, unused)
-        except _StopSearch:
-            pass
+    for a, b, c, m in first:
+        seconds = disjoint.get(m)
+        if seconds is None:
+            seconds = disjoint[m] = [t for t in second if not t[3] & m]
+        for d, e, f, n in seconds:
+            g, h, i = s1 - a - d, s2 - b - e, s3 - c - f
+            if (g, h, i, _ALL_DIGITS ^ m ^ n) in third:
+                found.append((a, b, c, d, e, f, g, h, i))
+                if limit is not None and len(found) > limit:
+                    return found
     return found
 
 

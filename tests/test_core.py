@@ -145,3 +145,9 @@ class TestPrescriptionRegime:
     def test_parse_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown regime"):
             PrescriptionRegime.parse("diagonal")
+
+    @pytest.mark.parametrize("text", [None, 3, b"none", ["none"], PrescriptionRegime.NONE])
+    def test_parse_rejects_a_value_that_is_not_a_str(self, text):
+        # these used to raise AttributeError or TypeError, not the documented error
+        with pytest.raises(ValueError, match="regime must be a str"):
+            PrescriptionRegime.parse(text)

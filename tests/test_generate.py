@@ -195,6 +195,12 @@ class TestGenerator:
         with pytest.raises(ValueError, match="regime must be a PrescriptionRegime"):
             generate_puzzles(GeneratorConfig(regime, unique, 7, 1))
 
+    @pytest.mark.parametrize("unique", ["no", "", 0, 1, None])
+    def test_config_rejects_require_unique_that_is_not_a_bool(self, unique):
+        # "no" is truthy, so it used to generate unique puzzles quietly
+        with pytest.raises(ValueError, match="require_unique must be a bool"):
+            GeneratorConfig(PrescriptionRegime.NONE, unique, 1, 2)
+
     def test_deterministic_per_config(self):
         config = GeneratorConfig(PrescriptionRegime.TOP_LEFT, True, 77, 10)
         assert generate_puzzles(config) == generate_puzzles(config)

@@ -138,6 +138,21 @@ def test_solver_finds_exactly_the_reference_solutions(grids_by_line_sums, clues)
 
 
 @PROPERTY
+@given(grids, cell_positions)
+@example(SHOWCASE, [(3, 1), (3, 2), (3, 3)])
+def test_solutions_are_sorted_distinct_and_include_the_grid(grid, positions):
+    clues = ClueSet(
+        tuple((r, c, grid.value_at(r, c)) for r, c in positions),
+        grid.row_sums(),
+        grid.col_sums(),
+    )
+    solutions = solve(clues).solutions
+    assert solutions == sorted(set(solutions))
+    assert grid in solutions
+    assert all(clues.satisfied_by(g) for g in solutions)
+
+
+@PROPERTY
 @given(clue_sets())
 def test_clue_set_round_trips_through_dict(clues):
     assert ClueSet.from_dict(clues.to_dict()) == clues

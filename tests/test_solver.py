@@ -1,4 +1,6 @@
-from itertools import permutations
+import subprocess
+import sys
+from itertools import combinations, permutations
 
 import pytest
 
@@ -150,3 +152,93 @@ class TestPruneSoundness:
                 result = solve(clue, limit=limit)
                 assert result.solutions == reference[:limit]
                 assert result.truncated == (len(reference) > limit)
+
+
+class TestRowSearch:
+    """The cases the row search handles apart: row 3 is derived from the
+    column sums, and clue sets whose totals are not both 45 are never searched.
+    """
+
+    def test_prescriptions_only_in_row_3(self, grid_two_a):
+        row_3 = [(3, c) for c in (1, 2, 3)]
+        grids = [grid_two_a] + random_grids(4, seed=31)
+        for n, grid in enumerate(grids):
+            # a single prescribed cell leaves 8! fillings to the reference
+            for k in (1, 2, 3) if n == 0 else (2, 3):
+                for cells in combinations(row_3, k):
+                    clue = ClueSet(
+                        tuple((r, c, grid.value_at(r, c)) for r, c in cells),
+                        grid.row_sums(),
+                        grid.col_sums(),
+                    )
+                    reference = reference_solutions(clue)
+                    assert grid in reference
+                    assert solve(clue).solutions == reference
+                    for limit in (1, 2):
+                        result = solve(clue, limit=limit)
+                        assert result.solutions == reference[:limit]
+                        assert result.truncated == (len(reference) > limit)
+
+    @pytest.mark.parametrize(
+        "row_sums, col_sums",
+        [((10, 15, 20), (16, 15, 15)), ((10, 15, 21), (16, 15, 14))],
+        ids=["rows-total-45", "cols-total-45"],
+    )
+    def test_only_one_set_of_sums_totals_45(self, grid_two_a, row_sums, col_sums):
+        cells = ((1, 1), (1, 2), (2, 2), (3, 3))
+        clue = ClueSet(
+            tuple((r, c, grid_two_a.value_at(r, c)) for r, c in cells), row_sums, col_sums
+        )
+        assert reference_solutions(clue) == []
+        result = solve(clue)
+        assert result.solutions == [] and not result.truncated
+        assert count_solutions(clue) == 0
+
+    @pytest.mark.parametrize("limit", [1, 2])
+    def test_fully_prescribed_grid_with_a_limit(self, grid_unique, limit):
+        prescribed = tuple(
+            (r, c, grid_unique.value_at(r, c)) for r in (1, 2, 3) for c in (1, 2, 3)
+        )
+        clue = ClueSet(prescribed, grid_unique.row_sums(), grid_unique.col_sums())
+        assert reference_solutions(clue) == [grid_unique]
+        result = solve(clue, limit=limit)
+        assert result.solutions == [grid_unique] and not result.truncated
+
+
+class TestRowTable:
+    def test_import_builds_no_table(self):
+        # a table built at import would be timed as set-up by every command
+        code = (
+            "import fubuki.cli\n"
+            "from fubuki import solver\n"
+            "if solver._rows.cache_info().currsize:\n"
+            "    raise SystemExit('_rows is built at import')\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+
+    def test_one_search_builds_every_ordered_triple(self, clue_unique):
+        solver._rows.cache_clear()
+        solve(clue_unique)
+        assert solver._rows.cache_info().currsize == 1
+        rows = solver._rows()
+        assert list(rows) == list(range(6, 25))
+        triples = [t for s in rows for t in rows[s]]
+        assert len(triples) == 504
+        assert sorted(t[:3] for t in triples) == list(permutations(range(1, 10), 3))
+        for s, ts in rows.items():
+            assert ts == sorted(ts)
+            assert all(a + b + c == s for a, b, c, _ in ts)
+            assert all(mask == 1 << a | 1 << b | 1 << c for a, b, c, mask in ts)
+
+
+def random_grids(n: int, seed: int) -> list[Grid]:
+    rng = SplitMix64(seed)
+    values = list(range(1, 10))
+    grids = []
+    for _ in range(n):
+        rng.shuffle(values)
+        grids.append(Grid(tuple(values)))
+    return grids
