@@ -17,18 +17,20 @@ key with 4 bits dropped per unprescribed diagonal cell. The first row sum r1
 leads every regime's key, so two first row sums never share a key.
 
 The sweep counts one first row sum at a time (19 groups of at most 8 of the
-84 first-row digit sets). Because no key spans two groups, each group's
-counts are final: they are folded into a per-regime histogram of bucket
-sizes, the group's buckets of two or more grids are kept where a reader
-asks for them, and the rest is dropped before the next group is counted.
-The whole sweep runs in the calling process. A report is that histogram
-plus, if kept, those multi-grid buckets: every statistic is a function of
-the histogram, and a key missing from the multi-grid buckets belongs to a
-single grid. `census(regime)` keeps its regime's buckets and `census_all()`
-keeps only the full diagonal's, which the companion oracle reads. The
-generator sweeps no census: `group_multi_buckets` counts one regime's group
-of one first row sum alone, and the generator calls it for a group only when
-a draw first lands there, so a run counts only the groups its draws need.
+84 first-row digit sets). It builds a group's row keys once, then counts the
+group one regime at a time. Because no key spans two groups, each count is
+final: it is folded into its regime's histogram of bucket sizes, its
+buckets of two or more grids are kept where a reader asks for them, and the
+rest is dropped before the next regime is counted, so one regime's counts
+of one group are alive at a time. The whole sweep runs in the calling
+process. A report is that histogram plus, if kept, those multi-grid
+buckets: every statistic is a function of the histogram, and a key missing
+from the multi-grid buckets belongs to a single grid. `census(regime)` keeps
+its regime's buckets and `census_all()` keeps only the full diagonal's,
+which the companion oracle reads. The generator sweeps no census:
+`group_multi_buckets` counts one regime's group of one first row sum alone,
+and the generator calls it for a group only when a draw first lands there,
+so a run counts only the groups its draws need.
 
 No field of the packing ever carries into the next (a line sum is at most
 24 < 32, a cell at most 9 < 16), so the key is linear in the cells: it is
@@ -37,12 +39,18 @@ adds their fields in place, so dropping low fields distributes over the sum:
 a regime's key of first row plus lower rows is (head >> drop) + (tail >>
 drop). The sweep uses this to count without running Python per grid. For
 each of the 84 digit sets of the first row it builds the 720 keys of the
-rows below once, then, for each of the set's 6 row orderings, counts head +
-tail over all 720 tails in C (`collections._count_elements`). Each key is
-built as (cap + head) - (cap - tail), cap being above every key: CPython
-gives the result of int + int a spare digit, which a stored two-digit
-full-diagonal key would keep, while int - int sizes it to its larger
-operand, so the 351,432 stored keys stay in 32-byte blocks.
+rows below once, then, per regime and for each of the set's 6 row
+orderings, counts head + tail over all 720 tails in C
+(`collections._count_elements`). Each key is built as (cap + head) - (cap -
+tail), cap being above every key: CPython gives the result of int + int a
+spare digit, which a stored two-digit full-diagonal key would keep, while
+int - int sizes it to its larger operand, so the 351,432 stored keys stay
+in 32-byte blocks.
+
+The companion scan is a second route to the full-diagonal count that reads
+no bucket: it lists the 22,896 (grid, companion) pairs of the shift
+structure, each held as 18 bytes, one per cell, sorted. The companion
+oracle checks those pairs against the census's multi-grid buckets.
 """
 
 from __future__ import annotations
@@ -51,10 +59,10 @@ from collections import Counter, _count_elements
 from dataclasses import dataclass, field
 from itertools import combinations, islice, permutations
 from math import factorial
-from operator import itemgetter, mul
+from operator import ge, itemgetter, mul
 from typing import Iterator, NamedTuple
 
-from .core import DIAGONAL_FLAT, MAX_LINE_SUM, MIN_LINE_SUM, PrescriptionRegime
+from .core import DIAGONAL_FLAT, MAX_LINE_SUM, MIN_LINE_SUM, PrescriptionRegime, _is_int
 from .theory import (
     MINUS_FLAT,
     PLUS_FLAT,
@@ -85,6 +93,7 @@ def _pack(cells: tuple[int, ...]) -> int:
 
 # keys are linear in the cells (see the module docstring): the key of each unit grid
 _WEIGHTS = tuple(_pack(tuple(int(i == j) for j in range(9))) for i in range(9))
+_TOP = 9 * sum(_WEIGHTS)  # at least every key
 
 
 # bits each regime's key drops off the full-diagonal key
@@ -100,29 +109,37 @@ def signature_key(cells: tuple[int, ...], regime: PrescriptionRegime) -> int:
     return _pack(cells) >> _DROP[regime]
 
 
-def _count_group(drops: tuple[int, ...], r1: int) -> list[dict[int, int]]:
-    """Signature counts per key drop over grids whose first row sum is `r1`."""
-    counts: list[dict[int, int]] = [{} for _ in drops]
+def _group_rows(r1: int) -> list[tuple[list[int], list[int]]]:
+    """Full-diagonal keys of the first rows and of the rows below, per
+    first-row digit set summing to `r1`: the 6 orderings of the set as heads
+    and the 720 fillings of the other six digits as tails."""
     head_weights, tail_weights = _WEIGHTS[:3], _WEIGHTS[3:]
-    top = 9 * sum(_WEIGHTS)  # at least every key
     digits = range(1, 10)
-    # refilled in place: a new 720-slot list per digit set, alive while the dicts
-    # grow, would sit in the holes they free and keep those from coalescing
-    tails = [0] * factorial(6)
-    lowers = [0] * factorial(6)
+    rows = []
     for first in combinations(digits, 3):
         if sum(first) != r1:
             continue
-        heads = [sum(map(mul, row, head_weights)) for row in permutations(first)]
         rest = [d for d in digits if d not in first]
-        tails[:] = [sum(map(mul, lower, tail_weights)) for lower in permutations(rest)]
-        for drop, d in zip(drops, counts):
-            # key = (cap + head) - (cap - tail): CPython's int + int allocates a
-            # spare digit that a two-digit key keeps, int - int does not
-            cap = top >> drop
-            lowers[:] = [cap - (tail >> drop) for tail in tails]
-            for head in heads:
-                _count_elements(d, map((cap + (head >> drop)).__sub__, lowers))
+        rows.append((
+            [sum(map(mul, row, head_weights)) for row in permutations(first)],
+            [sum(map(mul, lower, tail_weights)) for lower in permutations(rest)],
+        ))
+    return rows
+
+
+def _count_group(drop: int, rows: list[tuple[list[int], list[int]]]) -> dict[int, int]:
+    """Signature counts under one key drop over the grids of a group's rows."""
+    counts: dict[int, int] = {}
+    cap = _TOP >> drop
+    # refilled in place: a new 720-slot list per digit set, alive while the dict
+    # grows, would sit in the holes it frees and keep those from coalescing
+    lowers = [0] * factorial(6)
+    for heads, tails in rows:
+        # key = (cap + head) - (cap - tail): CPython's int + int allocates a
+        # spare digit that a two-digit key keeps, int - int does not
+        lowers[:] = [cap - (tail >> drop) for tail in tails]
+        for head in heads:
+            _count_elements(counts, map((cap + (head >> drop)).__sub__, lowers))
     return counts
 
 
@@ -138,7 +155,7 @@ def group_multi_buckets(regime: PrescriptionRegime, r1: int) -> dict[int, int]:
     of its keys. Raises RuntimeError unless the group was counted over all of
     its grids, 4,320 per first-row digit set summing to `r1`.
     """
-    (counts,) = _count_group((_DROP[regime],), r1)
+    counts = _count_group(_DROP[regime], _group_rows(r1))
     digit_sets = sum(sum(first) == r1 for first in combinations(range(1, 10), 3))
     # each digit set gives 3! first rows, each over the 6! fillings below
     grids, wanted = sum(counts.values()), factorial(3) * factorial(6) * digit_sets
@@ -153,16 +170,19 @@ def _count_part(
     drops: tuple[int, ...], keep: tuple[bool, ...]
 ) -> tuple[list[dict[int, int]], list[dict[int, int] | None]]:
     """Bucket-size histograms per key drop over all grids, counted one first
-    row sum at a time, and the multi-grid buckets of each drop whose `keep`
-    flag is set (None for the others); a histogram maps a size to its number
-    of buckets."""
+    row sum and, within it, one drop at a time, and the multi-grid buckets
+    of each drop whose `keep` flag is set (None for the others); a histogram
+    maps a size to its number of buckets."""
     sizes: list[dict[int, int]] = [{} for _ in drops]
     multi: list[dict[int, int] | None] = [{} if k else None for k in keep]
     for r1 in range(MIN_LINE_SUM, MAX_LINE_SUM + 1):
-        for counts, hist, kept in zip(_count_group(drops, r1), sizes, multi):
+        rows = _group_rows(r1)
+        for drop, hist, kept in zip(drops, sizes, multi):
+            counts = _count_group(drop, rows)
             _count_elements(hist, counts.values())
             if kept is not None:
                 kept.update(_multi_of(counts))
+            del counts  # freed before the next drop's dict grows
     return sizes, multi
 
 
@@ -300,13 +320,18 @@ def closed_form_puzzle_count() -> ClosedFormCount:
 class CompanionScan:
     """Every (grid, companion) pair of the shift structure, sorted, and the
     full-diagonal statistics they give; a puzzle is counted at its smallest
-    solution."""
+    solution.
 
-    pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] = field(repr=False)
+    Each pair is held as `bytes(grid + companion)`: 18 bytes, one per cell,
+    the grid's nine cells first. Bytes compare as the tuple pairs of their
+    cells do, so the list is in the order of those pairs.
+    """
+
+    pairs: list[bytes] = field(repr=False)
 
     @property
     def grids_with_companion(self) -> int:
-        return len({p for p, _ in self.pairs})
+        return len({pair[:9] for pair in self.pairs})
 
     @property
     def single_solution_puzzles(self) -> int:
@@ -314,7 +339,7 @@ class CompanionScan:
 
     @property
     def solvable_puzzles(self) -> int:
-        return TOTAL_GRIDS - len({p for p, c in self.pairs if c < p})
+        return TOTAL_GRIDS - len({pair[:9] for pair in self.pairs if pair[9:] < pair[:9]})
 
 
 # cells of a grid from its diagonal, +cell and -cell values, in that order
@@ -331,7 +356,8 @@ def companion_scan() -> CompanionScan:
     the other three values on the -cells. The 106 entries give 22,896
     candidates, each passed to `companion_cells`; a grid outside them has
     no companion. No bucketing is involved, so this is a route to the
-    puzzle count that is independent of the signature census.
+    puzzle count that is independent of the signature census. Each pair is
+    stored as 18 bytes (see `CompanionScan`).
     """
     pairs = []
     for diagonal, entries in shift_match_table().items():
@@ -341,7 +367,7 @@ def companion_scan() -> CompanionScan:
                 for p in permutations(required):
                     for m in permutations(minus):
                         cells = _SCATTER(d + p + m)
-                        pairs.extend((cells, c) for c in companion_cells(cells))
+                        pairs.extend(bytes(cells + c) for c in companion_cells(cells))
     pairs.sort()
     return CompanionScan(pairs)
 
@@ -356,15 +382,19 @@ def companion_oracle_mismatches(
     its bucket, and `scan` lists every (grid, companion) pair the shift
     structure yields. Write B(p) for grid p's bucket, s(p) for its size in
     the census and C(p) for p's companions. (1) Each pair (p, c) holds two
-    permutations of 1..9 with c != p and c in B(p), and no pair repeats, so
-    C(p) is a subset of B(p) - {p}. (2) A bucket in `multi` of s grids has
-    exactly s * (s - 1) pairs, and (3) no pair's key is missing from
-    `multi`, so a bucket of one grid has none, 1 * 0. So every bucket gets
-    s * (s - 1) pairs; each of its s grids has at most s - 1 companions,
-    so each has exactly s - 1. Hence C(p) = B(p) - {p} for all 362,880
-    grids. Returns the first `max_report` violations; empty means the
-    routes agree.
+    permutations of 1..9 with c != p and c in B(p). (2) Each pair is below
+    the next, so by transitivity below every later pair, and no pair
+    repeats; this also rejects an unsorted list. So C(p) is a subset of
+    B(p) - {p}, with one pair per companion. (3) A bucket in `multi` of s
+    grids has exactly s * (s - 1) pairs, and (4) no pair's key is missing
+    from `multi`, so a bucket of one grid has none, 1 * 0. So every bucket
+    gets s * (s - 1) pairs; each of its s grids has at most s - 1
+    companions, so each has exactly s - 1. Hence C(p) = B(p) - {p} for all
+    362,880 grids. Returns the first `max_report` violations, which must be
+    a positive int; empty means the routes agree.
     """
+    if not (_is_int(max_report) and max_report >= 1):
+        raise ValueError(f"max_report must be positive, got {max_report!r}")
     return list(islice(_oracle_violations(multi, scan), max_report))
 
 
@@ -372,7 +402,10 @@ def _oracle_violations(multi: dict[int, int], scan: CompanionScan) -> Iterator[s
     # the full diagonal drops no bits, so its signature key is _pack itself
     digits = list(range(1, 10))
     pairs_per_key: Counter[int] = Counter()
-    for p, c in scan.pairs:
+    for pair in scan.pairs:
+        # tuples of ints, as the messages show cells; they also sort faster than bytes
+        cells = tuple(pair)
+        p, c = cells[:9], cells[9:]
         key = _pack(p)
         pairs_per_key[key] += 1
         if sorted(p) != digits or sorted(c) != digits:
@@ -381,8 +414,8 @@ def _oracle_violations(multi: dict[int, int], scan: CompanionScan) -> Iterator[s
             yield f"pair {p} -> {c}: companion equals the grid"
         elif _pack(c) != key:
             yield f"pair {p} -> {c}: companion outside the grid's bucket"
-    if len(set(scan.pairs)) != len(scan.pairs):
-        yield "a (grid, companion) pair is listed more than once"
+    if any(map(ge, scan.pairs, islice(scan.pairs, 1, None))):
+        yield "the (grid, companion) pairs are not strictly increasing"
     for key, size in multi.items():
         pairs = pairs_per_key.get(key, 0)
         if pairs != size * (size - 1):

@@ -88,23 +88,26 @@ def _parse_seed(text: str) -> int:
 
 
 def _load_puzzle(path: str) -> ClueSet:
-    if path == "-":
-        name, text = "<stdin>", sys.stdin.read()
-    else:
-        name = path
-        try:
+    name = "<stdin>" if path == "-" else path
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise _CliError(1, f"cannot read {path}: {exc.strerror or exc}") from None
-        except UnicodeDecodeError as exc:
-            raise _CliError(1, f"{name}: {exc}") from None
+    except OSError as exc:
+        raise _CliError(1, f"cannot read {name}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise _CliError(1, f"{name}: {exc}") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise _CliError(
             1, f"{name}: invalid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})"
         ) from None
+    except ValueError as exc:
+        # raised bare, not as a JSONDecodeError: an integer past int's digit limit
+        raise _CliError(1, f"{name}: invalid JSON: {exc}") from None
     except RecursionError:
         raise _CliError(1, f"{name}: invalid JSON: nested too deeply") from None
     try:

@@ -172,7 +172,9 @@ class TestSweepMechanics:
                 counts[key >> drop] += 1
         swept: list[dict[int, int]] = [{} for _ in drops]
         for r1 in FIRST_ROW_SUMS:
-            for merged, counts in zip(swept, census_module._count_group(drops, r1)):
+            rows = census_module._group_rows(r1)
+            for drop, merged in zip(drops, swept):
+                counts = census_module._count_group(drop, rows)
                 assert type(counts) is dict
                 assert merged.keys().isdisjoint(counts)
                 merged.update(counts)
@@ -185,10 +187,10 @@ class TestSweepMechanics:
             assert census_module._pack(cells) == sum(map(mul, cells, weights))
 
     def test_full_diagonal_buckets_partition_all_grids(self, census_reports):
-        drops = (census_module._DROP[R.FULL_DIAGONAL],)
+        drop = census_module._DROP[R.FULL_DIAGONAL]
         counts: dict[int, int] = {}
         for r1 in FIRST_ROW_SUMS:
-            counts.update(census_module._count_group(drops, r1)[0])
+            counts.update(census_module._count_group(drop, census_module._group_rows(r1)))
         assert len(counts) == EXPECTED_PUZZLE_COUNTS[R.FULL_DIAGONAL]
         assert sum(counts.values()) == TOTAL_GRIDS
         assert max(counts.values()) == 2
@@ -241,7 +243,10 @@ class TestSweepMechanics:
         # `none` has the coarsest keys, so a shared key would show there first
         regimes = (R.NONE, R.TOP_LEFT)
         drops = tuple(census_module._DROP[r] for r in regimes)
-        groups = {r1: census_module._count_group(drops, r1) for r1 in FIRST_ROW_SUMS}
+        groups = {
+            r1: [census_module._count_group(drop, census_module._group_rows(r1)) for drop in drops]
+            for r1 in FIRST_ROW_SUMS
+        }
         merged: list[dict[int, int]] = [{} for _ in drops]
         for part in range(parts):
             sums = FIRST_ROW_SUMS[part::parts]
@@ -253,11 +258,13 @@ class TestSweepMechanics:
                 assert whole.keys().isdisjoint(d)
                 whole.update(d)
             # _count_part folds this part's groups alone into exactly their
-            # histograms, and keeps their multi-grid buckets where asked
+            # histograms, and keeps their multi-grid buckets where asked; a
+            # group's rows stand in as its first row sum
+            monkeypatch.setattr(census_module, "_group_rows", lambda r1: r1)
             monkeypatch.setattr(
                 census_module,
                 "_count_group",
-                lambda drops, r1: groups[r1] if r1 in sums else [{} for _ in drops],
+                lambda drop, r1: groups[r1][drops.index(drop)] if r1 in sums else {},
             )
             for keep in [(True, False), (False, True)]:
                 sizes, multi = census_module._count_part(drops, keep)
@@ -290,10 +297,10 @@ class TestGroupMultiBuckets:
             "from fubuki.core import PrescriptionRegime as R\n"
             "census = importlib.import_module('fubuki.census')\n"
             "count_group = census._count_group\n"
-            "def short_group(drops, r1):\n"
-            "    (counts,) = count_group(drops, r1)\n"
+            "def short_group(drop, rows):\n"
+            "    counts = count_group(drop, rows)\n"
             "    del counts[next(iter(counts))]\n"
-            "    return [counts]\n"
+            "    return counts\n"
             "census._count_group = short_group\n"
             "try:\n"
             "    census.group_multi_buckets(R.NONE, 6)\n"
@@ -328,7 +335,7 @@ class TestCompanionScan:
     def test_pairs_equal_a_walk_over_all_grids(self, full_scan):
         # the scan lists only the grids the shift table names; walking all
         # 9! grids finds the same pairs in the same order
-        walked = [(p, c) for p in permutations(range(1, 10)) for c in companion_cells(p)]
+        walked = [bytes(p + c) for p in permutations(range(1, 10)) for c in companion_cells(p)]
         assert full_scan.pairs == walked
 
 
@@ -361,29 +368,87 @@ class TestCompanionOracle:
         assert companion_oracle_mismatches(multi, full_scan) == [f"bucket {key:#x} {found}"]
 
     @pytest.mark.parametrize(
-        "fault", ["dropped", "not-a-permutation", "other-bucket", "equals-grid", "repeated"]
+        "fault",
+        ["dropped", "not-a-permutation", "other-bucket", "equals-grid", "repeated", "swapped"],
     )
     def test_detects_a_wrong_pair(self, census_reports, full_scan, fault):
         pairs = list(full_scan.pairs)
-        p, c = pairs[0]
+        p, c = tuple(pairs[0][:9]), tuple(pairs[0][9:])
+        key = signature_key(p, R.FULL_DIAGONAL)
         if fault == "dropped":
             del pairs[0]
+            found = f"bucket {key:#x} of 2 grids has 1 companion pairs"
         elif fault == "not-a-permutation":
-            # same diagonal and line sums as p, cells outside 1..9
-            pairs[0] = (p, shift_cells(p, 9))
+            # same diagonal and line sums as p, digits repeated
+            pairs[0] = bytes(p + shift_cells(p, 2))
+            found = f"pair {p} -> {shift_cells(p, 2)}: not both permutations of 1..9"
         elif fault == "other-bucket":
-            key = signature_key(p, R.FULL_DIAGONAL)
-            pairs[0] = (p, next(q for q, _ in pairs if signature_key(q, R.FULL_DIAGONAL) != key))
+            grids = (pair[:9] for pair in pairs)
+            q = tuple(next(g for g in grids if signature_key(g, R.FULL_DIAGONAL) != key))
+            pairs[0] = bytes(p + q)
+            found = f"pair {p} -> {q}: companion outside the grid's bucket"
         elif fault == "equals-grid":
-            pairs[0] = (p, p)
-        else:  # the reverse pair (c, p) becomes a second (p, c)
-            pairs[pairs.index((c, p))] = (p, c)
+            pairs[0] = bytes(p + p)
+            found = f"pair {p} -> {p}: companion equals the grid"
+        elif fault == "repeated":  # the reverse pair (c, p) becomes a second (p, c)
+            pairs[pairs.index(bytes(c + p))] = pairs[0]
+            found = "the (grid, companion) pairs are not strictly increasing"
+        else:  # two neighbours trade places: out of order, but no pair repeats
+            pairs[0], pairs[1] = pairs[1], pairs[0]
+            assert len(set(pairs)) == len(pairs)
+            found = "the (grid, companion) pairs are not strictly increasing"
         scan = replace(full_scan, pairs=pairs)
         multi = census_reports[R.FULL_DIAGONAL].multi
-        assert companion_oracle_mismatches(multi, scan) != []
+        assert companion_oracle_mismatches(multi, scan) == [found]
 
     def test_report_is_capped(self, full_scan):
         assert len(companion_oracle_mismatches({}, full_scan, max_report=3)) == 3
+
+    @pytest.mark.parametrize("max_report", [0, -1, True, 2.5, None])
+    def test_rejects_a_report_cap_that_could_hide_violations(self, full_scan, max_report):
+        # with a cap of 0, even an empty multi (every bucket wrong) read as
+        # "routes agree"; a bool or float is no count
+        with pytest.raises(ValueError, match=re.escape(f"must be positive, got {max_report!r}")):
+            companion_oracle_mismatches({}, full_scan, max_report=max_report)
+
+
+class TestVerifyMemory:
+    # tracemalloc in a fresh process, started after the imports; with four
+    # regimes' group counts alive at once and pairs held as tuples, the
+    # three figures read 7.0, 6.7 and 10.3 MB
+    @pytest.mark.parametrize(
+        "code, limit_mb",
+        [
+            # the peak while census_all() sweeps
+            ("tracemalloc.start()\ncensus_all()\n", 4.5),
+            # what the scan holds once built
+            ("tracemalloc.start()\nscan = companion_scan()\ntracemalloc.reset_peak()\n", 3),
+            # the oracle's peak, the scan it reads included
+            (
+                "multi = census(R.FULL_DIAGONAL).multi\n"
+                "tracemalloc.start()\n"
+                "scan = companion_scan()\n"
+                "tracemalloc.reset_peak()\n"
+                "assert companion_oracle_mismatches(multi, scan) == []\n",
+                5,
+            ),
+        ],
+        ids=["census_all", "companion_scan", "companion_oracle"],
+    )
+    def test_verify_route_memory(self, code, limit_mb):
+        code = (
+            "import tracemalloc\n"
+            "from fubuki.census import census, census_all, companion_oracle_mismatches, "
+            "companion_scan\n"
+            "from fubuki.core import PrescriptionRegime as R\n"
+            f"{code}"
+            "print(tracemalloc.get_traced_memory()[1])\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert int(result.stdout) <= limit_mb * 10**6
 
 
 def bucket_solver_mismatches(report: CensusReport, sample: int) -> list[str]:

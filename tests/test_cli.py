@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from itertools import combinations
@@ -105,6 +106,28 @@ class TestSolve:
         assert result.returncode == 1
         assert result.stderr.startswith(f"fubuki: {path}: ")
         assert "Traceback" not in result.stderr
+
+    def test_integer_past_the_digit_limit_exits_1_naming_file(self, tmp_path):
+        # json.loads raises a plain ValueError here, not a JSONDecodeError
+        path = tmp_path / "huge.json"
+        path.write_text("9" * 5000)
+        result = run_cli("solve", str(path))
+        assert result.returncode == 1
+        assert result.stderr.startswith(f"fubuki: {path}: invalid JSON: ")
+        assert "Traceback" not in result.stderr
+
+    def test_non_utf8_stdin_exits_1_naming_stdin(self):
+        # a strict UTF-8 stdin, whatever the locale would choose
+        result = subprocess.run(
+            [sys.executable, "-m", "fubuki", "solve", "-"],
+            input=b"\xff\xfe{",
+            capture_output=True,
+            timeout=120,
+            env={**os.environ, "PYTHONIOENCODING": "utf-8"},
+        )
+        assert result.returncode == 1
+        assert result.stderr.startswith(b"fubuki: <stdin>: ")
+        assert b"Traceback" not in result.stderr
 
     def test_bad_field_exits_1_naming_field(self, tmp_path):
         bad = dict(TWO_SOLUTION_PUZZLE, row_sums=[10, 15])

@@ -326,13 +326,13 @@ class TestSeededOutput:
 
 class TestLazyBuckets:
     def test_import_and_config_count_no_group(self):
-        # a profile hook sees every _count_group call, those made while the
-        # package imports included
+        # a profile hook sees every call that builds or counts a group, those
+        # made while the package imports included
         code = (
             "import sys\n"
             "calls = []\n"
             "def hook(frame, event, arg):\n"
-            "    if event == 'call' and frame.f_code.co_name == '_count_group':\n"
+            "    if event == 'call' and frame.f_code.co_name in ('_group_rows', '_count_group'):\n"
             "        calls.append(1)\n"
             "sys.setprofile(hook)\n"
             "import fubuki.cli\n"
@@ -349,19 +349,19 @@ class TestLazyBuckets:
 
     def test_a_call_counts_only_the_groups_its_draws_land_in(self, monkeypatch, capsys):
         census_module = sys.modules["fubuki.census"]
-        count_group, key = census_module._count_group, census_module.signature_key
+        group_rows, key = census_module._group_rows, census_module.signature_key
         built, drawn = [], []
 
-        def recorded_group(drops, r1):
+        def recorded_group(r1):
             built.append(r1)
-            return count_group(drops, r1)
+            return group_rows(r1)
 
         def recorded_key(cells, regime):
             drawn.append(cells[0] + cells[1] + cells[2])
             return key(cells, regime)
 
         generate._bucket_groups.cache_clear()
-        monkeypatch.setattr(census_module, "_count_group", recorded_group)
+        monkeypatch.setattr(census_module, "_group_rows", recorded_group)
         monkeypatch.setattr(census_module, "signature_key", recorded_key)
         argv = ["generate", "--regime", "first-two-diagonal", "--unique", "--seed", "7",
                 "--count", "1"]
