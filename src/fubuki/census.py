@@ -406,9 +406,12 @@ def _oracle_violations(multi: dict[int, int], scan: CompanionScan) -> Iterator[s
         # tuples of ints, as the messages show cells; they also sort faster than bytes
         cells = tuple(pair)
         p, c = cells[:9], cells[9:]
-        key = _pack(p)
-        pairs_per_key[key] += 1
-        if sorted(p) != digits or sorted(c) != digits:
+        # only a permutation of 1..9 packs; it is counted whatever its companion
+        grid_ok = sorted(p) == digits
+        if grid_ok:
+            key = _pack(p)
+            pairs_per_key[key] += 1
+        if not grid_ok or sorted(c) != digits:
             yield f"pair {p} -> {c}: not both permutations of 1..9"
         elif c == p:
             yield f"pair {p} -> {c}: companion equals the grid"

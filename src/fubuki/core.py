@@ -93,7 +93,10 @@ class Grid:
     cells: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "cells", tuple(self.cells))
+        try:
+            object.__setattr__(self, "cells", tuple(self.cells))
+        except TypeError:
+            raise ValueError(f"cells must be 9 integers, got {self.cells!r}") from None
         if len(self.cells) != 9:
             raise ValueError(f"a grid needs exactly 9 cells, got {self.cells!r}")
         mask = 0
@@ -107,8 +110,11 @@ class Grid:
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "Grid":
         flat: list[int] = []
-        for row in rows:
-            flat.extend(row)
+        try:
+            for row in rows:
+                flat.extend(row)
+        except TypeError:
+            raise ValueError(f"rows must be 3 rows of 3 integers, got {rows!r}") from None
         return cls(tuple(flat))
 
     @property
@@ -171,11 +177,15 @@ class ClueSet:
     col_sums: tuple[int, int, int]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "row_sums", tuple(self.row_sums))
-        object.__setattr__(self, "col_sums", tuple(self.col_sums))
-        for name, sums in (("row_sums", self.row_sums), ("col_sums", self.col_sums)):
-            if len(sums) != 3:
+        for name in ("row_sums", "col_sums"):
+            sums = getattr(self, name)
+            try:
+                sums = tuple(sums)
+            except TypeError:
+                pass  # not iterable; fails the length check below
+            if not isinstance(sums, tuple) or len(sums) != 3:
                 raise ValueError(f"{name} must be a tuple of 3 integers, got {sums!r}")
+            object.__setattr__(self, name, sums)
             for s in sums:
                 if not _is_int(s):
                     raise ValueError(f"{name} must contain integers, got {s!r}")
@@ -216,10 +226,19 @@ class ClueSet:
         return cls(prescribed, grid.row_sums(), grid.col_sums())
 
     def satisfied_by(self, grid: Grid) -> bool:
+        """Whether `grid` has every prescribed cell and every line sum.
+
+        Reads the cells by flat index: construction already checked that each
+        prescribed position is in 1..3. The solver runs this on every grid
+        it returns.
+        """
+        c = grid.cells
+        for r, col, v in self.prescribed:
+            if c[3 * r + col - 4] != v:
+                return False
         return (
-            all(grid.value_at(r, c) == v for r, c, v in self.prescribed)
-            and grid.row_sums() == self.row_sums
-            and grid.col_sums() == self.col_sums
+            (c[0] + c[1] + c[2], c[3] + c[4] + c[5], c[6] + c[7] + c[8]) == self.row_sums
+            and (c[0] + c[3] + c[6], c[1] + c[4] + c[7], c[2] + c[5] + c[8]) == self.col_sums
         )
 
     def to_dict(self) -> dict:

@@ -11,6 +11,18 @@ three rows use all of 1..9. A line sum has at most 48 triples, and row 2's
 are paired only with the row 1s they share no digit with. Both rows are
 tried in lexicographic order and row 3 is a function of them, so solutions
 come out in lexicographic order of the row-major cells.
+
+The triples of a row that agree with one prescribed cell depend only on
+the row's sum, that cell's column and its digit, so they are memoised on
+first use as views: for a line sum s, a 1-based column col and a digit, the
+triples of s with that digit in that column, in order, and their
+frozenset, which answers row 3's lookup. Key `(s, 0, 0)` holds all of s's
+triples, the view of a row with no prescribed cell. There are at most
+19 sums x (1 + 3 x 9) = 532 keys, so no input can grow the memo past that.
+A row with a second or third prescribed cell narrows the view of its first
+at call time. Which row 2s share no digit with a row 1 is worked out per
+call too, for the row 1s the search reaches: a memo of those lists would be
+keyed by sum, view and row-1 digit set, up to 19 x 28 x 84 lists.
 """
 
 from __future__ import annotations
@@ -22,6 +34,8 @@ from itertools import permutations
 from .core import MAX_LINE_SUM, MIN_LINE_SUM, ClueSet, Grid, _is_int
 
 _ALL_DIGITS = 0b1111111110  # bit d set for each digit 1..9
+
+_Triple = tuple[int, int, int, int]  # (a, b, c, mask); see _rows
 
 
 @dataclass
@@ -41,18 +55,38 @@ class SolveResult:
 
 
 @cache
-def _rows() -> dict[int, list[tuple[int, int, int, int]]]:
+def _rows() -> dict[int, list[_Triple]]:
     """`_rows()[s]`: each ordered triple of distinct digits summing to s, in
     lexicographic order, as `(a, b, c, mask)` with bit d of `mask` set for
     each of its digits d. 504 triples in all; built on first search, so
     importing the package does not pay for it.
     """
-    rows: dict[int, list[tuple[int, int, int, int]]] = {
+    rows: dict[int, list[_Triple]] = {
         s: [] for s in range(MIN_LINE_SUM, MAX_LINE_SUM + 1)
     }
     for a, b, c in permutations(range(1, 10), 3):
         rows[a + b + c].append((a, b, c, 1 << a | 1 << b | 1 << c))
     return rows
+
+
+# (line sum, 1-based column, digit) -> (triples, their frozenset); filled
+# by _view, see the module docstring
+_views: dict[tuple[int, int, int], tuple[tuple[_Triple, ...], frozenset[_Triple]]] = {}
+
+
+def _view(s: int, col: int, digit: int) -> tuple[tuple[_Triple, ...], frozenset[_Triple]]:
+    """The triples of line sum `s` with `digit` in 1-based column `col`, in
+    lexicographic order, and their frozenset; `col == 0` keeps them all.
+
+    Memoised on first use. Views are immutable, so every search can share
+    them, and two threads that fill one key at once store equal views.
+    """
+    key = (s, col, digit)
+    view = _views.get(key)
+    if view is None:
+        triples = tuple(t for t in _rows()[s] if not col or t[col - 1] == digit)
+        view = _views[key] = (triples, frozenset(triples))
+    return view
 
 
 def _search(clues: ClueSet, limit: int | None) -> list[tuple[int, ...]]:
@@ -64,15 +98,22 @@ def _search(clues: ClueSet, limit: int | None) -> list[tuple[int, ...]]:
     row_sums, col_sums = clues.row_sums, clues.col_sums
     if sum(row_sums) != 45 or sum(col_sums) != 45:
         return []
-    rows = _rows()
-    # each row's triples, less those that disagree with its prescribed cells
-    fits = [rows[s] for s in row_sums]
+    # each row's triples, less those that disagree with its prescribed cells:
+    # the memoised view of its first one, narrowed here by any others
+    views: list = [None, None, None]
     for r, c, v in clues.prescribed:
-        fits[r - 1] = [t for t in fits[r - 1] if t[c - 1] == v]
-    first, second, third = fits[0], fits[1], set(fits[2])
+        view = views[r - 1]
+        if view is None:
+            views[r - 1] = _view(row_sums[r - 1], c, v)
+        else:
+            triples = tuple(t for t in view[0] if t[c - 1] == v)
+            views[r - 1] = (triples, frozenset(triples))
+    first = (views[0] or _view(row_sums[0], 0, 0))[0]
+    second = (views[1] or _view(row_sums[1], 0, 0))[0]
+    third = (views[2] or _view(row_sums[2], 0, 0))[1]
     # one lookup in `third` checks that row 3 is digits that agree with its
     # prescribed cells and are the three that rows 1 and 2 leave
-    disjoint: dict[int, list[tuple[int, int, int, int]]] = {}  # row-1 mask -> row 2s
+    disjoint: dict[int, list[_Triple]] = {}  # row-1 mask -> row 2s
     s1, s2, s3 = col_sums
     found: list[tuple[int, ...]] = []
     for a, b, c, m in first:

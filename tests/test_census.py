@@ -369,7 +369,15 @@ class TestCompanionOracle:
 
     @pytest.mark.parametrize(
         "fault",
-        ["dropped", "not-a-permutation", "other-bucket", "equals-grid", "repeated", "swapped"],
+        [
+            "dropped",
+            "not-a-permutation",
+            "short",
+            "other-bucket",
+            "equals-grid",
+            "repeated",
+            "swapped",
+        ],
     )
     def test_detects_a_wrong_pair(self, census_reports, full_scan, fault):
         pairs = list(full_scan.pairs)
@@ -382,6 +390,10 @@ class TestCompanionOracle:
             # same diagonal and line sums as p, digits repeated
             pairs[0] = bytes(p + shift_cells(p, 2))
             found = f"pair {p} -> {shift_cells(p, 2)}: not both permutations of 1..9"
+        elif fault == "short":
+            # 8 cells and no companion: ahead of every pair, in no bucket
+            pairs.insert(0, bytes(range(1, 9)))
+            found = "pair (1, 2, 3, 4, 5, 6, 7, 8) -> (): not both permutations of 1..9"
         elif fault == "other-bucket":
             grids = (pair[:9] for pair in pairs)
             q = tuple(next(g for g in grids if signature_key(g, R.FULL_DIAGONAL) != key))

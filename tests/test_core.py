@@ -129,6 +129,33 @@ class TestClueSet:
             ClueSet.from_dict({"row_sums": [10, 15, 20], "col_sums": [16, 15, 14], "hint": 1})
 
 
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: Grid(5), "cells"),
+        (lambda: Grid(None), "cells"),
+        (lambda: Grid.from_rows([1, 2, 3]), "rows"),
+        (lambda: ClueSet((), 5, (6, 15, 24)), "row_sums"),
+        (lambda: ClueSet((), (6, 15, 24), None), "col_sums"),
+        (lambda: ClueSet(5, (6, 15, 24), (6, 15, 24)), "prescribed"),
+        (lambda: ClueSet((5,), (6, 15, 24), (6, 15, 24)), "prescribed"),
+    ],
+    ids=[
+        "grid-int",
+        "grid-none",
+        "grid-rows-of-ints",
+        "row-sums-int",
+        "col-sums-none",
+        "prescribed-int",
+        "prescribed-entry-int",
+    ],
+)
+def test_a_field_that_is_not_iterable_raises_value_error(build, field):
+    # all but the prescribed cases used to raise TypeError, not the documented error
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        build()
+
+
 class TestPrescriptionRegime:
     def test_cells(self):
         assert PrescriptionRegime.FULL_DIAGONAL.cells == ((1, 1), (2, 2), (3, 3))

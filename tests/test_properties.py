@@ -58,6 +58,23 @@ def solvable_clue_sets(draw) -> ClueSet:
     return ClueSet(prescribed, grid.row_sums(), grid.col_sums())
 
 
+@st.composite
+def grids_and_clue_sets(draw) -> tuple[Grid, ClueSet]:
+    """A grid and a clue set whose prescribed cells, row sums and column sums
+    each come from that grid or from another, so that every mix of right
+    and wrong parts is drawn."""
+    grid, other = draw(grids), draw(grids)
+    cells, rows, cols = (draw(st.sampled_from((grid, other))) for _ in range(3))
+    prescribed = tuple((r, c, cells.value_at(r, c)) for r, c in draw(cell_positions))
+    return grid, ClueSet(prescribed, rows.row_sums(), cols.col_sums())
+
+
+def showcase_row_clues(row: int, cols: tuple[int, ...]) -> ClueSet:
+    """The showcase grid's line sums with cells `cols` of `row` prescribed."""
+    prescribed = tuple((row, c, SHOWCASE.value_at(row, c)) for c in cols)
+    return ClueSet(prescribed, SHOWCASE.row_sums(), SHOWCASE.col_sums())
+
+
 @pytest.fixture(scope="module")
 def grids_by_line_sums() -> dict[tuple[int, ...], list[tuple[int, ...]]]:
     """All 9! cell tuples, in lexicographic order, keyed by their six line sums.
@@ -126,6 +143,14 @@ def test_companions_share_the_clues_and_number_at_most_one(grid):
 @given(clue_sets() | solvable_clue_sets())
 @example(ClueSet.from_grid(SHOWCASE, PrescriptionRegime.NONE))
 @example(ClueSet.from_grid(SHOWCASE, PrescriptionRegime.FULL_DIAGONAL))
+# two and three prescribed cells in one row: the solver narrows the row's
+# view of its first cell by the others at call time
+@example(showcase_row_clues(1, (1, 3)))
+@example(showcase_row_clues(1, (1, 2, 3)))
+@example(showcase_row_clues(2, (2, 3)))
+@example(showcase_row_clues(2, (1, 2, 3)))
+@example(showcase_row_clues(3, (1, 2)))
+@example(showcase_row_clues(3, (1, 2, 3)))
 def test_solver_finds_exactly_the_reference_solutions(grids_by_line_sums, clues):
     # the reference shares no code with the solver: it filters the index
     reference = [
@@ -150,6 +175,19 @@ def test_solutions_are_sorted_distinct_and_include_the_grid(grid, positions):
     assert solutions == sorted(set(solutions))
     assert grid in solutions
     assert all(clues.satisfied_by(g) for g in solutions)
+
+
+@PROPERTY
+@given(grids_and_clue_sets() | st.tuples(grids, clue_sets()))
+@example((SHOWCASE, ClueSet.from_grid(SHOWCASE, PrescriptionRegime.FULL_DIAGONAL)))
+def test_satisfied_by_matches_its_definition(grid_and_clues):
+    grid, clues = grid_and_clues
+    expected = (
+        all(grid.value_at(r, c) == v for r, c, v in clues.prescribed)
+        and grid.row_sums() == clues.row_sums
+        and grid.col_sums() == clues.col_sums
+    )
+    assert clues.satisfied_by(grid) is expected
 
 
 @PROPERTY

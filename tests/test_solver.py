@@ -205,14 +205,20 @@ class TestRowSearch:
         assert result.solutions == [grid_unique] and not result.truncated
 
 
+# 19 line sums, each with its whole list and one view per (column, digit)
+VIEW_KEYS = 19 * (1 + 3 * 9)
+
+
 class TestRowTable:
     def test_import_builds_no_table(self):
-        # a table built at import would be timed as set-up by every command
+        # a table or view built at import would be timed as set-up by every command
         code = (
             "import fubuki.cli\n"
             "from fubuki import solver\n"
             "if solver._rows.cache_info().currsize:\n"
             "    raise SystemExit('_rows is built at import')\n"
+            "if solver._views:\n"
+            "    raise SystemExit('_views is filled at import')\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
@@ -221,6 +227,7 @@ class TestRowTable:
 
     def test_one_search_builds_every_ordered_triple(self, clue_unique):
         solver._rows.cache_clear()
+        solver._views.clear()
         solve(clue_unique)
         assert solver._rows.cache_info().currsize == 1
         rows = solver._rows()
@@ -232,6 +239,63 @@ class TestRowTable:
             assert ts == sorted(ts)
             assert all(a + b + c == s for a, b, c, _ in ts)
             assert all(mask == 1 << a | 1 << b | 1 << c for a, b, c, mask in ts)
+
+    def test_views_are_ordered_sublists_of_the_table(self):
+        solver._views.clear()
+        for s, ts in solver._rows().items():
+            triples, members = solver._view(s, 0, 0)
+            assert list(triples) == ts
+            assert members == set(ts)
+            for col in (1, 2, 3):
+                for digit in range(1, 10):
+                    triples, members = solver._view(s, col, digit)
+                    assert list(triples) == [t for t in ts if t[col - 1] == digit]
+                    assert members == set(triples)
+        assert len(solver._views) == VIEW_KEYS
+
+    def test_memo_stays_within_its_key_bound(self):
+        # 2..6 cells prescribed anywhere, so rows with several prescribed
+        # cells and unsatisfiable sums are among them
+        solver._views.clear()
+        for clue in random_clue_sets(1000, seed=424242):
+            solve(clue)
+        assert 0 < len(solver._views) <= VIEW_KEYS
+        for s, col, digit in solver._views:
+            assert 6 <= s <= 24
+            assert (col, digit) == (0, 0) or (col in (1, 2, 3) and 1 <= digit <= 9)
+
+
+class TestSolveMemory:
+    def test_solver_retains_little_after_many_solves(self):
+        # tracemalloc in a fresh process, started once the clue sets are
+        # built: what solver.py's allocations still hold after 10,000
+        # solves, the triple table and the memo of views included. The
+        # table alone reads 0.04 MB; all 532 views together add 0.31 MB
+        code = (
+            "import gc, random, tracemalloc\n"
+            "from fubuki import ClueSet, Grid, solve, solver\n"
+            "rnd = random.Random(17)\n"
+            "positions = [(r, c) for r in (1, 2, 3) for c in (1, 2, 3)]\n"
+            "clues = []\n"
+            "for i in range(10000):\n"
+            "    grid = Grid(tuple(rnd.sample(range(1, 10), 9)))\n"
+            "    cells = rnd.sample(positions, rnd.randint(0, 6))\n"
+            "    prescribed = tuple((r, c, grid.value_at(r, c)) for r, c in cells)\n"
+            "    rows = grid.row_sums() if i % 5 else [rnd.randint(6, 24) for _ in range(3)]\n"
+            "    clues.append(ClueSet(prescribed, rows, grid.col_sums()))\n"
+            "tracemalloc.start()\n"
+            "for clue in clues:\n"
+            "    solve(clue)\n"
+            "gc.collect()  # empties the free lists, which hold freed tuples\n"
+            "snapshot = tracemalloc.take_snapshot()\n"
+            "traces = snapshot.filter_traces([tracemalloc.Filter(True, solver.__file__)])\n"
+            "print(sum(stat.size for stat in traces.statistics('filename')))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert int(result.stdout) <= 0.5 * 10**6
 
 
 def random_grids(n: int, seed: int) -> list[Grid]:
