@@ -278,6 +278,8 @@ def _reports(
 def census(regime: PrescriptionRegime) -> CensusReport:
     """Sweep all grids once and report bucket statistics for one regime,
     multi-grid buckets included."""
+    if not isinstance(regime, PrescriptionRegime):
+        raise ValueError(f"regime must be a PrescriptionRegime, got {regime!r}")
     return _reports((regime,), (regime,))[regime]
 
 

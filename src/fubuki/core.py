@@ -124,8 +124,8 @@ class Grid:
 
     def value_at(self, row: int, col: int) -> int:
         """Cell value at 1-based (row, col)."""
-        if not (1 <= row <= 3 and 1 <= col <= 3):
-            raise ValueError(f"position ({row}, {col}) out of range 1..3")
+        if not (_is_int(row) and _is_int(col) and 1 <= row <= 3 and 1 <= col <= 3):
+            raise ValueError(f"position must be two integers in 1..3, got ({row!r}, {col!r})")
         return self.cells[(row - 1) * 3 + (col - 1)]
 
     def row_sums(self) -> tuple[int, int, int]:

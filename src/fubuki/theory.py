@@ -1,16 +1,16 @@
 """Shift structure of alternate solutions sharing a diagonal and line sums.
 
 Fix a solved grid. Any other grid with the same diagonal, row sums, and
-column sums must be the original with one constant added to the cells at
+column sums must be the original with one constant s added to the cells at
 (1,2), (2,3), (3,1) and subtracted from the cells at (1,3), (2,1), (3,2):
 those six positions form the only degree of freedom once the diagonal and
 sums are pinned. Such a shift produces a legal grid exactly when the six
-off-diagonal values can be split into three pairs each differing by the
-shift, with the pair bases sitting at the +shift positions. This module
-works out once, on first use, which shifts each diagonal admits, in the one
-table `shift_match_table()`, the only place that pairs values or checks the
-bound of at most two shifts. Classifying the 84 diagonals and deriving
-companion solutions, instead of searching for them, project that table.
+off-diagonal values split into +cell values P and -cell values M with
+M = P + s. `_pairings` states that condition, once; `shift_match_table()`
+applies it to each of the 84 diagonals on first use and is the only check of
+the bound of at most two shifts. Classifying the diagonals and deriving
+companion solutions, instead of searching for them, project that table, and
+`shift_cells` is the one place a shift is applied.
 """
 
 from __future__ import annotations
@@ -27,89 +27,39 @@ from .core import Grid
 PLUS_FLAT = (1, 5, 6)  # (1,2), (2,3), (3,1)
 MINUS_FLAT = (2, 3, 7)  # (1,3), (2,1), (3,2)
 
-MAX_SHIFT = 8  # largest difference between two values in 1..9
-
-
-def _check_shift(shift: int) -> int:
-    if not isinstance(shift, int) or isinstance(shift, bool):
-        raise ValueError(f"shift must be an integer, got {shift!r}")
-    if shift == 0 or abs(shift) > MAX_SHIFT:
-        raise ValueError(f"shift must be nonzero with |shift| <= {MAX_SHIFT}, got {shift}")
-    return shift
-
-
-@dataclass(frozen=True)
-class Triplet:
-    """The three pair bases of a perfect pairing of six values by one shift.
-
-    `values` are ascending and `{v, v + shift for v in values}` is exactly the
-    six-value set the triplet was derived from. For a negative shift the
-    bases are the pair maxima, so they sit above their partners.
-    """
-
-    values: tuple[int, int, int]
-    shift: int
-
-    def __post_init__(self) -> None:
-        _check_shift(self.shift)
-        if list(self.values) != sorted(self.values):
-            raise ValueError(f"triplet values must be ascending, got {self.values}")
-        if len(self.covered) != 6 or not all(1 <= v <= 9 for v in self.covered):
-            raise ValueError(
-                f"values {self.values} with shift {self.shift} do not pair six "
-                "distinct values in 1..9"
-            )
-
-    @property
-    def covered(self) -> frozenset[int]:
-        """All six paired values."""
-        return frozenset(self.values) | frozenset(v + self.shift for v in self.values)
-
 
 def _is_digit(v: object) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and 1 <= v <= 9
 
 
-def _check_six(values: Iterable[int]) -> frozenset[int]:
-    s = frozenset(values)
-    if len(s) != 6 or not all(map(_is_digit, s)):
-        raise ValueError(f"expected 6 distinct values in 1..9, got {sorted(s)}")
-    return s
-
-
 def _check_diagonal(values: Iterable[int]) -> tuple[int, int, int]:
-    t = tuple(sorted(values))
-    if len(t) != 3 or len(set(t)) != 3 or not all(map(_is_digit, t)):
+    # digits are checked before sorting, so no input raises TypeError
+    try:
+        t = tuple(values)
+    except TypeError:
+        t = ()
+    if len(t) != 3 or not all(map(_is_digit, t)) or len(set(t)) != 3:
         raise ValueError(f"expected 3 distinct values in 1..9, got {values!r}")
-    return t
+    a, b, c = sorted(t)
+    return (a, b, c)
 
 
-def find_triplet(values: Iterable[int], shift: int) -> Triplet | None:
-    """The unique pairing bases for `values` under `shift`, or None.
-
-    For a positive shift the bases are found greedily: the minimum of what
-    remains must pair with itself plus the shift, else no pairing exists.
-    A negative shift admits a pairing exactly when its absolute value does,
-    with the bases moved up by that amount (the maxima of the same pairs).
-    """
-    pool = _check_six(values)
-    _check_shift(shift)
-    step = abs(shift)
-    remaining = set(pool)
-    bases: list[int] = []
-    for _ in range(3):
-        low = min(remaining)
-        if low + step not in remaining:
-            return None
-        remaining.remove(low)
-        remaining.remove(low + step)
-        bases.append(low)
-    if shift < 0:
-        bases = [b + step for b in bases]
-    return Triplet((bases[0], bases[1], bases[2]), shift)
+_Entry = tuple[int, tuple[int, int, int]]
+_Matches = dict[tuple[int, int, int], tuple[_Entry, ...]]
 
 
-_Matches = dict[tuple[int, int, int], tuple[tuple[int, tuple[int, int, int]], ...]]
+def _pairings(rest: tuple[int, ...]) -> list[_Entry]:
+    """Every (shift, plus) splitting the six sorted values `rest` into three
+    +cell values `plus`, sorted, and three -cell values that are exactly
+    `plus` moved by the shift: the paper's pairing condition, stated once.
+    Ordered by |shift| ascending, positive before negative."""
+    found = []
+    for plus in combinations(rest, 3):
+        minus = set(rest).difference(plus)
+        s = min(minus) - plus[0]
+        if minus == {v + s for v in plus}:
+            found.append((s, plus))
+    return sorted(found, key=lambda e: (abs(e[0]), e[0] < 0))
 
 
 @cache
@@ -120,16 +70,14 @@ def shift_match_table() -> _Matches:
     where a grid with that diagonal has the shifted companion exactly when
     the sorted values at its three +shift cells equal `required`. Entries
     are ordered by |shift| ascending, positive before negative, which fixes
-    companion order. Built on first use, not at import; the only caller of
-    `find_triplet`. Raises RuntimeError if a diagonal admits more than two
-    shifts, a bound checked rather than assumed. Every other reader of the
-    shift structure projects this table.
+    companion order. Built on first use, not at import, by one `_pairings`
+    call per diagonal. Raises RuntimeError if a diagonal admits more than
+    two shifts, a bound checked rather than assumed. Every other reader of
+    the shift structure projects this table.
     """
     table: _Matches = {}
-    signed = [s for c in range(1, MAX_SHIFT + 1) for s in (c, -c)]  # 1, -1, 2, -2, ...
     for diag in combinations(range(1, 10), 3):
-        complement = frozenset(range(1, 10)).difference(diag)
-        entries = [(s, t.values) for s in signed if (t := find_triplet(complement, s)) is not None]
+        entries = _pairings(tuple(v for v in range(1, 10) if v not in diag))
         if len(shifts := {abs(s) for s, _ in entries}) > 2:
             raise RuntimeError(f"diagonal {diag} admits {len(shifts)} shifts, expected at most 2")
         table[diag] = tuple(entries)
@@ -202,20 +150,6 @@ def shift_cells(cells: tuple[int, ...], shift: int) -> tuple[int, ...]:
     for i in MINUS_FLAT:
         out[i] -= shift
     return tuple(out)
-
-
-def is_valid_shift(grid: Grid, shift: int) -> bool:
-    """Whether shifting produces a second legal grid with the same clues.
-
-    Checked directly from the definition: the six shifted off-diagonal
-    entries must form exactly the original off-diagonal value set.
-    """
-    _check_shift(shift)
-    cells = grid.cells
-    original = grid.off_diagonal_values()
-    shifted = {cells[i] + shift for i in PLUS_FLAT}
-    shifted.update(cells[i] - shift for i in MINUS_FLAT)
-    return shifted == original
 
 
 @cache

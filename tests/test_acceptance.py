@@ -27,7 +27,7 @@ from fubuki import (
     generate_puzzles,
     solve,
 )
-from fubuki.theory import find_triplet, rigid_diagonals
+from fubuki.theory import rigid_diagonals, shift_match_table
 
 R = PrescriptionRegime
 
@@ -178,9 +178,13 @@ def test_criterion_7_shift_structure_exhaustive():
         for diag in combinations(range(1, 10), 3)
     }
 
+    table = shift_match_table()
+
     with criterion(7, "shift structure facts, exhaustive over grids and value sets"):
         # triplet uniqueness: the pairing equation never has two solutions,
-        # checked against all C(6,3) subsets for every set and shift
+        # checked against all C(6,3) subsets for every set and shift, and
+        # the shift table holds exactly the one that exists
+        assert list(table) == list(complements)
         for diag, values in complements.items():
             for a in all_shifts:
                 matching = [
@@ -189,38 +193,24 @@ def test_criterion_7_shift_structure_exhaustive():
                     if set(t) | {v + a for v in t} == values
                 ]
                 assert len(matching) <= 1
-                found = find_triplet(values, a)
-                assert matching == ([] if found is None else [found.values])
+                assert matching == [req for s, req in table[diag] if s == a]
 
         # opposite shifts stand or fall together, bases displaced by the step
-        for values in complements.values():
+        for diag in complements:
+            found = dict(table[diag])
             for a in range(1, 9):
-                pos = find_triplet(values, a)
-                neg = find_triplet(values, -a)
-                assert (pos is None) == (neg is None)
-                if pos is not None:
-                    assert neg.values == tuple(v + a for v in pos.values)
+                assert (a in found) == (-a in found)
+                if a in found:
+                    assert found[-a] == tuple(v + a for v in found[a])
 
         # distinct shifts always produce distinct triplets on the same set
-        for values in complements.values():
-            existing = [
-                t.values
-                for a in all_shifts
-                if (t := find_triplet(values, a)) is not None
-            ]
+        for diag in complements:
+            existing = [req for _, req in table[diag]]
             assert len(existing) == len(set(existing))
 
         # every grid, every shift: validity from the raw set-equality
         # definition must match the triplet condition, and valid shifts
         # never mix signs
-        required = {
-            diag: tuple(
-                (a, t.values)
-                for a in all_shifts
-                if (t := find_triplet(values, a)) is not None
-            )
-            for diag, values in complements.items()
-        }
         for p in permutations(range(1, 10)):
             d = sorted((p[0], p[4], p[8]))
             x = frozenset((p[1], p[2], p[3], p[5], p[6], p[7]))
@@ -230,7 +220,7 @@ def test_criterion_7_shift_structure_exhaustive():
                 if shifted == x:
                     naive.add(a)
             plus = tuple(sorted((p[1], p[5], p[6])))
-            structural = {a for a, req in required[(d[0], d[1], d[2])] if req == plus}
+            structural = {a for a, req in table[(d[0], d[1], d[2])] if req == plus}
             assert naive == structural, f"grid {p}"
             assert not (
                 any(a > 0 for a in naive) and any(a < 0 for a in naive)

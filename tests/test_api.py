@@ -79,3 +79,34 @@ def test_no_module_imports_a_process_or_thread_pool():
         if name.split(".")[0] in ("concurrent", "multiprocessing")
     ]
     assert offenders == []
+
+
+def test_every_public_name_is_exported_or_read():
+    # a public top-level name that is neither exported nor read anywhere in
+    # src/ is dead code
+    sources = sorted((ROOT / "src" / "fubuki").glob("*.py"))
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sources}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    dead = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, ast.Assign):
+                defined = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                defined = [node.target.id]
+            else:
+                continue
+            dead += [
+                f"{name}: {d}"
+                for d in defined
+                if not d.startswith("_") and d not in fubuki.__all__ and d not in read
+            ]
+    assert dead == []

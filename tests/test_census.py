@@ -205,6 +205,16 @@ class TestSweepMechanics:
             with pytest.raises(RuntimeError, match="362879.*362880"):
                 CensusReport(R.NONE, {1: TOTAL_GRIDS - 1}, multi)
 
+    @pytest.mark.parametrize("regime", ["none", None, "full_diagonal", 3])
+    def test_census_rejects_a_non_regime_before_sweeping(self, monkeypatch, regime):
+        # "none" used to raise KeyError from _DROP
+        def no_sweep(*args):
+            raise AssertionError("census swept for a non-regime")
+
+        monkeypatch.setattr(census_module, "_count_part", no_sweep)
+        with pytest.raises(ValueError, match="regime must be a PrescriptionRegime"):
+            census_module.census(regime)
+
     def test_report_rejects_multi_buckets_that_disagree_with_sizes(self, census_reports):
         report = census_reports[R.FULL_DIAGONAL]
         multi = dict(report.multi)

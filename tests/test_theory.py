@@ -19,10 +19,7 @@ from fubuki import (
 )
 from fubuki import theory
 from fubuki.theory import (
-    Triplet,
     companion_cells,
-    find_triplet,
-    is_valid_shift,
     possible_shifts,
     rigid_diagonals,
     shift_cells,
@@ -77,75 +74,43 @@ class TestShiftGrid:
     def test_invalid_candidate_from_unique_grid(self, grid_unique, clue_unique):
         candidate = shift_cells(grid_unique.cells, 1)
         assert candidate == (1, 5, 5, 4, 2, 8, 9, 8, 3)  # collides: two 5s
-        assert not is_valid_shift(grid_unique, 1)
+        assert candidate not in companion_cells(grid_unique.cells)
         # brute force over the 720 fillings of that diagonal confirms
         # the puzzle has no other solution
         assert solve(clue_unique).solutions == [grid_unique]
 
-    def test_rejects_zero_or_oversized_shift(self, grid_two_a):
-        with pytest.raises(ValueError):
-            is_valid_shift(grid_two_a, 0)
-        with pytest.raises(ValueError):
-            is_valid_shift(grid_two_a, 9)
 
+class TestPairings:
+    """The table's entries, each one `_pairings` found for a complement."""
 
-class TestIsValidShift:
-    def test_showcase(self, grid_two_a):
-        assert is_valid_shift(grid_two_a, 1)
-        assert not is_valid_shift(grid_two_a, -1)
-
-    def test_shift_8_never_works_with_9_off_diagonal(self):
-        g = Grid.from_rows([(2, 9, 4), (7, 1, 6), (5, 8, 3)])
-        assert 9 in g.off_diagonal_values()
-        assert not is_valid_shift(g, 8)
-        assert not is_valid_shift(g, -8)
-
-    def test_matches_definition_on_sample(self, grid_two_a, grid_two_b):
-        # valid shift <=> the shifted candidate is a legal grid answering
-        # the same full-diagonal puzzle
-        clue = ClueSet.from_grid(grid_two_a, PrescriptionRegime.FULL_DIAGONAL)
-        for a in (-3, -1, 1, 2):
-            candidate = shift_cells(grid_two_a.cells, a)
-            try:
-                ok = clue.satisfied_by(Grid(candidate))
-            except ValueError:
-                ok = False
-            assert is_valid_shift(grid_two_a, a) == ok
-
-
-class TestFindTriplet:
     def test_examples(self):
-        assert find_triplet({4, 5, 6, 7, 8, 9}, 1) == Triplet((4, 6, 8), 1)
-        assert find_triplet({4, 5, 6, 7, 8, 9}, 3) == Triplet((4, 5, 6), 3)
-        for a in range(1, 9):
-            assert find_triplet({2, 5, 6, 7, 8, 9}, a) is None
+        # complement {4, ..., 9}: pairs (4,5),(6,7),(8,9) by 1, (4,7),(5,8),(6,9) by 3
+        assert shift_match_table()[(1, 2, 3)] == (
+            (1, (4, 6, 8)),
+            (-1, (5, 7, 9)),
+            (3, (4, 5, 6)),
+            (-3, (7, 8, 9)),
+        )
+        # complement {2, 5, 6, 7, 8, 9}: 2 pairs with nothing by one step
+        assert shift_match_table()[(1, 3, 4)] == ()
 
     def test_negative_shift_bases_are_pair_maxima(self):
-        t = find_triplet({4, 5, 6, 7, 8, 9}, -1)
-        assert t == Triplet((5, 7, 9), -1)
-        assert t.covered == {4, 5, 6, 7, 8, 9}
+        for diag, entries in shift_match_table().items():
+            rest = frozenset(range(1, 10)) - set(diag)
+            found = dict(entries)
+            assert len(found) == len(entries)  # one entry per shift
+            for shift, plus in entries:
+                assert set(plus) | {v + shift for v in plus} == rest
+                assert found[-shift] == tuple(v + shift for v in plus)
 
     def test_agrees_with_brute_force_for_every_complement(self):
+        table = shift_match_table()
         for diag in combinations(range(1, 10), 3):
             values = frozenset(range(1, 10)) - set(diag)
             for a in (*range(1, 9), *range(-8, 0)):
                 expected = brute_force_triplets(values, a)
-                got = find_triplet(values, a)
-                if got is None:
-                    assert expected == []
-                else:
-                    assert expected == [got.values]
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError, match="6 distinct"):
-            find_triplet({1, 2, 3}, 1)
-        with pytest.raises(ValueError, match="shift"):
-            find_triplet({4, 5, 6, 7, 8, 9}, 0)
-
-    def test_rejects_bools(self):
-        # True == 1, so {True, 2, ..., 6} used to pair as if it held 1
-        with pytest.raises(ValueError, match="6 distinct"):
-            find_triplet({True, 2, 3, 4, 5, 6}, 1)
+                assert len(expected) <= 1
+                assert expected == [plus for shift, plus in table[diag] if shift == a]
 
 
 class TestPossibleShifts:
@@ -164,6 +129,13 @@ class TestPossibleShifts:
     def test_classify_rejects_duplicates(self):
         with pytest.raises(ValueError):
             classify_diagonal((1, 1, 2))
+
+    @pytest.mark.parametrize("read", [classify_diagonal, possible_shifts])
+    @pytest.mark.parametrize("diagonal", [5, None, ("a", 1, 2), (1, 2, None), ([1], 2, 3)])
+    def test_rejects_what_is_not_three_digits(self, read, diagonal):
+        # a non-iterable or a value that does not sort used to raise TypeError
+        with pytest.raises(ValueError, match="3 distinct"):
+            read(diagonal)
 
     @pytest.mark.parametrize("read", [classify_diagonal, possible_shifts])
     def test_rejects_bools(self, read):
@@ -210,27 +182,27 @@ class TestShiftTable:
 
     @pytest.mark.parametrize("reader", sorted(READERS))
     def test_more_than_two_shifts_raises(self, fresh_table, monkeypatch, reader):
-        real = theory.find_triplet
+        real = theory._pairings
 
-        def three_shifts(values, shift):
+        def three_shifts(rest):
             # diagonal (1, 2, 3) admits 1 and 3; claim 2 as well
-            if set(values) == {4, 5, 6, 7, 8, 9} and abs(shift) == 2:
-                return real(values, shift // 2)
-            return real(values, shift)
+            if rest == (4, 5, 6, 7, 8, 9):
+                return [*real(rest), (2, (4, 5, 8))]
+            return real(rest)
 
-        monkeypatch.setattr(theory, "find_triplet", three_shifts)
+        monkeypatch.setattr(theory, "_pairings", three_shifts)
         with pytest.raises(RuntimeError, match=r"\(1, 2, 3\) admits 3 shifts"):
             READERS[reader]()
 
     def test_table_is_built_once(self, fresh_table, monkeypatch):
         calls = []
-        real = theory.find_triplet
+        real = theory._pairings
 
-        def counted(values, shift):
-            calls.append((values, shift))
-            return real(values, shift)
+        def counted(rest):
+            calls.append(rest)
+            return real(rest)
 
-        monkeypatch.setattr(theory, "find_triplet", counted)
+        monkeypatch.setattr(theory, "_pairings", counted)
         grid = Grid((1, 4, 5, 7, 2, 6, 8, 9, 3))
         per_pass = []
         for _ in range(2):
@@ -240,7 +212,7 @@ class TestShiftTable:
             companion_solutions(grid)
             closed_form_puzzle_count()
             per_pass.append(len(calls))
-        assert per_pass == [84 * 16, 0]  # every diagonal under every signed shift, once
+        assert per_pass == [84, 0]  # every diagonal's complement, once
 
     def test_import_builds_no_table(self):
         # a table built at import would be timed as set-up by every command
@@ -261,6 +233,22 @@ class TestCompanions:
     def test_showcase_pair(self, grid_two_a, grid_two_b):
         assert companion_solutions(grid_two_a) == [grid_two_b]
         assert companion_solutions(grid_two_b) == [grid_two_a]
+
+    def test_companions_are_exactly_the_valid_shifts(self, grid_two_a, grid_unique):
+        # a shift is valid when its candidate is a legal grid answering the
+        # same full-diagonal puzzle; 9 off the diagonal rules out |shift| 8
+        nine_off = Grid.from_rows([(2, 9, 4), (7, 1, 6), (5, 8, 3)])
+        for grid in (grid_two_a, grid_unique, nine_off):
+            clue = ClueSet.from_grid(grid, PrescriptionRegime.FULL_DIAGONAL)
+            valid = []
+            for a in (s for c in range(1, 9) for s in (c, -c)):
+                candidate = shift_cells(grid.cells, a)
+                try:
+                    if clue.satisfied_by(Grid(candidate)):
+                        valid.append(candidate)
+                except ValueError:
+                    pass
+            assert companion_cells(grid.cells) == valid
 
     def test_unique_grid_has_none(self, grid_unique):
         assert companion_solutions(grid_unique) == []
