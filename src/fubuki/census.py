@@ -19,18 +19,18 @@ leads every regime's key, so two first row sums never share a key.
 The sweep counts one first row sum at a time (19 groups of at most 8 of the
 84 first-row digit sets). It builds a group's row keys once, then counts the
 group one regime at a time. Because no key spans two groups, each count is
-final: it is folded into its regime's histogram of bucket sizes, its
-buckets of two or more grids are kept where a reader asks for them, and the
-rest is dropped before the next regime is counted, so one regime's counts
-of one group are alive at a time. The whole sweep runs in the calling
-process. A report is that histogram plus, if kept, those multi-grid
-buckets: every statistic is a function of the histogram, and a key missing
-from the multi-grid buckets belongs to a single grid. `census(regime)` keeps
-its regime's buckets and `census_all()` keeps only the full diagonal's,
-which the companion oracle reads. The generator sweeps no census:
-`group_multi_buckets` counts one regime's group of one first row sum alone,
-and the generator calls it for a group only when a draw first lands there,
-so a run counts only the groups its draws need.
+final: it is folded into its regime's histogram of bucket sizes, the full
+diagonal's buckets of two or more grids are kept, and the rest is dropped
+before the next regime is counted, so one regime's counts of one group are
+alive at a time. The whole sweep runs in the calling process. A report is
+that histogram plus, for the full diagonal only, those multi-grid buckets,
+which the companion oracle reads: every statistic is a function of the
+histogram, and a key missing from the multi-grid buckets belongs to a single
+grid. A weaker regime's multi-grid buckets have one source,
+`group_multi_buckets`, which counts one regime's group of one first row sum
+alone. The generator sweeps no census: it calls `group_multi_buckets` for a
+group only when a draw first lands there, so a run counts only the groups
+its draws need.
 
 No field of the packing ever carries into the next (a line sum is at most
 24 < 32, a cell at most 9 < 16), so the key is linear in the cells: it is
@@ -148,13 +148,20 @@ def _multi_of(counts: dict[int, int]) -> dict[int, int]:
     return {key: n for key, n in counts.items() if n >= 2}
 
 
+def _check_regime(regime: PrescriptionRegime) -> None:
+    if not isinstance(regime, PrescriptionRegime):
+        raise ValueError(f"regime must be a PrescriptionRegime, got {regime!r}")
+
+
 def group_multi_buckets(regime: PrescriptionRegime, r1: int) -> dict[int, int]:
     """The multi-grid buckets of `regime` among grids of first row sum `r1`.
 
     r1 leads every key, so this group's buckets are the whole sweep's buckets
-    of its keys. Raises RuntimeError unless the group was counted over all of
-    its grids, 4,320 per first-row digit set summing to `r1`.
+    of its keys. Raises ValueError for a non-regime, before counting, and
+    RuntimeError unless the group was counted over all of its grids, 4,320
+    per first-row digit set summing to `r1`.
     """
+    _check_regime(regime)
     counts = _count_group(_DROP[regime], _group_rows(r1))
     digit_sets = sum(sum(first) == r1 for first in combinations(range(1, 10), 3))
     # each digit set gives 3! first rows, each over the 6! fillings below
@@ -166,38 +173,19 @@ def group_multi_buckets(regime: PrescriptionRegime, r1: int) -> dict[int, int]:
     return _multi_of(counts)
 
 
-def _count_part(
-    drops: tuple[int, ...], keep: tuple[bool, ...]
-) -> tuple[list[dict[int, int]], list[dict[int, int] | None]]:
-    """Bucket-size histograms per key drop over all grids, counted one first
-    row sum and, within it, one drop at a time, and the multi-grid buckets
-    of each drop whose `keep` flag is set (None for the others); a histogram
-    maps a size to its number of buckets."""
-    sizes: list[dict[int, int]] = [{} for _ in drops]
-    multi: list[dict[int, int] | None] = [{} if k else None for k in keep]
-    for r1 in range(MIN_LINE_SUM, MAX_LINE_SUM + 1):
-        rows = _group_rows(r1)
-        for drop, hist, kept in zip(drops, sizes, multi):
-            counts = _count_group(drop, rows)
-            _count_elements(hist, counts.values())
-            if kept is not None:
-                kept.update(_multi_of(counts))
-            del counts  # freed before the next drop's dict grows
-    return sizes, multi
-
-
 @dataclass
 class CensusReport:
     """Bucket-size statistics of one regime's sweep.
 
     `sizes[k]` is the number of buckets of exactly k grids, that is of
-    puzzles with exactly k solutions. `multi`, where the sweep kept it, maps
+    puzzles with exactly k solutions. For the full diagonal, `multi` maps
     the signature key of every bucket of two or more grids to its size, so a
-    grid whose key is not in `multi` is the only solution of its puzzle;
-    `multi` is None where the sweep dropped those buckets. Every statistic is
-    derived from `sizes`. Construction raises RuntimeError unless the
-    buckets hold all 362,880 grids and, where `multi` is kept, it holds
-    exactly the buckets that `sizes` counts at k >= 2.
+    grid whose key is not in `multi` is the only solution of its puzzle; the
+    sweep keeps no other regime's buckets, and their `multi` is None (see
+    `group_multi_buckets`). Every statistic is derived from `sizes`.
+    Construction raises RuntimeError unless the buckets hold all 362,880
+    grids and, where `multi` is given, it holds exactly the buckets that
+    `sizes` counts at k >= 2.
     `grids_by_solutions[k]` is the number of grids living in puzzles with
     exactly k solutions; `puzzles_by_solutions[k]` is the number of such
     puzzles. `solvable_puzzles` is the total number of distinct clue sets
@@ -264,30 +252,37 @@ class CensusReport:
         }
 
 
-def _reports(
-    regimes: tuple[PrescriptionRegime, ...], kept: tuple[PrescriptionRegime, ...]
-) -> dict[PrescriptionRegime, CensusReport]:
-    drops = tuple(_DROP[r] for r in regimes)
-    sizes, multi = _count_part(drops, tuple(r in kept for r in regimes))
-    return {
-        regime: CensusReport(regime, hist, buckets)
-        for regime, hist, buckets in zip(regimes, sizes, multi)
-    }
+def _reports(regimes: tuple[PrescriptionRegime, ...]) -> dict[PrescriptionRegime, CensusReport]:
+    """One sweep over all grids, counted one first row sum and, within it,
+    one regime at a time, folded into each regime's report. Only the full
+    diagonal's report keeps its multi-grid buckets."""
+    full = PrescriptionRegime.FULL_DIAGONAL
+    sizes: dict[PrescriptionRegime, dict[int, int]] = {r: {} for r in regimes}
+    multi: dict[int, int] = {}
+    for r1 in range(MIN_LINE_SUM, MAX_LINE_SUM + 1):
+        rows = _group_rows(r1)
+        for regime in regimes:
+            counts = _count_group(_DROP[regime], rows)
+            _count_elements(sizes[regime], counts.values())
+            if regime is full:
+                multi.update(_multi_of(counts))
+            del counts  # freed before the next regime's dict grows
+    return {r: CensusReport(r, sizes[r], multi if r is full else None) for r in regimes}
 
 
 def census(regime: PrescriptionRegime) -> CensusReport:
-    """Sweep all grids once and report bucket statistics for one regime,
-    multi-grid buckets included."""
-    if not isinstance(regime, PrescriptionRegime):
-        raise ValueError(f"regime must be a PrescriptionRegime, got {regime!r}")
-    return _reports((regime,), (regime,))[regime]
+    """Sweep all grids once and report bucket statistics for one regime.
+    Only the full diagonal's report keeps its multi-grid buckets; a weaker
+    regime's are read per first row sum from `group_multi_buckets`."""
+    _check_regime(regime)
+    return _reports((regime,))[regime]
 
 
 def census_all() -> dict[PrescriptionRegime, CensusReport]:
-    """All four regimes from a single shared permutation sweep. Only the
-    full diagonal's report keeps its multi-grid buckets, which the companion
-    oracle reads; the other three carry `multi=None`."""
-    return _reports(tuple(PrescriptionRegime), (PrescriptionRegime.FULL_DIAGONAL,))
+    """All four regimes from a single shared permutation sweep, as `census`
+    reports each: only the full diagonal's report keeps its multi-grid
+    buckets, which the companion oracle reads."""
+    return _reports(tuple(PrescriptionRegime))
 
 
 class ClosedFormCount(NamedTuple):

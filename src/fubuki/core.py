@@ -140,10 +140,6 @@ class Grid:
         c = self.cells
         return (c[0], c[4], c[8])
 
-    def off_diagonal_values(self) -> frozenset[int]:
-        c = self.cells
-        return frozenset((c[1], c[2], c[3], c[5], c[6], c[7]))
-
     def to_dict(self) -> dict:
         return {"cells": [list(r) for r in self.rows]}
 

@@ -1,28 +1,29 @@
 """Exhaustive solving for arbitrary clue sets.
 
 This is the ground truth the structural machinery is validated against. The
-search works a whole row at a time. A table lists, for every line sum, the
-ordered triples of distinct digits that reach it. Rows 1 and 2 are drawn
-from their sums' triples, keeping those that agree with the row's
-prescribed cells, and then the column sums force row 3: each of its cells
-is its column's sum less the two cells above. A grid is kept only if row 3
-is a triple of digits that agrees with its own prescribed cells and the
-three rows use all of 1..9. A line sum has at most 48 triples, and row 2's
-are paired only with the row 1s they share no digit with. Both rows are
-tried in lexicographic order and row 3 is a function of them, so solutions
-come out in lexicographic order of the row-major cells.
+search works a whole row at a time. Rows 1 and 2 are drawn from the ordered
+triples of distinct digits that reach their sums, keeping those that agree
+with the row's prescribed cells, and then the column sums force row 3: each
+of its cells is its column's sum less the two cells above. A grid is kept
+only if row 3 is a triple of digits that agrees with its own prescribed
+cells and the three rows use all of 1..9. A line sum has at most 48
+triples, and row 2's are paired only with the row 1s they share no digit
+with. Both rows are tried in lexicographic order and row 3 is a function of
+them, so solutions come out in lexicographic order of the row-major cells.
 
 The triples of a row that agree with one prescribed cell depend only on
 the row's sum, that cell's column and its digit, so they are memoised on
-first use as views: for a line sum s, a 1-based column col and a digit, the
-triples of s with that digit in that column, in order, and their
-frozenset, which answers row 3's lookup. Key `(s, 0, 0)` holds all of s's
-triples, the view of a row with no prescribed cell. There are at most
-19 sums x (1 + 3 x 9) = 532 keys, so no input can grow the memo past that.
-A row with a second or third prescribed cell narrows the view of its first
-at call time. Which row 2s share no digit with a row 1 is worked out per
-call too, for the row 1s the search reaches: a memo of those lists would be
-keyed by sum, view and row-1 digit set, up to 19 x 28 x 84 lists.
+first use, by one `functools.cache`, as views: `_view(s, col, digit)` is
+the triples of line sum s with that digit in 1-based column col, in order,
+and their frozenset, which answers row 3's lookup. `_view(s, 0, 0)` holds
+all of s's triples, the view of a row with no prescribed cell, and every
+other view of s filters it. ClueSet bounds the sums, columns and digits,
+so there are at most 19 sums x (1 + 3 x 9) = 532 keys and no input can
+grow the memo past that. A row with a second or third prescribed cell
+narrows the view of its first at call time. Which row 2s share no digit
+with a row 1 is worked out per call too, for the row 1s the search
+reaches: a memo of those lists would be keyed by sum, view and row-1 digit
+set, up to 19 x 28 x 84 lists.
 """
 
 from __future__ import annotations
@@ -31,11 +32,11 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import permutations
 
-from .core import MAX_LINE_SUM, MIN_LINE_SUM, ClueSet, Grid, _is_int
+from .core import ClueSet, Grid, _is_int
 
 _ALL_DIGITS = 0b1111111110  # bit d set for each digit 1..9
 
-_Triple = tuple[int, int, int, int]  # (a, b, c, mask); see _rows
+_Triple = tuple[int, int, int, int]  # (a, b, c, mask); see _view
 
 
 @dataclass
@@ -55,38 +56,25 @@ class SolveResult:
 
 
 @cache
-def _rows() -> dict[int, list[_Triple]]:
-    """`_rows()[s]`: each ordered triple of distinct digits summing to s, in
-    lexicographic order, as `(a, b, c, mask)` with bit d of `mask` set for
-    each of its digits d. 504 triples in all; built on first search, so
-    importing the package does not pay for it.
-    """
-    rows: dict[int, list[_Triple]] = {
-        s: [] for s in range(MIN_LINE_SUM, MAX_LINE_SUM + 1)
-    }
-    for a, b, c in permutations(range(1, 10), 3):
-        rows[a + b + c].append((a, b, c, 1 << a | 1 << b | 1 << c))
-    return rows
-
-
-# (line sum, 1-based column, digit) -> (triples, their frozenset); filled
-# by _view, see the module docstring
-_views: dict[tuple[int, int, int], tuple[tuple[_Triple, ...], frozenset[_Triple]]] = {}
-
-
 def _view(s: int, col: int, digit: int) -> tuple[tuple[_Triple, ...], frozenset[_Triple]]:
-    """The triples of line sum `s` with `digit` in 1-based column `col`, in
-    lexicographic order, and their frozenset; `col == 0` keeps them all.
+    """The ordered triples of distinct digits summing to line sum `s` with
+    `digit` in 1-based column `col`, in lexicographic order, and their
+    frozenset; `col == 0` keeps them all. A triple is `(a, b, c, mask)`, with
+    bit d of `mask` set for each of its digits d.
 
-    Memoised on first use. Views are immutable, so every search can share
-    them, and two threads that fill one key at once store equal views.
+    Memoised on first use, so importing the package builds none. Views are
+    immutable, so every search can share them, and two threads that fill
+    one key at once store equal views.
     """
-    key = (s, col, digit)
-    view = _views.get(key)
-    if view is None:
-        triples = tuple(t for t in _rows()[s] if not col or t[col - 1] == digit)
-        view = _views[key] = (triples, frozenset(triples))
-    return view
+    if col:
+        triples = tuple(t for t in _view(s, 0, 0)[0] if t[col - 1] == digit)
+    else:
+        triples = tuple(
+            (a, b, c, 1 << a | 1 << b | 1 << c)
+            for a, b, c in permutations(range(1, 10), 3)
+            if a + b + c == s
+        )
+    return triples, frozenset(triples)
 
 
 def _search(clues: ClueSet, limit: int | None) -> list[tuple[int, ...]]:

@@ -4,6 +4,8 @@ import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from fubuki import ClueSet, Grid, PrescriptionRegime, census, companion_scan
+from fubuki.census import group_multi_buckets
+from fubuki.core import MAX_LINE_SUM, MIN_LINE_SUM
 
 # Hypothesis caches the constants it finds in local sources under its home
 # directory, ./.hypothesis by default, even with no example database
@@ -49,10 +51,25 @@ def clue_unique(grid_unique) -> ClueSet:
 
 @pytest.fixture(scope="session")
 def census_reports():
-    """One sweep per regime, shared by the session; unlike census_all, each
-    report keeps its multi-grid buckets, so every report runs the
-    multi-against-sizes check and the cross-checks can read the buckets."""
+    """One sweep per regime, shared by the session. As in census_all, only
+    the full diagonal's report keeps its multi-grid buckets; the weaker
+    regimes' are in `group_buckets`."""
     return {regime: census(regime) for regime in PrescriptionRegime}
+
+
+@pytest.fixture(scope="session")
+def group_buckets():
+    """Each weaker regime's multi-grid buckets as the generator reads them:
+    the union of `group_multi_buckets(regime, r1)` over every first row sum."""
+    return {
+        regime: {
+            key: n
+            for r1 in range(MIN_LINE_SUM, MAX_LINE_SUM + 1)
+            for key, n in group_multi_buckets(regime, r1).items()
+        }
+        for regime in PrescriptionRegime
+        if regime is not PrescriptionRegime.FULL_DIAGONAL
+    }
 
 
 @pytest.fixture(scope="session")

@@ -95,19 +95,22 @@ class TestCensusReports:
                 ratios[regime], abs=5e-5
             )
 
-    def test_multi_grid_bucket_counts(self, census_reports):
-        for regime, report in census_reports.items():
-            assert len(report.multi) == MULTI_GRID_BUCKETS[regime]
+    def test_multi_grid_bucket_counts(self, census_reports, group_buckets):
+        assert len(census_reports[R.FULL_DIAGONAL].multi) == MULTI_GRID_BUCKETS[R.FULL_DIAGONAL]
+        for regime, union in group_buckets.items():
+            assert len(union) == MULTI_GRID_BUCKETS[regime]
 
     def test_census_all_matches_each_census(self, census_reports, all_reports):
         for regime in R:
             assert all_reports[regime].sizes == census_reports[regime].sizes
 
     def test_census_all_keeps_only_the_full_diagonal_buckets(self, census_reports, all_reports):
-        # the companion oracle reads the full diagonal's; nothing reads the others
+        # the companion oracle reads the full diagonal's; the generator reads
+        # the others' from group_multi_buckets, so no sweep keeps them
         assert all_reports[R.FULL_DIAGONAL].multi == census_reports[R.FULL_DIAGONAL].multi
         for regime in (R.FIRST_TWO_DIAGONAL, R.TOP_LEFT, R.NONE):
             assert all_reports[regime].multi is None
+            assert census_reports[regime].multi is None
 
     def test_to_dict_shape(self, census_reports):
         data = census_reports[R.FULL_DIAGONAL].to_dict()
@@ -211,7 +214,7 @@ class TestSweepMechanics:
         def no_sweep(*args):
             raise AssertionError("census swept for a non-regime")
 
-        monkeypatch.setattr(census_module, "_count_part", no_sweep)
+        monkeypatch.setattr(census_module, "_group_rows", no_sweep)
         with pytest.raises(ValueError, match="regime must be a PrescriptionRegime"):
             census_module.census(regime)
 
@@ -248,56 +251,70 @@ class TestSweepMechanics:
         )
         assert result.returncode == 0, result.stderr
 
-    @pytest.mark.parametrize("parts", [2, 3])
-    def test_parts_share_no_key(self, census_reports, monkeypatch, parts):
-        # `none` has the coarsest keys, so a shared key would show there first
-        regimes = (R.NONE, R.TOP_LEFT)
-        drops = tuple(census_module._DROP[r] for r in regimes)
-        groups = {
-            r1: [census_module._count_group(drop, census_module._group_rows(r1)) for drop in drops]
+    def test_reports_fold_exactly_the_group_counts(self, monkeypatch):
+        # stand-in counts per (regime, first row sum): a single-grid bucket,
+        # a bucket of r1 grids (r1 + 1 under `none`) and, in the last group,
+        # one bucket of the grids that make up 9!
+        regimes = (R.NONE, R.FULL_DIAGONAL)
+        by_drop = {census_module._DROP[r]: r for r in regimes}
+        stub = {
+            (regime, r1): {r1 << 4: 1, r1 << 4 | 1: r1 + (regime is R.NONE)}
+            for regime in regimes
             for r1 in FIRST_ROW_SUMS
         }
-        merged: list[dict[int, int]] = [{} for _ in drops]
-        for part in range(parts):
-            sums = FIRST_ROW_SUMS[part::parts]
-            counts: list[dict[int, int]] = [{} for _ in drops]
-            for r1 in sums:
-                for d, group in zip(counts, groups[r1]):
-                    d.update(group)
-            for whole, d in zip(merged, counts):
-                assert whole.keys().isdisjoint(d)
-                whole.update(d)
-            # _count_part folds this part's groups alone into exactly their
-            # histograms, and keeps their multi-grid buckets where asked; a
-            # group's rows stand in as its first row sum
-            monkeypatch.setattr(census_module, "_group_rows", lambda r1: r1)
-            monkeypatch.setattr(
-                census_module,
-                "_count_group",
-                lambda drop, r1: groups[r1][drops.index(drop)] if r1 in sums else {},
-            )
-            for keep in [(True, False), (False, True)]:
-                sizes, multi = census_module._count_part(drops, keep)
-                for d, hist, kept, wanted in zip(counts, sizes, multi, keep):
-                    assert hist == dict(Counter(d.values()))
-                    assert kept == ({key: n for key, n in d.items() if n >= 2} if wanted else None)
-        for regime, whole in zip(regimes, merged):
-            report = census_reports[regime]
-            assert dict(Counter(whole.values())) == report.sizes
-            assert {key: n for key, n in whole.items() if n >= 2} == report.multi
+        for regime in regimes:
+            grids = sum(sum(stub[regime, r1].values()) for r1 in FIRST_ROW_SUMS)
+            stub[regime, MAX_LINE_SUM][MAX_LINE_SUM << 4 | 2] = TOTAL_GRIDS - grids
+        calls = []
+
+        def group_rows(r1):
+            calls.append(r1)
+            return r1  # a group's rows stand in as its first row sum
+
+        def count_group(drop, r1):
+            calls.append((by_drop[drop], r1))
+            return dict(stub[by_drop[drop], r1])
+
+        monkeypatch.setattr(census_module, "_group_rows", group_rows)
+        monkeypatch.setattr(census_module, "_count_group", count_group)
+        reports = census_module._reports(regimes)
+        # per first row sum, its rows once, then one regime at a time
+        assert calls == [c for r1 in FIRST_ROW_SUMS for c in (r1, *((r, r1) for r in regimes))]
+        for regime in regimes:
+            counts = [n for r1 in FIRST_ROW_SUMS for n in stub[regime, r1].values()]
+            assert reports[regime].sizes == dict(Counter(counts))
+        assert reports[R.NONE].multi is None
+        full = [stub[R.FULL_DIAGONAL, r1] for r1 in FIRST_ROW_SUMS]
+        assert reports[R.FULL_DIAGONAL].multi == {
+            key: n for counts in full for key, n in counts.items() if n >= 2
+        }
 
 
 class TestGroupMultiBuckets:
     @pytest.mark.parametrize(
         "regime", [R.FIRST_TWO_DIAGONAL, R.TOP_LEFT, R.NONE], ids=lambda r: r.name
     )
-    def test_groups_make_up_the_sweeps_buckets(self, census_reports, regime):
+    def test_groups_make_up_the_sweeps_buckets(self, census_reports, group_buckets, regime):
         union: dict[int, int] = {}
         for r1 in FIRST_ROW_SUMS:
             group = census_module.group_multi_buckets(regime, r1)
             assert union.keys().isdisjoint(group)
             union.update(group)
-        assert union == census_reports[regime].multi
+        assert union == group_buckets[regime]
+        # the groups hold exactly the buckets the sweep counts at k >= 2
+        sizes = census_reports[regime].sizes
+        assert Counter(union.values()) == {k: n for k, n in sizes.items() if k >= 2}
+        assert sizes[1] + sum(union.values()) == TOTAL_GRIDS
+
+    @pytest.mark.parametrize("regime", ["none", None, 3])
+    def test_rejects_a_non_regime_before_counting(self, monkeypatch, regime):
+        # "none" used to raise KeyError from _DROP
+        def no_count(*args):
+            raise AssertionError("counted a group for a non-regime")
+
+        monkeypatch.setattr(census_module, "_group_rows", no_count)
+        with pytest.raises(ValueError, match="regime must be a PrescriptionRegime"):
+            census_module.group_multi_buckets(regime, 15)
 
     def test_rejects_a_group_short_of_grids_under_optimize(self):
         # a real raise, not an assert that -O strips; first row sum 6 has one
@@ -443,6 +460,9 @@ class TestVerifyMemory:
         [
             # the peak while census_all() sweeps
             ("tracemalloc.start()\ncensus_all()\n", 4.5),
+            # the peak of a weaker regime's sweep, as `verify --regime` runs it
+            ("tracemalloc.start()\ncensus(R.TOP_LEFT)\n", 4),
+            ("tracemalloc.start()\ncensus(R.FIRST_TWO_DIAGONAL)\n", 4),
             # what the scan holds once built
             ("tracemalloc.start()\nscan = companion_scan()\ntracemalloc.reset_peak()\n", 3),
             # the oracle's peak, the scan it reads included
@@ -455,7 +475,13 @@ class TestVerifyMemory:
                 5,
             ),
         ],
-        ids=["census_all", "companion_scan", "companion_oracle"],
+        ids=[
+            "census_all",
+            "census_top_left",
+            "census_first_two_diagonal",
+            "companion_scan",
+            "companion_oracle",
+        ],
     )
     def test_verify_route_memory(self, code, limit_mb):
         code = (
@@ -473,10 +499,10 @@ class TestVerifyMemory:
         assert int(result.stdout) <= limit_mb * 10**6
 
 
-def bucket_solver_mismatches(report: CensusReport, sample: int) -> list[str]:
-    """Seeded-random grids whose signature bucket size in `report` differs
-    from the solver's count of their clue set's solutions."""
-    regime, multi = report.regime, report.multi
+def bucket_solver_mismatches(regime: R, multi: dict[int, int], sample: int) -> list[str]:
+    """Seeded-random grids whose signature bucket size in `multi`, the
+    regime's multi-grid buckets, differs from the solver's count of their
+    clue set's solutions."""
     rng = SplitMix64(42)
     values = list(range(1, 10))
     mismatches = []
@@ -494,13 +520,16 @@ class TestCrossCheck:
     """The brute-force census against the solver it never imports."""
 
     def test_full_diagonal_sample(self, census_reports):
-        assert bucket_solver_mismatches(census_reports[R.FULL_DIAGONAL], 1000) == []
+        multi = census_reports[R.FULL_DIAGONAL].multi
+        assert bucket_solver_mismatches(R.FULL_DIAGONAL, multi, 1000) == []
 
-    def test_first_two_diagonal_sample(self, census_reports):
-        assert bucket_solver_mismatches(census_reports[R.FIRST_TWO_DIAGONAL], 1000) == []
+    # the weaker regimes' buckets as the generator reads them
+    def test_first_two_diagonal_sample(self, group_buckets):
+        multi = group_buckets[R.FIRST_TWO_DIAGONAL]
+        assert bucket_solver_mismatches(R.FIRST_TWO_DIAGONAL, multi, 1000) == []
 
-    def test_top_left_sample(self, census_reports):
-        assert bucket_solver_mismatches(census_reports[R.TOP_LEFT], 1000) == []
+    def test_top_left_sample(self, group_buckets):
+        assert bucket_solver_mismatches(R.TOP_LEFT, group_buckets[R.TOP_LEFT], 1000) == []
 
-    def test_none_sample(self, census_reports):
-        assert bucket_solver_mismatches(census_reports[R.NONE], 100) == []
+    def test_none_sample(self, group_buckets):
+        assert bucket_solver_mismatches(R.NONE, group_buckets[R.NONE], 100) == []

@@ -34,7 +34,6 @@ class TestGrid:
         assert grid_two_a.diagonal() == (1, 2, 3)
         assert grid_two_a.value_at(2, 1) == 7
         assert grid_two_a.value_at(3, 2) == 9
-        assert grid_two_a.off_diagonal_values() == {4, 5, 6, 7, 8, 9}
 
     @pytest.mark.parametrize(
         "row, col",

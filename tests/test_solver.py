@@ -209,16 +209,25 @@ class TestRowSearch:
 VIEW_KEYS = 19 * (1 + 3 * 9)
 
 
+def brute_force_triples(s: int) -> list[tuple[int, int, int, int]]:
+    """Every ordered triple of distinct digits summing to s, with its digit mask."""
+    return [
+        (a, b, c, 1 << a | 1 << b | 1 << c)
+        for a in range(1, 10)
+        for b in range(1, 10)
+        for c in range(1, 10)
+        if len({a, b, c}) == 3 and a + b + c == s
+    ]
+
+
 class TestRowTable:
     def test_import_builds_no_table(self):
-        # a table or view built at import would be timed as set-up by every command
+        # a view built at import would be timed as set-up by every command
         code = (
             "import fubuki.cli\n"
             "from fubuki import solver\n"
-            "if solver._rows.cache_info().currsize:\n"
-            "    raise SystemExit('_rows is built at import')\n"
-            "if solver._views:\n"
-            "    raise SystemExit('_views is filled at import')\n"
+            "if solver._view.cache_info().currsize:\n"
+            "    raise SystemExit('views are built at import')\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
@@ -226,23 +235,19 @@ class TestRowTable:
         assert result.returncode == 0, result.stderr
 
     def test_one_search_builds_every_ordered_triple(self, clue_unique):
-        solver._rows.cache_clear()
-        solver._views.clear()
+        solver._view.cache_clear()
         solve(clue_unique)
-        assert solver._rows.cache_info().currsize == 1
-        rows = solver._rows()
-        assert list(rows) == list(range(6, 25))
-        triples = [t for s in rows for t in rows[s]]
+        # one whole list per row sum, one view per row's prescribed cell
+        built = solver._view.cache_info().currsize
+        assert 0 < built <= 6
+        triples = [t for s in range(6, 25) for t in solver._view(s, 0, 0)[0]]
         assert len(triples) == 504
         assert sorted(t[:3] for t in triples) == list(permutations(range(1, 10), 3))
-        for s, ts in rows.items():
-            assert ts == sorted(ts)
-            assert all(a + b + c == s for a, b, c, _ in ts)
-            assert all(mask == 1 << a | 1 << b | 1 << c for a, b, c, mask in ts)
 
     def test_views_are_ordered_sublists_of_the_table(self):
-        solver._views.clear()
-        for s, ts in solver._rows().items():
+        solver._view.cache_clear()
+        for s in range(6, 25):
+            ts = brute_force_triples(s)
             triples, members = solver._view(s, 0, 0)
             assert list(triples) == ts
             assert members == set(ts)
@@ -251,18 +256,22 @@ class TestRowTable:
                     triples, members = solver._view(s, col, digit)
                     assert list(triples) == [t for t in ts if t[col - 1] == digit]
                     assert members == set(triples)
-        assert len(solver._views) == VIEW_KEYS
+        assert solver._view.cache_info().currsize == VIEW_KEYS
 
     def test_memo_stays_within_its_key_bound(self):
         # 2..6 cells prescribed anywhere, so rows with several prescribed
         # cells and unsatisfiable sums are among them
-        solver._views.clear()
+        solver._view.cache_clear()
         for clue in random_clue_sets(1000, seed=424242):
             solve(clue)
-        assert 0 < len(solver._views) <= VIEW_KEYS
-        for s, col, digit in solver._views:
-            assert 6 <= s <= 24
-            assert (col, digit) == (0, 0) or (col in (1, 2, 3) and 1 <= digit <= 9)
+        assert 0 < solver._view.cache_info().currsize <= VIEW_KEYS
+        # filling every valid key adds the rest: the solves stored no other key
+        for s in range(6, 25):
+            solver._view(s, 0, 0)
+            for col in (1, 2, 3):
+                for digit in range(1, 10):
+                    solver._view(s, col, digit)
+        assert solver._view.cache_info().currsize == VIEW_KEYS
 
 
 class TestSolveMemory:
