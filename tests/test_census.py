@@ -251,6 +251,29 @@ class TestSweepMechanics:
         )
         assert result.returncode == 0, result.stderr
 
+    @pytest.mark.parametrize("parts", [2, 3])
+    def test_parts_share_no_key(self, census_reports, group_buckets, parts):
+        # `none` has the coarsest keys, so a shared key would show there first
+        regimes = (R.NONE, R.FULL_DIAGONAL)
+        rows = {r1: census_module._group_rows(r1) for r1 in FIRST_ROW_SUMS}
+        for regime in regimes:
+            drop = census_module._DROP[regime]
+            merged: dict[int, int] = {}
+            for part in range(parts):
+                counts: dict[int, int] = {}
+                for r1 in FIRST_ROW_SUMS[part::parts]:
+                    group = census_module._count_group(drop, rows[r1])
+                    assert counts.keys().isdisjoint(group)
+                    counts.update(group)
+                assert merged.keys().isdisjoint(counts)
+                merged.update(counts)
+            # the parts, merged by dict update, hold exactly the sweep's buckets
+            assert dict(Counter(merged.values())) == census_reports[regime].sizes
+            multi = census_reports[regime].multi
+            if multi is None:
+                multi = group_buckets[regime]
+            assert {key: n for key, n in merged.items() if n >= 2} == multi
+
     def test_reports_fold_exactly_the_group_counts(self, monkeypatch):
         # stand-in counts per (regime, first row sum): a single-grid bucket,
         # a bucket of r1 grids (r1 + 1 under `none`) and, in the last group,
