@@ -100,13 +100,22 @@ _TOP = 9 * sum(_WEIGHTS)  # at least every key
 _DROP = {r: 4 * (3 - len(r.flat_cells)) for r in PrescriptionRegime}
 
 
+def _not_a_regime(regime: object) -> ValueError:
+    return ValueError(f"regime must be a PrescriptionRegime, got {regime!r}")
+
+
 def signature_key(cells: tuple[int, ...], regime: PrescriptionRegime) -> int:
     """Canonical packed key of the puzzle these cells answer under `regime`.
 
     Two grids map to the same key exactly when they induce identical clue
-    sets under the regime.
+    sets under the regime. Raises ValueError for a non-regime.
     """
-    return _pack(cells) >> _DROP[regime]
+    # no check before the lookup: the generator calls this once per draw
+    try:
+        drop = _DROP[regime]
+    except (KeyError, TypeError):
+        raise _not_a_regime(regime) from None
+    return _pack(cells) >> drop
 
 
 def _group_rows(r1: int) -> list[tuple[list[int], list[int]]]:
@@ -150,18 +159,23 @@ def _multi_of(counts: dict[int, int]) -> dict[int, int]:
 
 def _check_regime(regime: PrescriptionRegime) -> None:
     if not isinstance(regime, PrescriptionRegime):
-        raise ValueError(f"regime must be a PrescriptionRegime, got {regime!r}")
+        raise _not_a_regime(regime)
 
 
 def group_multi_buckets(regime: PrescriptionRegime, r1: int) -> dict[int, int]:
     """The multi-grid buckets of `regime` among grids of first row sum `r1`.
 
     r1 leads every key, so this group's buckets are the whole sweep's buckets
-    of its keys. Raises ValueError for a non-regime, before counting, and
-    RuntimeError unless the group was counted over all of its grids, 4,320
-    per first-row digit set summing to `r1`.
+    of its keys. Raises ValueError, before counting, for a non-regime or
+    unless `r1` is an int in MIN_LINE_SUM..MAX_LINE_SUM, and RuntimeError
+    unless the group was counted over all of its grids, 4,320 per first-row
+    digit set summing to `r1`.
     """
     _check_regime(regime)
+    if not (_is_int(r1) and MIN_LINE_SUM <= r1 <= MAX_LINE_SUM):
+        raise ValueError(
+            f"r1 must be an integer in {MIN_LINE_SUM}..{MAX_LINE_SUM}, got {r1!r}"
+        )
     counts = _count_group(_DROP[regime], _group_rows(r1))
     digit_sets = sum(sum(first) == r1 for first in combinations(range(1, 10), 3))
     # each digit set gives 3! first rows, each over the 6! fillings below

@@ -158,6 +158,19 @@ class Grid:
             raise PuzzleFormatError(f"'cells': {exc}") from None
 
 
+def _grid_of_permutation(cells: tuple[int, ...]) -> Grid:
+    """A Grid holding `cells` as given, built without running `__init__` or
+    `__post_init__`, so nothing is checked or copied.
+
+    Precondition: `cells` is a tuple of exact ints already proved to be a
+    permutation of 1..9. The solver calls this for its own output, which it
+    checks first; every other input goes through `Grid(...)`.
+    """
+    grid = object.__new__(Grid)
+    object.__setattr__(grid, "cells", cells)
+    return grid
+
+
 @dataclass(frozen=True)
 class ClueSet:
     """A puzzle: prescribed cells plus row and column sums.

@@ -11,6 +11,13 @@ triples, and row 2's are paired only with the row 1s they share no digit
 with. Both rows are tried in lexicographic order and row 3 is a function of
 them, so solutions come out in lexicographic order of the row-major cells.
 
+`solve` checks each solution it returns twice, with real raises: its cells
+must be a permutation of 1..9 and the grid must satisfy the clues. Having
+checked the first, it builds the `Grid` once, through
+`core._grid_of_permutation`, rather than through `Grid(...)`, whose
+validation would repeat that check cell by cell; `Grid(...)` still checks
+every input from outside the program.
+
 The triples of a row that agree with one prescribed cell depend only on
 the row's sum, that cell's column and its digit, so they are memoised on
 first use, by one `functools.cache`, as views: `_view(s, col, digit)` is
@@ -32,9 +39,10 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import permutations
 
-from .core import ClueSet, Grid, _is_int
+from .core import ClueSet, Grid, _grid_of_permutation, _is_int
 
 _ALL_DIGITS = 0b1111111110  # bit d set for each digit 1..9
+_DIGITS = list(range(1, 10))  # the sorted cells of every grid
 
 _Triple = tuple[int, int, int, int]  # (a, b, c, mask); see _view
 
@@ -122,14 +130,24 @@ def solve(clues: ClueSet, limit: int | None = None) -> SolveResult:
 
     Unsatisfiable clues (including sums that cannot total 45) yield an empty
     result rather than an error. `limit` must be None or a positive int.
+
+    Every returned grid is checked to be a permutation of 1..9 and to
+    satisfy the clues, and either failure raises RuntimeError. The first
+    check is the one `Grid(...)` would make, so the grid is built without
+    making it again.
     """
     if limit is not None and not (_is_int(limit) and limit >= 1):
         raise ValueError(f"limit must be positive, got {limit!r}")
     found = _search(clues, limit)
-    solutions = [Grid(f) for f in found[:limit]]
-    for g in solutions:
+    solutions = []
+    for f in found[:limit]:
+        # _search builds its cells by int arithmetic, so they are exact ints
+        if sorted(f) != _DIGITS:
+            raise RuntimeError(f"solver emitted {f}, which is not a permutation of 1..9")
+        g = _grid_of_permutation(f)
         if not clues.satisfied_by(g):
-            raise RuntimeError(f"solver emitted {g.cells}, which does not satisfy the clues")
+            raise RuntimeError(f"solver emitted {f}, which does not satisfy the clues")
+        solutions.append(g)
     return SolveResult(solutions=solutions, truncated=len(found) > len(solutions))
 
 

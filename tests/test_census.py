@@ -144,6 +144,12 @@ class TestSweepMechanics:
             assert a == signature_key(grid_two_b.cells, regime)
             assert a != signature_key(grid_unique.cells, regime)
 
+    @pytest.mark.parametrize("regime", ["none", None, []], ids=repr)
+    def test_key_rejects_a_non_regime(self, grid_unique, regime):
+        # "none" used to raise KeyError and [] TypeError from _DROP
+        with pytest.raises(ValueError, match="regime must be a PrescriptionRegime"):
+            signature_key(grid_unique.cells, regime)
+
     def test_key_matches_field_by_field_packing(self, grid_two_a, grid_two_b, grid_unique):
         def reference_key(cells, regime):
             # the module docstring's layout: 5-bit r1, r2, c1, c2, then one
@@ -338,6 +344,17 @@ class TestGroupMultiBuckets:
         monkeypatch.setattr(census_module, "_group_rows", no_count)
         with pytest.raises(ValueError, match="regime must be a PrescriptionRegime"):
             census_module.group_multi_buckets(regime, 15)
+
+    @pytest.mark.parametrize("r1", [5, 25, "6", True, 6.0, None], ids=repr)
+    def test_rejects_a_non_line_sum_before_counting(self, monkeypatch, r1):
+        # 5, "6" and True used to return {}, "every grid unique", and 6.0
+        # sum 6's buckets
+        def no_count(*args):
+            raise AssertionError("counted a group for a non-line-sum")
+
+        monkeypatch.setattr(census_module, "_group_rows", no_count)
+        with pytest.raises(ValueError, match="r1 must be an integer in 6..24"):
+            census_module.group_multi_buckets(R.NONE, r1)
 
     def test_rejects_a_group_short_of_grids_under_optimize(self):
         # a real raise, not an assert that -O strips; first row sum 6 has one

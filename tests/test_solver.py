@@ -66,10 +66,44 @@ class TestEdges:
         assert grid_two_a in result.solutions
         assert all(clue.satisfied_by(g) for g in result.solutions)
 
-    def test_post_check_rejects_a_wrong_grid(self, monkeypatch, clue_two, grid_unique):
-        monkeypatch.setattr(solver, "_search", lambda clues, limit: [grid_unique.cells])
-        with pytest.raises(RuntimeError, match="does not satisfy"):
+    @pytest.mark.parametrize(
+        "cells, message",
+        [
+            # grid_unique: a permutation, but not a solution of clue_two
+            ((1, 4, 6, 5, 2, 7, 8, 9, 3), "does not satisfy"),
+            ((1, 1, 2, 3, 4, 5, 6, 7, 8), "not a permutation"),
+        ],
+        ids=["not-a-solution", "not-a-permutation"],
+    )
+    def test_post_check_rejects_a_wrong_grid(self, monkeypatch, clue_two, cells, message):
+        monkeypatch.setattr(solver, "_search", lambda clues, limit: [cells])
+        with pytest.raises(RuntimeError, match=message):
             solve(clue_two)
+
+
+class TestSolutionGrids:
+    def test_grids_match_validated_grids(self, clue_two):
+        solutions = solve(clue_two).solutions
+        rebuilt = [Grid(g.cells) for g in solutions]
+        assert len(solutions) == 2
+        for g, h in zip(solutions, rebuilt):
+            assert type(g) is Grid and type(g.cells) is tuple
+            assert g == h and hash(g) == hash(h)
+            assert repr(g) == repr(h) and g.to_dict() == h.to_dict()
+        assert solutions[0] < solutions[1] and solutions[0] < rebuilt[1]
+        assert rebuilt[0] < solutions[1] and not solutions[1] < rebuilt[0]
+
+    def test_solve_runs_no_grid_validation(self, monkeypatch, clue_two):
+        calls = []
+        post_init = Grid.__post_init__
+
+        def counted(self):
+            calls.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(Grid, "__post_init__", counted)
+        assert solve(clue_two).count == 2
+        assert calls == []
 
 
 class TestCompleteness:
