@@ -62,7 +62,8 @@ from math import factorial
 from operator import ge, itemgetter, mul
 from typing import Iterator, NamedTuple
 
-from .core import DIAGONAL_FLAT, MAX_LINE_SUM, MIN_LINE_SUM, PrescriptionRegime, _is_int
+from .core import DIAGONAL_FLAT, MAX_LINE_SUM, MIN_LINE_SUM, PrescriptionRegime
+from .core import _bad, _check_type, _is_int
 from .theory import (
     MINUS_FLAT,
     PLUS_FLAT,
@@ -100,10 +101,6 @@ _TOP = 9 * sum(_WEIGHTS)  # at least every key
 _DROP = {r: 4 * (3 - len(r.flat_cells)) for r in PrescriptionRegime}
 
 
-def _not_a_regime(regime: object) -> ValueError:
-    return ValueError(f"regime must be a PrescriptionRegime, got {regime!r}")
-
-
 def signature_key(cells: tuple[int, ...], regime: PrescriptionRegime) -> int:
     """Canonical packed key of the puzzle these cells answer under `regime`.
 
@@ -114,7 +111,7 @@ def signature_key(cells: tuple[int, ...], regime: PrescriptionRegime) -> int:
     try:
         drop = _DROP[regime]
     except (KeyError, TypeError):
-        raise _not_a_regime(regime) from None
+        raise _bad("regime", "a PrescriptionRegime", regime) from None
     return _pack(cells) >> drop
 
 
@@ -157,11 +154,6 @@ def _multi_of(counts: dict[int, int]) -> dict[int, int]:
     return {key: n for key, n in counts.items() if n >= 2}
 
 
-def _check_regime(regime: PrescriptionRegime) -> None:
-    if not isinstance(regime, PrescriptionRegime):
-        raise _not_a_regime(regime)
-
-
 def group_multi_buckets(regime: PrescriptionRegime, r1: int) -> dict[int, int]:
     """The multi-grid buckets of `regime` among grids of first row sum `r1`.
 
@@ -171,11 +163,9 @@ def group_multi_buckets(regime: PrescriptionRegime, r1: int) -> dict[int, int]:
     unless the group was counted over all of its grids, 4,320 per first-row
     digit set summing to `r1`.
     """
-    _check_regime(regime)
+    _check_type(regime, PrescriptionRegime, "regime")
     if not (_is_int(r1) and MIN_LINE_SUM <= r1 <= MAX_LINE_SUM):
-        raise ValueError(
-            f"r1 must be an integer in {MIN_LINE_SUM}..{MAX_LINE_SUM}, got {r1!r}"
-        )
+        raise _bad("r1", f"an integer in {MIN_LINE_SUM}..{MAX_LINE_SUM}", r1)
     counts = _count_group(_DROP[regime], _group_rows(r1))
     digit_sets = sum(sum(first) == r1 for first in combinations(range(1, 10), 3))
     # each digit set gives 3! first rows, each over the 6! fillings below
@@ -212,19 +202,24 @@ class CensusReport:
     multi: dict[int, int] | None = field(repr=False)
 
     def __post_init__(self) -> None:
+        _check_type(self.regime, PrescriptionRegime, "regime")
+        sizes, multi = self.sizes, self.multi
+        if not (isinstance(sizes, dict) and all(map(_is_int, [*sizes, *sizes.values()]))):
+            raise _bad("sizes", "a dict of ints to ints", sizes)
+        if not (multi is None or isinstance(multi, dict) and all(map(_is_int, multi.values()))):
+            raise _bad("multi", "None or a dict of ints", multi)
         name = self.regime.value
         if self.total_grids != TOTAL_GRIDS:
             raise RuntimeError(
                 f"{name} census buckets hold {self.total_grids} grids, expected {TOTAL_GRIDS}"
             )
-        if self.multi is None:
+        if multi is None:
             return
-        if min(self.multi.values(), default=2) < 2:
+        if min(multi.values(), default=2) < 2:
             raise RuntimeError(
-                f"{name} census multi-grid buckets include one of "
-                f"{min(self.multi.values())} grids"
+                f"{name} census multi-grid buckets include one of {min(multi.values())} grids"
             )
-        multi_sizes = dict(sorted(Counter(self.multi.values()).items()))
+        multi_sizes = dict(sorted(Counter(multi.values()).items()))
         wanted = {k: n for k, n in self.puzzles_by_solutions.items() if k >= 2}
         if multi_sizes != wanted:
             raise RuntimeError(
@@ -288,7 +283,7 @@ def census(regime: PrescriptionRegime) -> CensusReport:
     """Sweep all grids once and report bucket statistics for one regime.
     Only the full diagonal's report keeps its multi-grid buckets; a weaker
     regime's are read per first row sum from `group_multi_buckets`."""
-    _check_regime(regime)
+    _check_type(regime, PrescriptionRegime, "regime")
     return _reports((regime,))[regime]
 
 
@@ -404,8 +399,10 @@ def companion_oracle_mismatches(
     362,880 grids. Returns the first `max_report` violations, which must be
     a positive int; empty means the routes agree.
     """
+    _check_type(multi, dict, "multi")
+    _check_type(scan, CompanionScan, "scan")
     if not (_is_int(max_report) and max_report >= 1):
-        raise ValueError(f"max_report must be positive, got {max_report!r}")
+        raise _bad("max_report", "positive", max_report)
     return list(islice(_oracle_violations(multi, scan), max_report))
 
 

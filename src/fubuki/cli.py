@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from typing import NoReturn
+from typing import Callable, NoReturn
 
 from .census import (
     EXPECTED_PUZZLE_COUNTS,
@@ -22,16 +23,11 @@ from .census import (
     companion_scan,
     TOTAL_GRIDS,
 )
-from .core import ClueSet, Grid, PrescriptionRegime, PuzzleFormatError
-from .generate import _MAX_SEED, GeneratorConfig, generate_puzzles
+from .core import ClueSet, Grid, PrescriptionRegime, PuzzleFormatError, _bad
+from .generate import GeneratorConfig, generate_puzzles
+from .rng import _MASK64
 from .solver import solve
 from .theory import build_shift_table, classify_diagonal, shift_table_to_csv
-
-
-class _CliError(Exception):
-    def __init__(self, code: int, message: str) -> None:
-        super().__init__(message)
-        self.code = code
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,14 +51,17 @@ def _parse_regime(text: str) -> PrescriptionRegime:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _parse_threads(text: str) -> int:
-    try:
-        threads = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if threads < 0:
-        raise argparse.ArgumentTypeError(f"must be 0 (default) or positive, got {threads}")
-    return threads
+def _int_in(hi: float) -> Callable[[str], int]:
+    """An argparse type: an integer in 0..hi."""
+    def parse(text: str) -> int:
+        try:
+            if 0 <= (value := int(text)) <= hi:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be an integer in 0..{hi}, got {text!r}")
+
+    return parse
 
 
 def _check_threads_env() -> None:
@@ -74,17 +73,7 @@ def _check_threads_env() -> None:
             return
     except ValueError:
         pass
-    raise ValueError(f"FUBUKI_THREADS must be a positive integer, got {raw!r}")
-
-
-def _parse_seed(text: str) -> int:
-    try:
-        seed = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if not 0 <= seed <= _MAX_SEED:
-        raise argparse.ArgumentTypeError(f"must be in 0..{_MAX_SEED}, got {seed}")
-    return seed
+    raise _bad("FUBUKI_THREADS", "a positive integer", raw)
 
 
 def _load_puzzle(path: str) -> ClueSet:
@@ -96,24 +85,24 @@ def _load_puzzle(path: str) -> ClueSet:
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
     except OSError as exc:
-        raise _CliError(1, f"cannot read {name}: {exc.strerror or exc}") from None
+        raise ValueError(f"cannot read {name}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
-        raise _CliError(1, f"{name}: {exc}") from None
+        raise ValueError(f"{name}: {exc}") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise _CliError(
-            1, f"{name}: invalid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})"
+        raise ValueError(
+            f"{name}: invalid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})"
         ) from None
     except ValueError as exc:
         # raised bare, not as a JSONDecodeError: an integer past int's digit limit
-        raise _CliError(1, f"{name}: invalid JSON: {exc}") from None
+        raise ValueError(f"{name}: invalid JSON: {exc}") from None
     except RecursionError:
-        raise _CliError(1, f"{name}: invalid JSON: nested too deeply") from None
+        raise ValueError(f"{name}: invalid JSON: nested too deeply") from None
     try:
         return ClueSet.from_dict(data)
     except PuzzleFormatError as exc:
-        raise _CliError(1, f"{name}: {exc}") from None
+        raise ValueError(f"{name}: {exc}") from None
 
 
 def _render_box(cell_texts: list[str], row_sums, col_sums) -> str:
@@ -153,10 +142,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    values = args.values
-    if len(set(values)) != 3 or any(not 1 <= v <= 9 for v in values):
-        raise _CliError(1, f"classify needs 3 distinct values in 1..9, got {values}")
-    dc = classify_diagonal(values)
+    dc = classify_diagonal(args.values)
     shifts = ",".join(str(c) for c in sorted(dc.shifts)) if dc.shifts else "none"
     solutions = "exactly 1" if dc.rigid else "1 or 2"
     print(
@@ -268,7 +254,7 @@ def _build_parser() -> _Parser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--regime", type=_parse_regime, help="one prescription regime")
     group.add_argument("--all", action="store_true", help="all four regimes in one sweep")
-    p.add_argument("--threads", type=_parse_threads, default=0, metavar="N",
+    p.add_argument("--threads", type=_int_in(math.inf), default=0, metavar="N",
                    help="accepted for compatibility, like FUBUKI_THREADS; no effect, "
                         "the sweep runs in one process")
     p.set_defaults(func=_cmd_verify)
@@ -276,7 +262,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("generate", help="emit seeded puzzles as JSON lines")
     p.add_argument("--regime", type=_parse_regime, default=PrescriptionRegime.FULL_DIAGONAL)
     p.add_argument("--unique", action="store_true", help="guarantee exactly one solution")
-    p.add_argument("--seed", type=_parse_seed, default=0, help="64-bit generator seed")
+    p.add_argument("--seed", type=_int_in(_MASK64), default=0, help="64-bit generator seed")
     p.add_argument("--count", type=int, default=1, help="number of puzzles")
     p.add_argument("--pretty", action="store_true", help="render boxes instead of JSON")
     p.set_defaults(func=_cmd_generate)
@@ -289,9 +275,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _CliError as exc:
-        print(f"fubuki: {exc}", file=sys.stderr)
-        return exc.code
     except ValueError as exc:
         print(f"fubuki: {exc}", file=sys.stderr)
         return 1

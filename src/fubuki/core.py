@@ -52,12 +52,11 @@ class PrescriptionRegime(Enum):
 
         Raises ValueError for anything else, a value that is not a str included.
         """
-        names = ", ".join(r.value.replace("_", "-") for r in cls)
-        if not isinstance(text, str):
-            raise ValueError(f"regime must be a str, one of: {names}; got {text!r}")
+        _check_type(text, str, "regime")
         try:
             return cls(text.strip().lower().replace("-", "_"))
         except ValueError:
+            names = ", ".join(r.value.replace("_", "-") for r in cls)
             raise ValueError(f"unknown regime {text!r}; expected one of: {names}") from None
 
 
@@ -69,16 +68,26 @@ _REGIME_CELL_COUNT = {
 }
 
 
+# The argument contract (see README's Library section): a bad argument raises
+# `_bad`'s ValueError; hot paths test inline and call `_bad` only to raise.
+def _bad(name: str, domain: str, value: object) -> ValueError:
+    return ValueError(f"{name} must be {domain}, got {value!r}")
+
+
+def _check_type(value: object, cls: type, name: str) -> None:
+    if not isinstance(value, cls):
+        raise _bad(name, f"a {cls.__name__}", value)
+
+
 def _is_int(value: object) -> bool:
     """An int that is not a bool: the integer test the validators share."""
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _check_cell_value(v: object, what: str) -> int:
+def _check_cell_value(v: object, what: str) -> None:
     # spelled out, not `_is_int`: every Grid construction runs this per cell
     if not isinstance(v, int) or isinstance(v, bool) or not 1 <= v <= 9:
-        raise ValueError(f"{what} must be an integer in 1..9, got {v!r}")
-    return v
+        raise _bad(what, "an integer in 1..9", v)
 
 
 @dataclass(frozen=True, order=True)
@@ -96,7 +105,7 @@ class Grid:
         try:
             object.__setattr__(self, "cells", tuple(self.cells))
         except TypeError:
-            raise ValueError(f"cells must be 9 integers, got {self.cells!r}") from None
+            raise _bad("cells", "9 integers", self.cells) from None
         if len(self.cells) != 9:
             raise ValueError(f"a grid needs exactly 9 cells, got {self.cells!r}")
         mask = 0
@@ -114,7 +123,7 @@ class Grid:
             for row in rows:
                 flat.extend(row)
         except TypeError:
-            raise ValueError(f"rows must be 3 rows of 3 integers, got {rows!r}") from None
+            raise _bad("rows", "3 rows of 3 integers", rows) from None
         return cls(tuple(flat))
 
     @property
@@ -125,7 +134,7 @@ class Grid:
     def value_at(self, row: int, col: int) -> int:
         """Cell value at 1-based (row, col)."""
         if not (_is_int(row) and _is_int(col) and 1 <= row <= 3 and 1 <= col <= 3):
-            raise ValueError(f"position must be two integers in 1..3, got ({row!r}, {col!r})")
+            raise _bad("position", "two integers in 1..3", (row, col))
         return self.cells[(row - 1) * 3 + (col - 1)]
 
     def row_sums(self) -> tuple[int, int, int]:
@@ -193,7 +202,7 @@ class ClueSet:
             except TypeError:
                 pass  # not iterable; fails the length check below
             if not isinstance(sums, tuple) or len(sums) != 3:
-                raise ValueError(f"{name} must be a tuple of 3 integers, got {sums!r}")
+                raise _bad(name, "a tuple of 3 integers", sums)
             object.__setattr__(self, name, sums)
             for s in sums:
                 if not _is_int(s):
@@ -207,18 +216,16 @@ class ClueSet:
                 self, "prescribed", tuple(tuple(e) for e in self.prescribed)
             )
         except TypeError:
-            raise ValueError(
-                f"prescribed must be (row, col, value) triples, got {self.prescribed!r}"
-            ) from None
+            raise _bad("prescribed", "(row, col, value) triples", self.prescribed) from None
         seen_pos: set[tuple[int, int]] = set()
         seen_val = 0
         for entry in self.prescribed:
             if len(entry) != 3:
-                raise ValueError(f"prescribed entry must be (row, col, value), got {entry!r}")
+                raise _bad("prescribed entry", "(row, col, value)", entry)
             r, c, v = entry
             for name, x in (("row", r), ("col", c)):
                 if not _is_int(x) or not 1 <= x <= 3:
-                    raise ValueError(f"prescribed {name} must be in 1..3, got {x!r}")
+                    raise _bad(f"prescribed {name}", "in 1..3", x)
             _check_cell_value(v, "prescribed value")
             if (r, c) in seen_pos:
                 raise ValueError(f"cell ({r}, {c}) prescribed twice")
@@ -231,6 +238,8 @@ class ClueSet:
     @classmethod
     def from_grid(cls, grid: Grid, regime: PrescriptionRegime) -> "ClueSet":
         """The puzzle this grid answers under the given regime."""
+        _check_type(grid, Grid, "grid")
+        _check_type(regime, PrescriptionRegime, "regime")
         prescribed = tuple((r, c, grid.value_at(r, c)) for r, c in regime.cells)
         return cls(prescribed, grid.row_sums(), grid.col_sums())
 
@@ -241,6 +250,7 @@ class ClueSet:
         prescribed position is in 1..3. The solver runs this on every grid
         it returns.
         """
+        _check_type(grid, Grid, "grid")
         c = grid.cells
         for r, col, v in self.prescribed:
             if c[3 * r + col - 4] != v:
@@ -265,7 +275,7 @@ class ClueSet:
             raise PuzzleFormatError("puzzle document must be a JSON object")
         unknown = set(data) - {"prescribed", "row_sums", "col_sums"}
         if unknown:
-            raise PuzzleFormatError(f"unknown field(s): {', '.join(sorted(unknown))}")
+            raise PuzzleFormatError(f"unknown field(s): {', '.join(sorted(map(str, unknown)))}")
 
         def sums(name: str) -> tuple[int, int, int]:
             raw = data.get(name)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .census import group_multi_buckets
-from .core import ClueSet, Grid, PrescriptionRegime, _is_int
+from .core import ClueSet, Grid, PrescriptionRegime, _bad, _check_type, _is_int
 from .rng import SplitMix64
 from .solver import count_solutions
 from .theory import rigid_diagonals
@@ -14,7 +14,6 @@ from .theory import rigid_diagonals
 # Flat indices the off-diagonal values fill, in row-major reading order.
 _OFF_DIAGONAL_FLAT = (1, 2, 3, 5, 6, 7)
 _DIGITS = range(1, 10)
-_MAX_SEED = (1 << 64) - 1  # SplitMix64 keeps 64 bits of state
 
 
 @dataclass(frozen=True)
@@ -25,17 +24,12 @@ class GeneratorConfig:
     count: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.regime, PrescriptionRegime):
-            raise ValueError(f"regime must be a PrescriptionRegime, got {self.regime!r}")
-        if not isinstance(self.require_unique, bool):
-            raise ValueError(f"require_unique must be a bool, got {self.require_unique!r}")
-        # bounded here, not only at the CLI, so no two seeds alias one stream
-        if not (_is_int(self.seed) and 0 <= self.seed <= _MAX_SEED):
-            raise ValueError(f"seed must be an int in 0..{_MAX_SEED}, got {self.seed!r}")
-        if not _is_int(self.count):
-            raise ValueError(f"count must be an int, got {self.count!r}")
-        if self.count < 1:
-            raise ValueError(f"count must be at least 1, got {self.count}")
+        _check_type(self.regime, PrescriptionRegime, "regime")
+        _check_type(self.require_unique, bool, "require_unique")
+        # bounded here, by the stream it seeds, so no two seeds alias one stream
+        SplitMix64(self.seed)
+        if not (_is_int(self.count) and self.count >= 1):
+            raise _bad("count", "an int of at least 1", self.count)
 
 
 def _random_grid(rng: SplitMix64) -> Grid:
@@ -98,6 +92,7 @@ def generate_puzzles(config: GeneratorConfig) -> list[ClueSet]:
     # a wrapper installed on that module's name sees every rejection draw
     from .census import signature_key
 
+    _check_type(config, GeneratorConfig, "config")
     rng = SplitMix64(config.seed)
     values = list(_DIGITS)
     puzzles: list[ClueSet] = []

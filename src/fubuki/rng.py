@@ -18,10 +18,10 @@ from __future__ import annotations
 import struct
 from typing import Callable
 
-from .core import _is_int
+from .core import _bad, _is_int
 
 _SPAN = 1 << 64
-_MASK64 = _SPAN - 1
+_MASK64 = _SPAN - 1  # also the largest seed: the state is 64 bits
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
@@ -43,7 +43,7 @@ _LANES = tuple(_lanes(k) for k in range(_BATCH + 1))
 class SplitMix64:
     def __init__(self, seed: int) -> None:
         if not (_is_int(seed) and 0 <= seed <= _MASK64):
-            raise ValueError(f"seed must be an int in 0..{_MASK64}, got {seed!r}")
+            raise _bad("seed", f"an int in 0..{_MASK64}", seed)
         self._state = seed
 
     def _take(self, k: int) -> tuple[int, ...]:
@@ -66,7 +66,7 @@ class SplitMix64:
     def below(self, n: int) -> int:
         """Uniform integer in [0, n), bias-free via rejection."""
         if not (_is_int(n) and 1 <= n <= _SPAN):
-            raise ValueError(f"bound must be an int in 1..{_SPAN}, got {n!r}")
+            raise _bad("bound", f"an int in 1..{_SPAN}", n)
         limit = _SPAN - _SPAN % n  # largest multiple of n not above 2**64
         while True:
             u = self.next_u64()
@@ -81,17 +81,24 @@ class SplitMix64:
         permutation results. Outputs are mixed up to 8 at a time; a rejected
         output leaves the index where it is, and the next output redraws
         it. A batch never holds more outputs than indices left to draw, so
-        every output mixed is consumed.
+        every output mixed is consumed. The generator shuffles once per draw,
+        so `items` is checked by the `try`, not by a call.
         """
         take = self._take
-        i = len(items) - 1
-        while i > 0:
-            for u in take(i if i < _BATCH else _BATCH):
-                n = i + 1
-                if u < _SPAN - _SPAN % n:
-                    j = u % n
-                    items[i], items[j] = items[j], items[i]
-                    i -= 1
+        try:
+            i = len(items) - 1
+            while i > 0:
+                for u in take(i if i < _BATCH else _BATCH):
+                    n = i + 1
+                    if u < _SPAN - _SPAN % n:
+                        j = u % n
+                        items[i], items[j] = items[j], items[i]
+                        i -= 1
+        except (TypeError, LookupError):
+            raise _bad("items", "a mutable sequence", items) from None
 
     def choice(self, seq):
-        return seq[self.below(len(seq))]
+        try:
+            return seq[self.below(len(seq))]
+        except (TypeError, LookupError, ValueError):
+            raise _bad("seq", "a non-empty sequence", seq) from None

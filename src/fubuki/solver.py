@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import permutations
 
-from .core import ClueSet, Grid, _grid_of_permutation, _is_int
+from .core import ClueSet, Grid, _bad, _grid_of_permutation, _is_int
 
 _ALL_DIGITS = 0b1111111110  # bit d set for each digit 1..9
 _DIGITS = list(range(1, 10))  # the sorted cells of every grid
@@ -91,6 +91,8 @@ def _search(clues: ClueSet, limit: int | None) -> list[tuple[int, ...]]:
     Row 3's sum is the 45 that the column sums total less rows 1 and 2, so
     once both totals are 45 a row 3 of digits always meets its row sum.
     """
+    if not isinstance(clues, ClueSet):  # inline: every solve and count runs this
+        raise _bad("clues", "a ClueSet", clues)
     row_sums, col_sums = clues.row_sums, clues.col_sums
     if sum(row_sums) != 45 or sum(col_sums) != 45:
         return []
@@ -137,7 +139,7 @@ def solve(clues: ClueSet, limit: int | None = None) -> SolveResult:
     making it again.
     """
     if limit is not None and not (_is_int(limit) and limit >= 1):
-        raise ValueError(f"limit must be positive, got {limit!r}")
+        raise _bad("limit", "positive", limit)
     found = _search(clues, limit)
     solutions = []
     for f in found[:limit]:

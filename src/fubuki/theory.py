@@ -20,16 +20,12 @@ from functools import cache
 from itertools import combinations, permutations
 from typing import Iterable, Mapping
 
-from .core import Grid
+from .core import Grid, _bad, _check_type, _is_int
 
 # Flat row-major indices of the off-diagonal cells, split by the sign the
 # shift is applied with. PLUS cells gain the shift, MINUS cells lose it.
 PLUS_FLAT = (1, 5, 6)  # (1,2), (2,3), (3,1)
 MINUS_FLAT = (2, 3, 7)  # (1,3), (2,1), (3,2)
-
-
-def _is_digit(v: object) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and 1 <= v <= 9
 
 
 def _check_diagonal(values: Iterable[int]) -> tuple[int, int, int]:
@@ -38,8 +34,8 @@ def _check_diagonal(values: Iterable[int]) -> tuple[int, int, int]:
         t = tuple(values)
     except TypeError:
         t = ()
-    if len(t) != 3 or not all(map(_is_digit, t)) or len(set(t)) != 3:
-        raise ValueError(f"expected 3 distinct values in 1..9, got {values!r}")
+    if len(t) != 3 or not all(_is_int(v) and 1 <= v <= 9 for v in t) or len(set(t)) != 3:
+        raise _bad("diagonal", "3 distinct values in 1..9", values)
     a, b, c = sorted(t)
     return (a, b, c)
 
@@ -136,9 +132,12 @@ def shift_table_to_csv(table: Mapping[tuple[int, int, int], frozenset[int]]) -> 
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["diagonal", "shifts"])
-    for diag in sorted(table):
-        shifts = ",".join(str(c) for c in sorted(table[diag]))
-        writer.writerow([",".join(str(v) for v in diag), shifts])
+    try:
+        for diag in sorted(table):
+            shifts = ",".join(str(c) for c in sorted(table[diag]))
+            writer.writerow([",".join(str(v) for v in diag), shifts])
+    except (TypeError, LookupError):
+        raise _bad("table", "a mapping of diagonals to shifts", table) from None
     return out.getvalue()
 
 
@@ -175,4 +174,5 @@ def companion_solutions(grid: Grid) -> list[Grid]:
     Computed structurally from the shift table; the constructor re-validates
     each emitted grid. At most one companion can exist.
     """
+    _check_type(grid, Grid, "grid")
     return [Grid(c) for c in companion_cells(grid.cells)]

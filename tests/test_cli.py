@@ -12,7 +12,7 @@ from itertools import combinations
 import pytest
 
 from fubuki import ClueSet, build_shift_table, count_solutions
-from fubuki.cli import main
+from fubuki.cli import _build_parser, main
 
 TWO_SOLUTION_PUZZLE = {
     "prescribed": [
@@ -177,6 +177,46 @@ class TestClassify:
     def test_out_of_range_exit_1(self):
         result = run_cli("classify", "0", "1", "2")
         assert result.returncode == 1
+
+    @pytest.mark.parametrize("values", [("1", "1", "2"), ("0", "1", "2")])
+    def test_bad_values_print_one_error_line(self, values):
+        # the library's own check speaks for the CLI
+        result = run_cli("classify", *values)
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr.startswith("fubuki: ") and "3 distinct" in result.stderr
+        assert len(result.stderr.splitlines()) == 1
+
+
+class TestIntOptions:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--all", "--threads", "1"],
+            ["verify", "--all", "--threads", "2"],
+            ["verify", "--all", "--threads", "0"],
+            ["generate", "--seed", "0"],
+            ["generate", "--seed", str(2**64 - 1)],
+        ],
+    )
+    def test_accepted(self, argv):
+        assert vars(_build_parser().parse_args(argv))[argv[-2][2:]] == int(argv[-1])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--all", "--threads", "-1"],
+            ["verify", "--all", "--threads", "two"],
+            ["generate", "--seed", "-1"],
+            ["generate", "--seed", str(2**64)],
+            ["generate", "--seed", "0x10"],
+        ],
+    )
+    def test_rejected_naming_the_option_and_its_range(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 1
+        option = argv[-2]
+        assert f"argument {option}: must be an integer in 0.." in capsys.readouterr().err
 
 
 class TestTable:

@@ -1,0 +1,69 @@
+"""The argument contract: a public callable given an argument it cannot use
+raises ValueError, never TypeError, AttributeError, IndexError or KeyError.
+
+Every public callable that takes arguments, and the public methods, is
+called with every combination of junk values over its required parameters.
+"""
+
+import inspect
+from itertools import product
+
+import pytest
+
+import fubuki
+from fubuki import ClueSet, Grid, PrescriptionRegime, SplitMix64
+
+# argument-free sweeps: no argument to get wrong, and each takes seconds
+SWEEPS = {"census_all", "closed_form_puzzle_count", "companion_scan", "build_shift_table"}
+
+
+def junk() -> list:
+    # built afresh for each call: shuffle mutates its list
+    return [None, True, 1.5, "none", "6", b"\x01", [], {}, (), float("nan"), -1, 0, 5,
+            6.0, 2**70, [1, 2, 3], (1, 2, 3), object(), set()]
+
+
+SHOWCASE = Grid.from_rows([(1, 4, 5), (7, 2, 6), (8, 9, 3)])
+
+CALLABLES = {
+    **{
+        name: getattr(fubuki, name)
+        for name in fubuki.__all__
+        if callable(getattr(fubuki, name)) and name not in SWEEPS
+    },
+    "Grid.from_rows": Grid.from_rows,
+    "Grid.value_at": SHOWCASE.value_at,
+    "Grid.from_dict": Grid.from_dict,
+    "ClueSet.from_grid": ClueSet.from_grid,
+    "ClueSet.satisfied_by": ClueSet.from_grid(SHOWCASE, PrescriptionRegime.NONE).satisfied_by,
+    "ClueSet.from_dict": ClueSet.from_dict,
+    "PrescriptionRegime.parse": PrescriptionRegime.parse,
+    "SplitMix64.below": SplitMix64(1).below,
+    "SplitMix64.choice": SplitMix64(1).choice,
+    "SplitMix64.shuffle": SplitMix64(1).shuffle,
+}
+
+
+def required_parameters(func) -> int:
+    if isinstance(func, type) and issubclass(func, Exception):
+        return 1  # builtin signature: one message argument
+    return sum(
+        p.default is p.empty and p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
+        for p in inspect.signature(func).parameters.values()
+    )
+
+
+@pytest.mark.parametrize("name", sorted(CALLABLES))
+def test_junk_arguments_raise_only_value_error(name):
+    func = CALLABLES[name]
+    leaks = []
+    for picks in product(range(len(junk())), repeat=required_parameters(func)):
+        values = junk()
+        args = [values[i] for i in picks]
+        try:
+            func(*args)
+        except ValueError:
+            pass
+        except Exception as exc:
+            leaks.append(f"{name}{tuple(args)!r}: {type(exc).__name__}: {exc}")
+    assert not leaks, f"{len(leaks)} leaks, the first: {leaks[:3]}"

@@ -25,7 +25,7 @@ def test_unit_suites_pass_under_optimize():
     result = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q",
          "tests/test_theory.py", "tests/test_core.py", "tests/test_solver.py",
-         "tests/test_generate.py",
+         "tests/test_generate.py", "tests/test_contract.py",
          "tests/test_census.py::TestSweepMechanics::test_key_rejects_a_non_regime",
          "tests/test_census.py::TestGroupMultiBuckets"
          "::test_rejects_a_non_line_sum_before_counting"],
