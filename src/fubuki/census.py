@@ -149,6 +149,11 @@ def _count_group(drop: int, rows: list[tuple[list[int], list[int]]]) -> dict[int
     return counts
 
 
+def _is_int_dict(value: object) -> bool:
+    """A dict whose values are ints: what a `multi` argument must be."""
+    return isinstance(value, dict) and all(map(_is_int, value.values()))
+
+
 def _multi_of(counts: dict[int, int]) -> dict[int, int]:
     """The buckets of two or more grids among one group's final counts."""
     return {key: n for key, n in counts.items() if n >= 2}
@@ -206,7 +211,7 @@ class CensusReport:
         sizes, multi = self.sizes, self.multi
         if not (isinstance(sizes, dict) and all(map(_is_int, [*sizes, *sizes.values()]))):
             raise _bad("sizes", "a dict of ints to ints", sizes)
-        if not (multi is None or isinstance(multi, dict) and all(map(_is_int, multi.values()))):
+        if not (multi is None or _is_int_dict(multi)):
             raise _bad("multi", "None or a dict of ints", multi)
         name = self.regime.value
         if self.total_grids != TOTAL_GRIDS:
@@ -399,7 +404,8 @@ def companion_oracle_mismatches(
     362,880 grids. Returns the first `max_report` violations, which must be
     a positive int; empty means the routes agree.
     """
-    _check_type(multi, dict, "multi")
+    if not _is_int_dict(multi):
+        raise _bad("multi", "a dict of ints", multi)
     _check_type(scan, CompanionScan, "scan")
     if not (_is_int(max_report) and max_report >= 1):
         raise _bad("max_report", "positive", max_report)

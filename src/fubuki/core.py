@@ -118,13 +118,13 @@ class Grid:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "Grid":
-        flat: list[int] = []
         try:
-            for row in rows:
-                flat.extend(row)
+            split = [tuple(row) for row in rows]
         except TypeError:
-            raise _bad("rows", "3 rows of 3 integers", rows) from None
-        return cls(tuple(flat))
+            split = []
+        if len(split) != 3 or any(len(row) != 3 for row in split):
+            raise _bad("rows", "3 rows of 3 integers", rows)
+        return cls(split[0] + split[1] + split[2])
 
     @property
     def rows(self) -> tuple[tuple[int, int, int], ...]:

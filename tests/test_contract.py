@@ -19,8 +19,8 @@ SWEEPS = {"census_all", "closed_form_puzzle_count", "companion_scan", "build_shi
 
 def junk() -> list:
     # built afresh for each call: shuffle mutates its list
-    return [None, True, 1.5, "none", "6", b"\x01", [], {}, (), float("nan"), -1, 0, 5,
-            6.0, 2**70, [1, 2, 3], (1, 2, 3), object(), set()]
+    return [None, True, 1.5, "none", "6", b"\x01", [], {}, {1: "x"}, (), float("nan"), -1,
+            0, 5, 6.0, 2**70, [1, 2, 3], (1, 2, 3), object(), set()]
 
 
 SHOWCASE = Grid.from_rows([(1, 4, 5), (7, 2, 6), (8, 9, 3)])

@@ -58,6 +58,20 @@ class TestGrid:
         with pytest.raises(ValueError, match="9 cells"):
             Grid((1, 2, 3))
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1, 2, 3, 4, 5], [6, 7], [8, 9]],  # nine digits, split 5 / 2 / 2
+            [[1, 2, 3], [4, 5, 6], [7, 8, 9], []],
+            [[1, 2, 3], [4, 5, 6]],
+            [],
+        ],
+        ids=["uneven-rows", "four-rows", "two-rows", "no-rows"],
+    )
+    def test_from_rows_rejects_a_shape_other_than_3_by_3(self, rows):
+        with pytest.raises(ValueError, match=r"^rows must be 3 rows of 3 integers"):
+            Grid.from_rows(rows)
+
     def test_ordering_is_row_major_lexicographic(self, grid_two_a, grid_two_b):
         assert grid_two_a < grid_two_b
 

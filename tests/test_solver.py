@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import threading
 from itertools import combinations, permutations
 
 import pytest
@@ -254,6 +255,33 @@ def brute_force_triples(s: int) -> list[tuple[int, int, int, int]]:
     ]
 
 
+# 19 row-2 sums, each with one list of row 2s per row-1 digit set
+ROW_2_LISTS = 19 * 84
+ROW_1_MASKS = [1 << a | 1 << b | 1 << c for a, b, c in combinations(range(1, 10), 3)]
+
+
+def stored_row_2_lists() -> dict[tuple[int, int], tuple]:
+    """Every list `_disjoint`'s memo holds, by (row-2 sum, row-1 mask).
+
+    Reading stores an empty dict for each sum not yet seen, which adds no list.
+    """
+    return {(s, m): rest for s in range(6, 25) for m, rest in solver._disjoint(s).items()}
+
+
+def fill_row_2_lists() -> None:
+    """Store every valid (row-2 sum, row-1 mask) list the memo lacks, and
+    check that each list it already holds is the brute-force one."""
+    for s in range(6, 25):
+        memo, triples = solver._disjoint(s), brute_force_triples(s)
+        for m in ROW_1_MASKS:
+            wanted = tuple(t for t in triples if not t[3] & m)
+            assert memo.setdefault(m, wanted) == wanted
+
+
+def regime_clue_sets(n: int, seed: int, regime: PrescriptionRegime) -> list[ClueSet]:
+    return [ClueSet.from_grid(g, regime) for g in random_grids(n, seed)]
+
+
 class TestRowTable:
     def test_import_builds_no_table(self):
         # a view built at import would be timed as set-up by every command
@@ -262,6 +290,8 @@ class TestRowTable:
             "from fubuki import solver\n"
             "if solver._view.cache_info().currsize:\n"
             "    raise SystemExit('views are built at import')\n"
+            "if solver._disjoint.cache_info().currsize:\n"
+            "    raise SystemExit('row-2 lists are built at import')\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
@@ -306,6 +336,76 @@ class TestRowTable:
                 for digit in range(1, 10):
                     solver._view(s, col, digit)
         assert solver._view.cache_info().currsize == VIEW_KEYS
+
+    def test_row_2_memo_stays_within_its_entry_bound(self):
+        solver._disjoint.cache_clear()
+        for clue in random_clue_sets(1000, seed=424242):
+            solve(clue)
+        assert 0 < solver._disjoint.cache_info().currsize <= 19
+        assert 0 < len(stored_row_2_lists()) <= ROW_2_LISTS
+        # filling every valid entry adds the rest: the solves stored no other key
+        fill_row_2_lists()
+        assert solver._disjoint.cache_info().currsize == 19
+        assert len(stored_row_2_lists()) == ROW_2_LISTS
+
+    def test_a_prescribed_row_2_leaves_the_row_2_memo_untouched(self):
+        clues = [
+            clue
+            for clue in random_clue_sets(300, seed=97)
+            if any(r == 2 for r, _, _ in clue.prescribed)
+        ]
+        assert len(clues) > 100
+        solver._disjoint.cache_clear()
+        for clue in clues:
+            solve(clue)
+        assert solver._disjoint.cache_info().currsize == 0
+        # with some lists stored, they add none and replace none
+        for clue in regime_clue_sets(20, 98, PrescriptionRegime.NONE):
+            solve(clue)
+        before = stored_row_2_lists()
+        for clue in clues:
+            solve(clue)
+        after = stored_row_2_lists()
+        assert after.keys() == before.keys()
+        assert all(after[key] is before[key] for key in before)
+
+    @pytest.mark.parametrize(
+        "regime", [PrescriptionRegime.NONE, PrescriptionRegime.TOP_LEFT], ids=["none", "top-left"]
+    )
+    def test_results_do_not_depend_on_what_the_row_2_memo_holds(self, regime):
+        clues = regime_clue_sets(100, 41, regime)
+        cold = []
+        for clue in clues:
+            solver._disjoint.cache_clear()
+            cold.append([solve(clue), solve(clue, limit=1)])
+        solver._disjoint.cache_clear()
+        fill_row_2_lists()
+        assert [[solve(clue), solve(clue, limit=1)] for clue in clues] == cold
+
+    def test_threads_filling_the_row_2_memo_at_once_match_serial_solves(self):
+        clues = regime_clue_sets(100, 43, PrescriptionRegime.NONE)
+        serial = [solve(clue) for clue in clues]
+        solver._disjoint.cache_clear()
+        start = threading.Barrier(4, timeout=60)
+        results: list = [None] * 4
+
+        def run(k: int) -> None:
+            start.wait()
+            results[k] = [solve(clue) for clue in clues]
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch often, so the threads' fills interleave
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [serial] * 4
+        fill_row_2_lists()  # and every list they stored is the brute-force one
 
 
 class TestSolveMemory:
