@@ -1,15 +1,18 @@
 """Exhaustive solving for arbitrary clue sets.
 
-This is the ground truth the structural machinery is validated against. The
-search works a whole row at a time. Rows 1 and 2 are drawn from the ordered
-triples of distinct digits that reach their sums, keeping those that agree
-with the row's prescribed cells, and then the column sums force row 3: each
-of its cells is its column's sum less the two cells above. A grid is kept
-only if row 3 is a triple of digits that agrees with its own prescribed
-cells and the three rows use all of 1..9. A line sum has at most 48
-triples, and row 2's are paired only with the row 1s they share no digit
-with. Both rows are tried in lexicographic order and row 3 is a function of
-them, so solutions come out in lexicographic order of the row-major cells.
+This is the ground truth the structural machinery is validated against.
+Row 1 is drawn from the ordered triples of distinct digits that reach its
+sum, keeping those that agree with its prescribed cells. Rows 2 and 3 are
+then filled column by column. Below row 1, column 1 and column 2 each hold
+two distinct digits outside row 1 that make up the column's sum less row
+1's cell, so the search takes column 1's ordered pairs and then column 2's
+pairs that share no digit with them. Row 2's sum forces its third cell and
+column 3's sum the cell below it, and a grid is kept when those two are the
+two digits still unused and agree with column 3's prescribed cells. Once
+the line sums total 45 twice, row 3 always meets its sum. Row 1, column 1's
+pairs and column 2's pairs are each tried in order, and they fix every
+other cell, so solutions come out in lexicographic order of the row-major
+cells.
 
 `solve` checks each solution it returns twice, with real raises: its cells
 must be a permutation of 1..9 and the grid must satisfy the clues. Having
@@ -18,26 +21,24 @@ checked the first, it builds the `Grid` once, through
 validation would repeat that check cell by cell; `Grid(...)` still checks
 every input from outside the program.
 
-The triples of a row that agree with one prescribed cell depend only on
-the row's sum, that cell's column and its digit, so they are memoised on
-first use, by one `functools.cache`, as views: `_view(s, col, digit)` is
-the triples of line sum s with that digit in 1-based column col, in order,
-and their frozenset, which answers row 3's lookup. `_view(s, 0, 0)` holds
-all of s's triples, the view of a row with no prescribed cell, and every
-other view of s filters it. ClueSet bounds the sums, columns and digits,
-so there are at most 19 sums x (1 + 3 x 9) = 532 keys and no input can
-grow the memo past that. A row with a second or third prescribed cell
-narrows the view of its first at call time.
+The triples of row 1 that agree with one prescribed cell depend only on
+its sum, that cell's column and its digit, so they are memoised on first
+use, by one `functools.cache`, as views: `_view(s, col, digit)` is the
+triples of line sum s with that digit in 1-based column col, in order.
+`_view(s, 0, 0)` holds all of s's triples, the view of a row 1 with no
+prescribed cell, and every other view of s filters it. ClueSet bounds the
+sums, columns and digits, so there are at most 19 sums x (1 + 3 x 9) = 532
+keys and no input can grow the memo past that. A second or third
+prescribed cell in row 1 narrows the view of its first at call time.
 
-Which row 2s share no digit with a row 1 depends, when row 2 has no
-prescribed cell, only on row 2's sum and row 1's digit set, so those lists
-are memoised too, by one more `functools.cache`: `_disjoint(s)` is a dict
-from row-1 mask to the row 2s of sum s that it leaves, filled by the
-search for the masks it reaches. That is at most 19 sums x 84 digit sets =
-1,596 entries, about 0.17 MB when all are filled. A row 2 with a prescribed
-cell works its lists out per call, for the row 1s the search reaches: a
-memo of those would be keyed by sum, view and row-1 digit set, up to 19 x
-28 x 84 lists.
+The pairs a column can take below row 1 depend only on row 1's digit set,
+so they are memoised too, by one more `functools.cache`: `_pairs(m)` maps a
+pair sum to the ordered pairs of digits outside row-1 mask m that reach it,
+in order of top. A row 1 is three distinct digits, so there are at most 84
+keys; each is built whole on first use and never changed, and every key
+holds the same 72 pair tuples, so all 84 together take about 0.10 MB. A
+prescribed cell below row 1 in column 1 or 2 fixes the column's one pair,
+which `_narrow` looks up per row 1 instead of reading `_pairs`.
 """
 
 from __future__ import annotations
@@ -52,6 +53,11 @@ _ALL_DIGITS = 0b1111111110  # bit d set for each digit 1..9
 _DIGITS = list(range(1, 10))  # the sorted cells of every grid
 
 _Triple = tuple[int, int, int, int]  # (a, b, c, mask); see _view
+_Pair = tuple[int, int, int]  # (top, bottom, mask); see _pairs
+
+# (top, bottom) -> (top, bottom, mask) for the 72 ordered pairs of distinct
+# digits, by top and then bottom; every entry of _pairs holds these tuples
+_PAIR = {(t, u): (t, u, 1 << t | 1 << u) for t, u in permutations(range(1, 10), 2)}
 
 
 @dataclass
@@ -71,83 +77,114 @@ class SolveResult:
 
 
 @cache
-def _disjoint(s: int) -> dict[int, tuple[_Triple, ...]]:
-    """The memo of row 2s for a row 2 of line sum `s` with no prescribed
-    cell: row-1 mask -> the triples of `_view(s, 0, 0)` that share no digit
-    with it, in order. `_search` fills it one mask at a time as its row 1s
-    reach them; a row 1 is three distinct digits, so it holds at most 84.
-    Each list is stored as a tuple, which takes less memory than a list.
-
-    Memoised on first use, so importing the package builds none. Two threads
-    that fill one mask at once both store equal tuples, so whichever lands
-    is right, and a reader never sees a partly built entry.
-    """
-    return {}
-
-
-@cache
-def _view(s: int, col: int, digit: int) -> tuple[tuple[_Triple, ...], frozenset[_Triple]]:
+def _view(s: int, col: int, digit: int) -> tuple[_Triple, ...]:
     """The ordered triples of distinct digits summing to line sum `s` with
-    `digit` in 1-based column `col`, in lexicographic order, and their
-    frozenset; `col == 0` keeps them all. A triple is `(a, b, c, mask)`, with
-    bit d of `mask` set for each of its digits d.
+    `digit` in 1-based column `col`, in lexicographic order; `col == 0`
+    keeps them all. A triple is `(a, b, c, mask)`, with bit d of `mask` set
+    for each of its digits d.
 
     Memoised on first use, so importing the package builds none. Views are
     immutable, so every search can share them, and two threads that fill
     one key at once store equal views.
     """
     if col:
-        triples = tuple(t for t in _view(s, 0, 0)[0] if t[col - 1] == digit)
-    else:
-        triples = tuple(
-            (a, b, c, 1 << a | 1 << b | 1 << c)
-            for a, b, c in permutations(range(1, 10), 3)
-            if a + b + c == s
-        )
-    return triples, frozenset(triples)
+        return tuple(t for t in _view(s, 0, 0) if t[col - 1] == digit)
+    return tuple(
+        (a, b, c, 1 << a | 1 << b | 1 << c)
+        for a, b, c in permutations(range(1, 10), 3)
+        if a + b + c == s
+    )
+
+
+@cache
+def _pairs(m: int) -> dict[int, tuple[_Pair, ...]]:
+    """Pair sum -> the ordered pairs `(top, bottom, mask)` of distinct digits
+    outside digit mask `m` that reach it, in order of top. `_search` reads
+    it with a row 1's mask, so it holds at most 84 keys.
+
+    Memoised on first use, so importing the package builds none. Each entry
+    is built whole and never changed, so two threads that fill one key at
+    once store equal entries and a reader never sees a partial one.
+    """
+    by_sum: dict[int, list[_Pair]] = {}
+    for pair in _PAIR.values():
+        if not pair[2] & m:
+            by_sum.setdefault(pair[0] + pair[1], []).append(pair)
+    return {s: tuple(pairs) for s, pairs in by_sum.items()}
+
+
+def _narrow(m: int, s: int, top: int, bottom: int) -> tuple[_Pair, ...]:
+    """The pairs of sum `s` outside digit mask `m` that agree with a
+    column's prescribed top cell, bottom cell or both (0 where none is
+    prescribed). There is at most one, since either cell fixes the other.
+    """
+    top = top or s - bottom
+    pair = _PAIR.get((top, s - top))
+    if pair is None or pair[2] & m or (bottom and pair[1] != bottom):
+        return ()
+    return (pair,)
 
 
 def _search(clues: ClueSet, limit: int | None) -> list[tuple[int, ...]]:
     """Every satisfying grid's cells in lexicographic order, or the first `limit + 1`.
 
-    Row 3's sum is the 45 that the column sums total less rows 1 and 2, so
-    once both totals are 45 a row 3 of digits always meets its row sum.
+    Row 1 is (a, b, c), row 2 (d, e, f) and row 3 (g, h, i). Once the
+    column sums total 45, f + i is the sum of the two digits that the other
+    seven leave, so f being one of those two makes i the other; and once
+    the row sums total 45 too, row 3 always meets its sum.
     """
     if not isinstance(clues, ClueSet):  # inline: every solve and count runs this
         raise _bad("clues", "a ClueSet", clues)
     row_sums, col_sums = clues.row_sums, clues.col_sums
     if sum(row_sums) != 45 or sum(col_sums) != 45:
         return []
-    # each row's triples, less those that disagree with its prescribed cells:
-    # the memoised view of its first one, narrowed here by any others
-    views: list = [None, None, None]
+    # row 1's triples, less those that disagree with its prescribed cells:
+    # the memoised view of its first one, narrowed here by any others; and
+    # each lower cell's prescribed digit, 0 for none
+    first = None
+    lower = [0] * 6  # d, e, f, g, h, i
     for r, c, v in clues.prescribed:
-        view = views[r - 1]
-        if view is None:
-            views[r - 1] = _view(row_sums[r - 1], c, v)
+        if r > 1:
+            lower[3 * r - 7 + c] = v
+        elif first is None:
+            first = _view(row_sums[0], c, v)
         else:
-            triples = tuple(t for t in view[0] if t[c - 1] == v)
-            views[r - 1] = (triples, frozenset(triples))
-    first = (views[0] or _view(row_sums[0], 0, 0))[0]
-    second = (views[1] or _view(row_sums[1], 0, 0))[0]
-    third = (views[2] or _view(row_sums[2], 0, 0))[1]
-    # row-1 mask -> the row 2s it leaves; they depend only on row 2's sum
-    # when it has no prescribed cell, so that case reads the shared memo
-    disjoint = _disjoint(row_sums[1]) if views[1] is None else {}
-    # one lookup in `third` checks that row 3 is digits that agree with its
-    # prescribed cells and are the three that rows 1 and 2 leave
+            first = tuple(t for t in first if t[c - 1] == v)
+    if first is None:
+        first = _view(row_sums[0], 0, 0)
+    top1, top2, top3, bottom1, bottom2, bottom3 = lower
+    r2 = row_sums[1]
     s1, s2, s3 = col_sums
     found: list[tuple[int, ...]] = []
     for a, b, c, m in first:
-        seconds = disjoint.get(m)
-        if seconds is None:
-            seconds = disjoint[m] = tuple([t for t in second if not t[3] & m])
-        for d, e, f, n in seconds:
-            g, h, i = s1 - a - d, s2 - b - e, s3 - c - f
-            if (g, h, i, _ALL_DIGITS ^ m ^ n) in third:
-                found.append((a, b, c, d, e, f, g, h, i))
-                if limit is not None and len(found) > limit:
-                    return found
+        # columns 2 and 1 below row 1: digits outside it that make up the
+        # column's sum, narrowed by their prescribed cells; column 2 first,
+        # as a prescribed cell there often leaves it no pair
+        pairs = _pairs(m)
+        if top2 or bottom2:
+            middles = _narrow(m, s2 - b, top2, bottom2)
+        else:
+            middles = pairs.get(s2 - b, ())
+        if not middles:
+            continue
+        if top1 or bottom1:
+            lefts = _narrow(m, s1 - a, top1, bottom1)
+        else:
+            lefts = pairs.get(s1 - a, ())
+        for d, g, p in lefts:
+            left = _ALL_DIGITS ^ m ^ p  # the four digits columns 2 and 3 share
+            for e, h, q in middles:
+                if p & q:
+                    continue
+                f = r2 - d - e
+                # f > 0 keeps the shift legal; the two digits still unused
+                # have no bit 0 and none above 9
+                if f > 0 and (left ^ q) >> f & 1:
+                    i = s3 - c - f
+                    if (not top3 or f == top3) and (not bottom3 or i == bottom3):
+                        found.append((a, b, c, d, e, f, g, h, i))
+                        if limit is not None and len(found) > limit:
+                            return found
     return found
 
 

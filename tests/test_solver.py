@@ -189,9 +189,14 @@ class TestPruneSoundness:
                 assert result.truncated == (len(reference) > limit)
 
 
+# the cells below row 1, which rows 2 and 3 fill column by column
+LOWER_CELLS = [(r, c) for r in (2, 3) for c in (1, 2, 3)]
+
+
 class TestRowSearch:
-    """The cases the row search handles apart: row 3 is derived from the
-    column sums, and clue sets whose totals are not both 45 are never searched.
+    """The cases the search handles apart: rows 2 and 3 are filled column
+    by column from the column sums, and clue sets whose totals are not both
+    45 are never searched.
     """
 
     def test_prescriptions_only_in_row_3(self, grid_two_a):
@@ -213,6 +218,26 @@ class TestRowSearch:
                         result = solve(clue, limit=limit)
                         assert result.solutions == reference[:limit]
                         assert result.truncated == (len(reference) > limit)
+
+    @pytest.mark.parametrize(
+        "cells",
+        [cells for k in (1, 2) for cells in combinations(LOWER_CELLS, k)],
+        ids=lambda cells: "+".join(f"r{r}c{c}" for r, c in cells),
+    )
+    def test_prescriptions_in_rows_2_and_3(self, cells):
+        # a prescribed cell in column 1 or 2 narrows that column's pairs and
+        # one in column 3 is checked on the forced cell, so each must keep
+        # exactly the solutions of the sums alone that agree with it
+        for grid in random_grids(200, seed=37):
+            sums = grid.row_sums(), grid.col_sums()
+            clue = ClueSet(tuple((r, c, grid.value_at(r, c)) for r, c in cells), *sums)
+            wanted = [g for g in solve(ClueSet((), *sums)).solutions if clue.satisfied_by(g)]
+            assert grid in wanted
+            assert solve(clue).solutions == wanted
+            assert count_solutions(clue) == len(wanted)
+            result = solve(clue, limit=1)
+            assert result.solutions == wanted[:1]
+            assert result.truncated == (len(wanted) > 1)
 
     @pytest.mark.parametrize(
         "row_sums, col_sums",
@@ -255,27 +280,26 @@ def brute_force_triples(s: int) -> list[tuple[int, int, int, int]]:
     ]
 
 
-# 19 row-2 sums, each with one list of row 2s per row-1 digit set
-ROW_2_LISTS = 19 * 84
+# one pair table per row-1 digit set
 ROW_1_MASKS = [1 << a | 1 << b | 1 << c for a, b, c in combinations(range(1, 10), 3)]
 
 
-def stored_row_2_lists() -> dict[tuple[int, int], tuple]:
-    """Every list `_disjoint`'s memo holds, by (row-2 sum, row-1 mask).
+def brute_force_pairs(m: int) -> dict[int, tuple[tuple[int, int, int], ...]]:
+    """Pair sum -> every ordered pair of distinct digits outside mask m that
+    reaches it, with its digit mask, in order of top."""
+    pairs: dict = {}
+    for top in range(1, 10):
+        for bottom in range(1, 10):
+            if top != bottom and not (1 << top | 1 << bottom) & m:
+                pairs.setdefault(top + bottom, []).append((top, bottom, 1 << top | 1 << bottom))
+    return {s: tuple(ps) for s, ps in pairs.items()}
 
-    Reading stores an empty dict for each sum not yet seen, which adds no list.
-    """
-    return {(s, m): rest for s in range(6, 25) for m, rest in solver._disjoint(s).items()}
 
-
-def fill_row_2_lists() -> None:
-    """Store every valid (row-2 sum, row-1 mask) list the memo lacks, and
-    check that each list it already holds is the brute-force one."""
-    for s in range(6, 25):
-        memo, triples = solver._disjoint(s), brute_force_triples(s)
-        for m in ROW_1_MASKS:
-            wanted = tuple(t for t in triples if not t[3] & m)
-            assert memo.setdefault(m, wanted) == wanted
+def fill_pairs() -> None:
+    """Store every row-1 mask's pair table the memo lacks, and check that
+    each table, stored before or now, is the brute-force one."""
+    for m in ROW_1_MASKS:
+        assert solver._pairs(m) == brute_force_pairs(m)
 
 
 def regime_clue_sets(n: int, seed: int, regime: PrescriptionRegime) -> list[ClueSet]:
@@ -290,8 +314,8 @@ class TestRowTable:
             "from fubuki import solver\n"
             "if solver._view.cache_info().currsize:\n"
             "    raise SystemExit('views are built at import')\n"
-            "if solver._disjoint.cache_info().currsize:\n"
-            "    raise SystemExit('row-2 lists are built at import')\n"
+            "if solver._pairs.cache_info().currsize:\n"
+            "    raise SystemExit('pair tables are built at import')\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
@@ -301,10 +325,10 @@ class TestRowTable:
     def test_one_search_builds_every_ordered_triple(self, clue_unique):
         solver._view.cache_clear()
         solve(clue_unique)
-        # one whole list per row sum, one view per row's prescribed cell
+        # one whole list for row 1's sum and one view for its prescribed cell
         built = solver._view.cache_info().currsize
-        assert 0 < built <= 6
-        triples = [t for s in range(6, 25) for t in solver._view(s, 0, 0)[0]]
+        assert 0 < built <= 2
+        triples = [t for s in range(6, 25) for t in solver._view(s, 0, 0)]
         assert len(triples) == 504
         assert sorted(t[:3] for t in triples) == list(permutations(range(1, 10), 3))
 
@@ -312,14 +336,12 @@ class TestRowTable:
         solver._view.cache_clear()
         for s in range(6, 25):
             ts = brute_force_triples(s)
-            triples, members = solver._view(s, 0, 0)
-            assert list(triples) == ts
-            assert members == set(ts)
+            assert list(solver._view(s, 0, 0)) == ts
             for col in (1, 2, 3):
                 for digit in range(1, 10):
-                    triples, members = solver._view(s, col, digit)
-                    assert list(triples) == [t for t in ts if t[col - 1] == digit]
-                    assert members == set(triples)
+                    assert list(solver._view(s, col, digit)) == [
+                        t for t in ts if t[col - 1] == digit
+                    ]
         assert solver._view.cache_info().currsize == VIEW_KEYS
 
     def test_memo_stays_within_its_key_bound(self):
@@ -337,55 +359,42 @@ class TestRowTable:
                     solver._view(s, col, digit)
         assert solver._view.cache_info().currsize == VIEW_KEYS
 
-    def test_row_2_memo_stays_within_its_entry_bound(self):
-        solver._disjoint.cache_clear()
+    def test_pair_memo_stays_within_its_key_bound(self):
+        solver._pairs.cache_clear()
         for clue in random_clue_sets(1000, seed=424242):
             solve(clue)
-        assert 0 < solver._disjoint.cache_info().currsize <= 19
-        assert 0 < len(stored_row_2_lists()) <= ROW_2_LISTS
-        # filling every valid entry adds the rest: the solves stored no other key
-        fill_row_2_lists()
-        assert solver._disjoint.cache_info().currsize == 19
-        assert len(stored_row_2_lists()) == ROW_2_LISTS
+        assert 0 < solver._pairs.cache_info().currsize <= len(ROW_1_MASKS)
+        # filling every row-1 mask adds the rest: the solves stored no other key
+        fill_pairs()
+        assert solver._pairs.cache_info().currsize == len(ROW_1_MASKS) == 84
 
-    def test_a_prescribed_row_2_leaves_the_row_2_memo_untouched(self):
-        clues = [
-            clue
-            for clue in random_clue_sets(300, seed=97)
-            if any(r == 2 for r, _, _ in clue.prescribed)
-        ]
-        assert len(clues) > 100
-        solver._disjoint.cache_clear()
-        for clue in clues:
-            solve(clue)
-        assert solver._disjoint.cache_info().currsize == 0
-        # with some lists stored, they add none and replace none
-        for clue in regime_clue_sets(20, 98, PrescriptionRegime.NONE):
-            solve(clue)
-        before = stored_row_2_lists()
-        for clue in clues:
-            solve(clue)
-        after = stored_row_2_lists()
-        assert after.keys() == before.keys()
-        assert all(after[key] is before[key] for key in before)
+    def test_pair_tables_are_the_brute_force_ones(self):
+        solver._pairs.cache_clear()
+        fill_pairs()
+        # the 72 ordered pairs, each in the 35 tables of the row-1 digit
+        # sets that avoid both its digits
+        stored = [p for m in ROW_1_MASKS for ps in solver._pairs(m).values() for p in ps]
+        assert len(stored) == 84 * 30 and len(set(stored)) == 72
+        # every table holds the same 72 tuples, not copies of them
+        assert len({id(p) for p in stored}) == 72
 
     @pytest.mark.parametrize(
         "regime", [PrescriptionRegime.NONE, PrescriptionRegime.TOP_LEFT], ids=["none", "top-left"]
     )
-    def test_results_do_not_depend_on_what_the_row_2_memo_holds(self, regime):
+    def test_results_do_not_depend_on_what_the_pair_memo_holds(self, regime):
         clues = regime_clue_sets(100, 41, regime)
         cold = []
         for clue in clues:
-            solver._disjoint.cache_clear()
+            solver._pairs.cache_clear()
             cold.append([solve(clue), solve(clue, limit=1)])
-        solver._disjoint.cache_clear()
-        fill_row_2_lists()
+        solver._pairs.cache_clear()
+        fill_pairs()
         assert [[solve(clue), solve(clue, limit=1)] for clue in clues] == cold
 
-    def test_threads_filling_the_row_2_memo_at_once_match_serial_solves(self):
+    def test_threads_filling_the_pair_memo_at_once_match_serial_solves(self):
         clues = regime_clue_sets(100, 43, PrescriptionRegime.NONE)
         serial = [solve(clue) for clue in clues]
-        solver._disjoint.cache_clear()
+        solver._pairs.cache_clear()
         start = threading.Barrier(4, timeout=60)
         results: list = [None] * 4
 
@@ -405,15 +414,16 @@ class TestRowTable:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert results == [serial] * 4
-        fill_row_2_lists()  # and every list they stored is the brute-force one
+        fill_pairs()  # and every table they stored is the brute-force one
 
 
 class TestSolveMemory:
     def test_solver_retains_little_after_many_solves(self):
         # tracemalloc in a fresh process, started once the clue sets are
         # built: what solver.py's allocations still hold after 10,000
-        # solves, the triple table and the memo of views included. The
-        # table alone reads 0.04 MB; all 532 views together add 0.31 MB
+        # solves, the triple table and both memos included. It reads
+        # 0.22 MB. The table alone reads 0.05 MB; all 532 views together
+        # add 0.03 MB and all 84 pair tables 0.10 MB
         code = (
             "import gc, random, tracemalloc\n"
             "from fubuki import ClueSet, Grid, solve, solver\n"
