@@ -244,20 +244,26 @@ class ClueSet:
         return cls(prescribed, grid.row_sums(), grid.col_sums())
 
     def satisfied_by(self, grid: Grid) -> bool:
-        """Whether `grid` has every prescribed cell and every line sum.
+        """Whether `grid` has every prescribed cell and every line sum."""
+        _check_type(grid, Grid, "grid")
+        return self._holds(grid.cells)
+
+    def _holds(self, c: tuple[int, ...]) -> bool:
+        """Whether row-major cells `c` have every prescribed cell and every
+        line sum: the one statement of the clue condition.
 
         Reads the cells by flat index: construction already checked that each
-        prescribed position is in 1..3. The solver runs this on every grid
-        it returns.
+        prescribed position is in 1..3. Precondition: `c` holds nine ints.
+        The solver runs this on the cells of every grid it returns, before
+        it builds the grid.
         """
-        _check_type(grid, Grid, "grid")
-        c = grid.cells
         for r, col, v in self.prescribed:
             if c[3 * r + col - 4] != v:
                 return False
+        c1, c2, c3, c4, c5, c6, c7, c8, c9 = c
         return (
-            (c[0] + c[1] + c[2], c[3] + c[4] + c[5], c[6] + c[7] + c[8]) == self.row_sums
-            and (c[0] + c[3] + c[6], c[1] + c[4] + c[7], c[2] + c[5] + c[8]) == self.col_sums
+            (c1 + c2 + c3, c4 + c5 + c6, c7 + c8 + c9) == self.row_sums
+            and (c1 + c4 + c7, c2 + c5 + c8, c3 + c6 + c9) == self.col_sums
         )
 
     def to_dict(self) -> dict:

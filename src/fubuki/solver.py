@@ -14,12 +14,13 @@ pairs and column 2's pairs are each tried in order, and they fix every
 other cell, so solutions come out in lexicographic order of the row-major
 cells.
 
-`solve` checks each solution it returns twice, with real raises: its cells
-must be a permutation of 1..9 and the grid must satisfy the clues. Having
-checked the first, it builds the `Grid` once, through
+`solve` checks the bare cells of each solution it returns twice, with real
+raises, before it builds any grid: they must be a permutation of 1..9, and
+they must satisfy the clues by `ClueSet._holds`, the cell-level check that
+`ClueSet.satisfied_by` makes too. It then builds each `Grid` once, through
 `core._grid_of_permutation`, rather than through `Grid(...)`, whose
-validation would repeat that check cell by cell; `Grid(...)` still checks
-every input from outside the program.
+validation would repeat the first check cell by cell; `Grid(...)` still
+checks every input from outside the program.
 
 The triples of row 1 that agree with one prescribed cell depend only on
 its sum, that cell's column and its digit, so they are memoised on first
@@ -36,9 +37,12 @@ so they are memoised too, by one more `functools.cache`: `_pairs(m)` maps a
 pair sum to the ordered pairs of digits outside row-1 mask m that reach it,
 in order of top. A row 1 is three distinct digits, so there are at most 84
 keys; each is built whole on first use and never changed, and every key
-holds the same 72 pair tuples, so all 84 together take about 0.10 MB. A
-prescribed cell below row 1 in column 1 or 2 fixes the column's one pair,
-which `_narrow` looks up per row 1 instead of reading `_pairs`.
+holds the same 72 pair tuples, so all 84 together take about 0.10 MB. Each
+triple of a view carries its mask's table, read from `_pairs` when the view
+is built, so `_search` looks up no table per row 1 and `_pairs` stays the
+one memo of them. A prescribed cell below row 1 in column 1 or 2 fixes the
+column's one pair, which `_narrow` looks up per row 1 instead of reading
+the table.
 """
 
 from __future__ import annotations
@@ -50,10 +54,11 @@ from itertools import permutations
 from .core import ClueSet, Grid, _bad, _grid_of_permutation, _is_int
 
 _ALL_DIGITS = 0b1111111110  # bit d set for each digit 1..9
-_DIGITS = list(range(1, 10))  # the sorted cells of every grid
+_DIGIT_SET = frozenset(range(1, 10))  # the cells of every grid
 
-_Triple = tuple[int, int, int, int]  # (a, b, c, mask); see _view
 _Pair = tuple[int, int, int]  # (top, bottom, mask); see _pairs
+_Table = dict[int, tuple[_Pair, ...]]  # pair sum -> pairs; see _pairs
+_Triple = tuple[int, int, int, int, _Table]  # (a, b, c, mask, table); see _view
 
 # (top, bottom) -> (top, bottom, mask) for the 72 ordered pairs of distinct
 # digits, by top and then bottom; every entry of _pairs holds these tuples
@@ -80,24 +85,26 @@ class SolveResult:
 def _view(s: int, col: int, digit: int) -> tuple[_Triple, ...]:
     """The ordered triples of distinct digits summing to line sum `s` with
     `digit` in 1-based column `col`, in lexicographic order; `col == 0`
-    keeps them all. A triple is `(a, b, c, mask)`, with bit d of `mask` set
-    for each of its digits d.
+    keeps them all. A triple is `(a, b, c, mask, pairs)`, with bit d of
+    `mask` set for each of its digits d and `pairs` its mask's `_pairs(mask)`,
+    so `_search` reads row 1's pair table without a call.
 
     Memoised on first use, so importing the package builds none. Views are
     immutable, so every search can share them, and two threads that fill
-    one key at once store equal views.
+    one key at once store equal views holding equal tables.
     """
     if col:
         return tuple(t for t in _view(s, 0, 0) if t[col - 1] == digit)
-    return tuple(
-        (a, b, c, 1 << a | 1 << b | 1 << c)
-        for a, b, c in permutations(range(1, 10), 3)
-        if a + b + c == s
-    )
+    view = []
+    for a, b, c in permutations(range(1, 10), 3):
+        if a + b + c == s:
+            m = 1 << a | 1 << b | 1 << c
+            view.append((a, b, c, m, _pairs(m)))
+    return tuple(view)
 
 
 @cache
-def _pairs(m: int) -> dict[int, tuple[_Pair, ...]]:
+def _pairs(m: int) -> _Table:
     """Pair sum -> the ordered pairs `(top, bottom, mask)` of distinct digits
     outside digit mask `m` that reach it, in order of top. `_search` reads
     it with a row 1's mask, so it holds at most 84 keys.
@@ -156,11 +163,10 @@ def _search(clues: ClueSet, limit: int | None) -> list[tuple[int, ...]]:
     r2 = row_sums[1]
     s1, s2, s3 = col_sums
     found: list[tuple[int, ...]] = []
-    for a, b, c, m in first:
+    for a, b, c, m, pairs in first:
         # columns 2 and 1 below row 1: digits outside it that make up the
         # column's sum, narrowed by their prescribed cells; column 2 first,
         # as a prescribed cell there often leaves it no pair
-        pairs = _pairs(m)
         if top2 or bottom2:
             middles = _narrow(m, s2 - b, top2, bottom2)
         else:
@@ -194,24 +200,27 @@ def solve(clues: ClueSet, limit: int | None = None) -> SolveResult:
     Unsatisfiable clues (including sums that cannot total 45) yield an empty
     result rather than an error. `limit` must be None or a positive int.
 
-    Every returned grid is checked to be a permutation of 1..9 and to
-    satisfy the clues, and either failure raises RuntimeError. The first
-    check is the one `Grid(...)` would make, so the grid is built without
-    making it again.
+    The cells of every returned grid are checked to be a permutation of
+    1..9 and to satisfy the clues before any grid is built, and either
+    failure raises RuntimeError. The first check is the one `Grid(...)`
+    would make, so each grid is built without making it again.
     """
     if limit is not None and not (_is_int(limit) and limit >= 1):
         raise _bad("limit", "positive", limit)
     found = _search(clues, limit)
-    solutions = []
-    for f in found[:limit]:
-        # _search builds its cells by int arithmetic, so they are exact ints
-        if sorted(f) != _DIGITS:
+    # _search stops at limit + 1 solutions, the last only to show that more remain
+    truncated = limit is not None and len(found) > limit
+    if truncated:
+        del found[limit:]
+    covers, holds = _DIGIT_SET.issubset, clues._holds
+    for f in found:
+        # _search builds its cells by int arithmetic, so they are exact ints,
+        # and nine of them make 1..9 exactly when each digit is among them
+        if not (len(f) == 9 and covers(f)):
             raise RuntimeError(f"solver emitted {f}, which is not a permutation of 1..9")
-        g = _grid_of_permutation(f)
-        if not clues.satisfied_by(g):
+        if not holds(f):
             raise RuntimeError(f"solver emitted {f}, which does not satisfy the clues")
-        solutions.append(g)
-    return SolveResult(solutions=solutions, truncated=len(found) > len(solutions))
+    return SolveResult(solutions=list(map(_grid_of_permutation, found)), truncated=truncated)
 
 
 def count_solutions(clues: ClueSet) -> int:

@@ -82,10 +82,13 @@ def test_no_module_imports_a_process_or_thread_pool():
 
 
 # public methods and properties that no code in src/ reads, on purpose: the
-# paper's statistics, read by library users and tests, and argparse's hook
+# paper's statistics and the grid-level clue check, read by library users and
+# tests (the solver checks bare cells through ClueSet._holds), and argparse's
+# hook
 UNREAD_METHODS = [
     "census.py: CensusReport.max_solutions",
     "cli.py: _Parser.error",
+    "core.py: ClueSet.satisfied_by",
     "theory.py: DiagonalClass.max_solutions",
 ]
 

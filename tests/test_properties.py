@@ -69,6 +69,19 @@ def grids_and_clue_sets(draw) -> tuple[Grid, ClueSet]:
     return grid, ClueSet(prescribed, rows.row_sums(), cols.col_sums())
 
 
+@st.composite
+def grids_and_near_clue_sets(draw) -> tuple[Grid, ClueSet]:
+    """A grid and its own clue set with at most one line sum moved to another
+    legal value, so that a check skipping any one line sum is caught."""
+    grid = draw(grids)
+    prescribed = tuple((r, c, grid.value_at(r, c)) for r, c in draw(cell_positions))
+    sums = list(grid.row_sums() + grid.col_sums())
+    k = draw(st.integers(0, 6))  # 6 moves none
+    if k < 6:
+        sums[k] = 6 + (sums[k] - 6 + draw(st.integers(1, 18))) % 19
+    return grid, ClueSet(prescribed, sums[:3], sums[3:])
+
+
 def showcase_row_clues(row: int, cols: tuple[int, ...]) -> ClueSet:
     """The showcase grid's line sums with cells `cols` of `row` prescribed."""
     prescribed = tuple((row, c, SHOWCASE.value_at(row, c)) for c in cols)
@@ -187,6 +200,21 @@ def test_satisfied_by_matches_its_definition(grid_and_clues):
         and grid.row_sums() == clues.row_sums
         and grid.col_sums() == clues.col_sums
     )
+    assert clues.satisfied_by(grid) is expected
+
+
+@PROPERTY
+@given(grids_and_clue_sets() | grids_and_near_clue_sets() | st.tuples(grids, clue_sets()))
+@example((SHOWCASE, ClueSet.from_grid(SHOWCASE, PrescriptionRegime.FULL_DIAGONAL)))
+def test_cell_level_clue_check_matches_its_definition(grid_and_clues):
+    grid, clues = grid_and_clues
+    c = grid.cells
+    expected = (
+        all(c[3 * (r - 1) + (col - 1)] == v for r, col, v in clues.prescribed)
+        and tuple(sum(c[3 * i : 3 * i + 3]) for i in range(3)) == clues.row_sums
+        and tuple(sum(c[i::3]) for i in range(3)) == clues.col_sums
+    )
+    assert clues._holds(c) is expected
     assert clues.satisfied_by(grid) is expected
 
 

@@ -68,18 +68,44 @@ class TestEdges:
         assert all(clue.satisfied_by(g) for g in result.solutions)
 
     @pytest.mark.parametrize(
-        "cells, message",
+        "cells, col_sums, message",
         [
-            # grid_unique: a permutation, but not a solution of clue_two
-            ((1, 4, 6, 5, 2, 7, 8, 9, 3), "does not satisfy"),
-            ((1, 1, 2, 3, 4, 5, 6, 7, 8), "not a permutation"),
+            # grid_unique: a permutation, but not a solution
+            ((1, 4, 6, 5, 2, 7, 8, 9, 3), None, "does not satisfy"),
+            ((1, 1, 2, 3, 4, 5, 6, 7, 8), None, "not a permutation"),
+            ((0, 4, 5, 7, 2, 6, 8, 9, 3), None, "not a permutation"),
+            ((1, 4, 5, 7, 2, 6, 8, 10, 3), None, "not a permutation"),
+            ((1, 4, 5, 7, 2, 6, 8, 9), None, "not a permutation"),
+            # every digit, and one more
+            ((1, 4, 5, 7, 2, 6, 8, 9, 3, 1), None, "not a permutation"),
+            # grid_two_b: every line sum and the diagonal right, cell (1, 2) wrong
+            ((1, 5, 4, 6, 2, 7, 9, 8, 3), None, "does not satisfy"),
+            # grid_two_a under a third column sum it does not meet
+            ((1, 4, 5, 7, 2, 6, 8, 9, 3), (16, 15, 15), "does not satisfy"),
         ],
-        ids=["not-a-solution", "not-a-permutation"],
+        ids=[
+            "not-a-solution",
+            "not-a-permutation",
+            "a-zero",
+            "a-ten",
+            "eight-cells",
+            "ten-cells",
+            "off-diagonal-cell-wrong",
+            "one-column-sum-wrong",
+        ],
     )
-    def test_post_check_rejects_a_wrong_grid(self, monkeypatch, clue_two, cells, message):
+    def test_post_check_rejects_a_wrong_grid(
+        self, monkeypatch, grid_two_a, cells, col_sums, message
+    ):
+        # grid_two_a's full-diagonal clues with cell (1, 2) prescribed too
+        clue = ClueSet(
+            ((1, 1, 1), (1, 2, 4), (2, 2, 2), (3, 3, 3)),
+            grid_two_a.row_sums(),
+            col_sums or grid_two_a.col_sums(),
+        )
         monkeypatch.setattr(solver, "_search", lambda clues, limit: [cells])
         with pytest.raises(RuntimeError, match=message):
-            solve(clue_two)
+            solve(clue)
 
 
 class TestSolutionGrids:
@@ -336,13 +362,25 @@ class TestRowTable:
         solver._view.cache_clear()
         for s in range(6, 25):
             ts = brute_force_triples(s)
-            assert list(solver._view(s, 0, 0)) == ts
+            assert [t[:4] for t in solver._view(s, 0, 0)] == ts
             for col in (1, 2, 3):
                 for digit in range(1, 10):
-                    assert list(solver._view(s, col, digit)) == [
+                    assert [t[:4] for t in solver._view(s, col, digit)] == [
                         t for t in ts if t[col - 1] == digit
                     ]
         assert solver._view.cache_info().currsize == VIEW_KEYS
+
+    def test_view_triples_hold_the_memoised_pair_tables(self):
+        solver._view.cache_clear()
+        solver._pairs.cache_clear()
+        for s in range(6, 25):
+            for col in (0, 1, 2, 3):
+                for digit in range(1, 10) if col else (0,):
+                    for t in solver._view(s, col, digit):
+                        assert t[4] is solver._pairs(t[3])
+        # the views filled the pair memo with every row-1 mask and no other key
+        assert solver._pairs.cache_info().currsize == len(ROW_1_MASKS)
+        fill_pairs()
 
     def test_memo_stays_within_its_key_bound(self):
         # 2..6 cells prescribed anywhere, so rows with several prescribed
@@ -360,6 +398,7 @@ class TestRowTable:
         assert solver._view.cache_info().currsize == VIEW_KEYS
 
     def test_pair_memo_stays_within_its_key_bound(self):
+        solver._view.cache_clear()
         solver._pairs.cache_clear()
         for clue in random_clue_sets(1000, seed=424242):
             solve(clue)
@@ -385,8 +424,10 @@ class TestRowTable:
         clues = regime_clue_sets(100, 41, regime)
         cold = []
         for clue in clues:
+            solver._view.cache_clear()
             solver._pairs.cache_clear()
             cold.append([solve(clue), solve(clue, limit=1)])
+        solver._view.cache_clear()
         solver._pairs.cache_clear()
         fill_pairs()
         assert [[solve(clue), solve(clue, limit=1)] for clue in clues] == cold
@@ -394,6 +435,7 @@ class TestRowTable:
     def test_threads_filling_the_pair_memo_at_once_match_serial_solves(self):
         clues = regime_clue_sets(100, 43, PrescriptionRegime.NONE)
         serial = [solve(clue) for clue in clues]
+        solver._view.cache_clear()
         solver._pairs.cache_clear()
         start = threading.Barrier(4, timeout=60)
         results: list = [None] * 4
@@ -422,8 +464,9 @@ class TestSolveMemory:
         # tracemalloc in a fresh process, started once the clue sets are
         # built: what solver.py's allocations still hold after 10,000
         # solves, the triple table and both memos included. It reads
-        # 0.22 MB. The table alone reads 0.05 MB; all 532 views together
-        # add 0.03 MB and all 84 pair tables 0.10 MB
+        # 0.21 MB. The 19 whole views read 0.15 MB, as they hold all 84 pair
+        # tables: 0.05 MB of triples and 0.10 MB of tables; the other 513
+        # views add 0.03 MB
         code = (
             "import gc, random, tracemalloc\n"
             "from fubuki import ClueSet, Grid, solve, solver\n"
