@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Commands: solve, classify, table, verify, generate. JSON goes to stdout,
-diagnostics to stderr. Exit codes: 0 success, 1 usage or parse error, 2 no
-solution, 3 verification mismatch.
+diagnostics to stderr. Exit codes: 0 success, 1 usage or parse error or
+stdout closed early (as by `| head`), 2 no solution, 3 verification
+mismatch.
 """
 
 from __future__ import annotations
@@ -274,7 +275,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # here, so a closed pipe is caught below
+        return code
     except ValueError as exc:
         print(f"fubuki: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader left: send what is still buffered to devnull, so the
+        # interpreter's flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1

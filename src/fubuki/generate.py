@@ -1,9 +1,15 @@
-"""Seeded puzzle generation, optionally with a guaranteed-unique solution."""
+"""Seeded puzzle generation, optionally with a guaranteed-unique solution.
+
+Every puzzle but a full-diagonal unique one comes from one draw loop. The
+multi-grid buckets it rejects a weaker regime's draws by sit in `_GROUPS`,
+a plain dict per regime from first row sum to the buckets that
+`census.group_multi_buckets` counts for that sum, filled on the first draw
+that lands there and kept for the process.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 from .census import group_multi_buckets
 from .core import ClueSet, Grid, PrescriptionRegime, _bad, _check_type, _is_int
@@ -14,6 +20,13 @@ from .theory import rigid_diagonals
 # Flat indices the off-diagonal values fill, in row-major reading order.
 _OFF_DIAGONAL_FLAT = (1, 2, 3, 5, 6, 7)
 _DIGITS = range(1, 10)
+
+# a weaker regime's multi-grid buckets by first row sum; r1 leads every key,
+# so a grid whose key is missing from its sum's group is the only solution
+# of its puzzle
+_GROUPS: dict[PrescriptionRegime, dict[int, dict[int, int]]] = {
+    regime: {} for regime in PrescriptionRegime if regime is not PrescriptionRegime.FULL_DIAGONAL
+}
 
 
 @dataclass(frozen=True)
@@ -32,15 +45,10 @@ class GeneratorConfig:
             raise _bad("count", "an int of at least 1", self.count)
 
 
-def _random_grid(rng: SplitMix64) -> Grid:
-    values = list(_DIGITS)
-    rng.shuffle(values)
-    return Grid(tuple(values))
-
-
-def _rigid_diagonal_grid(rng: SplitMix64) -> Grid:
-    """A grid whose diagonal admits no shift, hence a unique-solution puzzle."""
-    diagonal = list(rng.choice(rigid_diagonals()))
+def _rigid_diagonal_grid(rng: SplitMix64, diagonals: tuple[tuple[int, int, int], ...]) -> Grid:
+    """A grid whose diagonal, one of `diagonals`, admits no shift, hence a
+    unique-solution puzzle."""
+    diagonal = list(rng.choice(diagonals))
     rng.shuffle(diagonal)
     rest = sorted(set(range(1, 10)) - set(diagonal))
     rng.shuffle(rest)
@@ -51,69 +59,53 @@ def _rigid_diagonal_grid(rng: SplitMix64) -> Grid:
     return Grid(tuple(cells))
 
 
-class _BucketGroups(dict):
-    """One weaker regime's multi-grid buckets by first row sum. A group is
-    counted on the first lookup of its sum and kept; r1 leads every key, so
-    a grid whose key is missing from its sum's group is the only solution of
-    its puzzle."""
-
-    def __init__(self, regime: PrescriptionRegime) -> None:
-        super().__init__()
-        self.regime = regime
-
-    def __missing__(self, r1: int) -> dict[int, int]:
-        group = self[r1] = group_multi_buckets(self.regime, r1)
-        return group
-
-
-@cache
-def _bucket_groups(regime: PrescriptionRegime) -> _BucketGroups:
-    return _BucketGroups(regime)
-
-
 def generate_puzzles(config: GeneratorConfig) -> list[ClueSet]:
     """Emit `count` puzzles; identical config gives identical output.
 
     With uniqueness required under the full-diagonal regime, the diagonal is
-    sampled from the 35 sets admitting no shift, which forces uniqueness by
-    construction (existence is witnessed by the sampled grid itself). Under
-    the weaker regimes, grids are rejection-sampled until the induced
-    puzzle's signature is not among the multi-grid buckets of the draw's
-    first row sum. The buckets of a first row sum are counted by
-    `census.group_multi_buckets` on the first draw that lands there and are
-    kept for the process, so a run counts only the groups its draws need. A
-    draw is a bare cell tuple, a shuffle of 1..9 and so a valid grid by
-    construction; only the accepted draw is built and validated as a `Grid`.
-    Every emitted puzzle is then re-verified with the brute-force solver
-    rather than trusted. The seed-7 output of every regime is pinned by a
-    test, so a change here must keep the stream byte-identical.
+    sampled from the 35 sets admitting no shift, read once per call, which
+    forces uniqueness by construction (existence is witnessed by the sampled
+    grid itself). Every other puzzle comes from the draw loop. Under the
+    weaker regimes with uniqueness required, grids are rejection-sampled
+    until the induced puzzle's signature is not among the multi-grid buckets
+    of the draw's first row sum, so a run counts only the groups its draws
+    need; each such puzzle is then re-verified with the brute-force solver
+    rather than trusted. Only the accepted draw is built and validated as a
+    `Grid`. The seed-7 output of every regime, with and without uniqueness,
+    is pinned by a test, so a change here must keep the stream
+    byte-identical.
     """
     # resolved through fubuki.census at each call, not bound at import, so
     # a wrapper installed on that module's name sees every rejection draw
     from .census import signature_key
 
     _check_type(config, GeneratorConfig, "config")
+    regime = config.regime
     rng = SplitMix64(config.seed)
+    if config.require_unique and regime is PrescriptionRegime.FULL_DIAGONAL:
+        diagonals = rigid_diagonals()
+        return [
+            ClueSet.from_grid(_rigid_diagonal_grid(rng, diagonals), regime)
+            for _ in range(config.count)
+        ]
+    groups = _GROUPS[regime] if config.require_unique else None
     values = list(_DIGITS)
     puzzles: list[ClueSet] = []
     for _ in range(config.count):
-        if config.require_unique and config.regime is PrescriptionRegime.FULL_DIAGONAL:
-            clue = ClueSet.from_grid(_rigid_diagonal_grid(rng), config.regime)
-        elif config.require_unique:
-            groups = _bucket_groups(config.regime)
-            while True:
-                values[:] = _DIGITS  # each draw shuffles 1..9 afresh
-                rng.shuffle(values)
-                cells = tuple(values)
-                multi = groups[cells[0] + cells[1] + cells[2]]
-                if signature_key(cells, config.regime) not in multi:
-                    break
-            clue = ClueSet.from_grid(Grid(cells), config.regime)
-            if count_solutions(clue) != 1:
-                raise RuntimeError(
-                    f"generator produced a non-unique puzzle for {cells}"
-                )
-        else:
-            clue = ClueSet.from_grid(_random_grid(rng), config.regime)
+        while True:
+            values[:] = _DIGITS  # each draw shuffles 1..9 afresh
+            rng.shuffle(values)
+            cells = tuple(values)
+            if groups is None:
+                break
+            r1 = cells[0] + cells[1] + cells[2]
+            multi = groups.get(r1)
+            if multi is None:
+                multi = groups[r1] = group_multi_buckets(regime, r1)
+            if signature_key(cells, regime) not in multi:
+                break
+        clue = ClueSet.from_grid(Grid(cells), regime)
+        if groups is not None and count_solutions(clue) != 1:
+            raise RuntimeError(f"generator produced a non-unique puzzle for {cells}")
         puzzles.append(clue)
     return puzzles

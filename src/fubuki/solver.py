@@ -32,24 +32,24 @@ sums, columns and digits, so there are at most 19 sums x (1 + 3 x 9) = 532
 keys and no input can grow the memo past that. A second or third
 prescribed cell in row 1 narrows the view of its first at call time.
 
-The pairs a column can take below row 1 depend only on row 1's digit set,
-so they are memoised too, by one more `functools.cache`: `_pairs(m)` maps a
-pair sum to the ordered pairs of digits outside row-1 mask m that reach it,
-in order of top. A row 1 is three distinct digits, so there are at most 84
-keys; each is built whole on first use and never changed, and every key
-holds the same 72 pair tuples, so all 84 together take about 0.10 MB. Each
-triple of a view carries its mask's table, read from `_pairs` when the view
-is built, so `_search` looks up no table per row 1 and `_pairs` stays the
-one memo of them. A prescribed cell below row 1 in column 1 or 2 fixes the
-column's one pair, which `_narrow` looks up per row 1 instead of reading
-the table.
+The pairs a column can take below row 1 depend only on row 1's digit set:
+`_pairs(m)` maps a pair sum to the ordered pairs of digits outside row-1
+mask m that reach it, in order of top. The six orderings of a digit set
+share its line sum, so they all sit in one base view, which builds the
+set's table once and gives it to each of them as the triple's fifth field;
+the other views of the sum filter those triples and so share their tables.
+`_view` is thus the one memo: there are 84 digit sets and so 84 tables, and
+every table holds the same 72 pair tuples, so all 84 take about 0.10 MB.
+`_search` looks up no table per row 1. A prescribed cell below row 1 in
+column 1 or 2 fixes the column's one pair, which `_narrow` looks up per
+row 1 instead of reading the table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import permutations
+from itertools import combinations, permutations
 
 from .core import ClueSet, Grid, _bad, _grid_of_permutation, _is_int
 
@@ -61,7 +61,7 @@ _Table = dict[int, tuple[_Pair, ...]]  # pair sum -> pairs; see _pairs
 _Triple = tuple[int, int, int, int, _Table]  # (a, b, c, mask, table); see _view
 
 # (top, bottom) -> (top, bottom, mask) for the 72 ordered pairs of distinct
-# digits, by top and then bottom; every entry of _pairs holds these tuples
+# digits, by top and then bottom; every table of _pairs holds these tuples
 _PAIR = {(t, u): (t, u, 1 << t | 1 << u) for t, u in permutations(range(1, 10), 2)}
 
 
@@ -96,23 +96,20 @@ def _view(s: int, col: int, digit: int) -> tuple[_Triple, ...]:
     if col:
         return tuple(t for t in _view(s, 0, 0) if t[col - 1] == digit)
     view = []
-    for a, b, c in permutations(range(1, 10), 3):
-        if a + b + c == s:
-            m = 1 << a | 1 << b | 1 << c
-            view.append((a, b, c, m, _pairs(m)))
-    return tuple(view)
+    for digits in combinations(range(1, 10), 3):
+        if sum(digits) == s:
+            m = sum(1 << d for d in digits)
+            pairs = _pairs(m)  # built once, for all six orderings of the digits
+            view += [(*t, m, pairs) for t in permutations(digits)]
+    # any two triples differ in their digits, so sorting compares no table
+    return tuple(sorted(view))
 
 
-@cache
 def _pairs(m: int) -> _Table:
     """Pair sum -> the ordered pairs `(top, bottom, mask)` of distinct digits
-    outside digit mask `m` that reach it, in order of top. `_search` reads
-    it with a row 1's mask, so it holds at most 84 keys.
-
-    Memoised on first use, so importing the package builds none. Each entry
-    is built whole and never changed, so two threads that fill one key at
-    once store equal entries and a reader never sees a partial one.
-    """
+    outside digit mask `m` that reach it, in order of top. `_view` builds
+    one per row-1 digit set, shared by the set's six orderings, and nothing
+    changes a table once built."""
     by_sum: dict[int, list[_Pair]] = {}
     for pair in _PAIR.values():
         if not pair[2] & m:

@@ -118,9 +118,9 @@ def build_shift_table() -> dict[tuple[int, int, int], frozenset[int]]:
     return {diag: possible_shifts(diag) for diag in shift_match_table()}
 
 
-@cache
 def rigid_diagonals() -> tuple[tuple[int, int, int], ...]:
-    """The diagonals admitting no shift, in lex order."""
+    """The diagonals admitting no shift, in lex order, as a fresh projection
+    of `shift_match_table()`."""
     return tuple(d for d, entries in shift_match_table().items() if not entries)
 
 

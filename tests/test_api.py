@@ -133,3 +133,27 @@ def test_every_public_name_is_exported_or_read():
                 ]
     assert dead == []
     assert sorted(unread_methods) == UNREAD_METHODS
+
+
+# the functions in src/ memoised by functools.cache or lru_cache, each a
+# table built on first use; a new memo is added here on purpose
+MEMOS = [
+    "solver._view",
+    "theory._ordered_matches",
+    "theory.shift_match_table",
+]
+
+
+def test_memos_are_pinned():
+    memos = []
+    for path in sorted((ROOT / "src" / "fubuki").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for decorator in node.decorator_list:
+                if isinstance(decorator, ast.Call):
+                    decorator = decorator.func
+                name = getattr(decorator, "id", getattr(decorator, "attr", None))
+                if name in ("cache", "lru_cache"):
+                    memos.append(f"{path.stem}.{node.name}")
+    assert sorted(memos) == MEMOS

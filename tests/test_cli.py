@@ -431,3 +431,39 @@ class TestUsage:
         assert result.returncode == 0
         for cmd in ("solve", "classify", "table", "verify", "generate"):
             assert cmd in result.stdout
+
+
+class TestClosedStdout:
+    """A reader that leaves early, as `| head -1` does, ends the command with
+    status 1 and an empty stderr, not a traceback."""
+
+    def run_until_closed(self, argv, stdin: bytes | None, lines_read: int):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fubuki", *argv],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        read = [proc.stdout.readline() for _ in range(lines_read)]
+        proc.stdout.close()
+        if stdin is not None:
+            proc.stdin.write(stdin)
+        proc.stdin.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        return read, proc.wait(timeout=120), stderr
+
+    def test_generate_into_a_pipe_closed_after_the_first_line(self):
+        # 20,000 puzzles are far more than a pipe holds, so the command is
+        # still writing when the reader closes its end
+        read, code, stderr = self.run_until_closed(["generate", "--count", "20000"], None, 1)
+        assert read[0].startswith(b'{"prescribed": ')
+        assert (code, stderr) == (1, b"")
+
+    def test_solve_into_a_pipe_closed_before_any_output(self):
+        # two boxes fit in a pipe and in stdout's buffer, so the reader
+        # closes its end before the command has read its puzzle, and the
+        # command meets the closed pipe only when it flushes
+        puzzle = json.dumps(TWO_SOLUTION_PUZZLE).encode()
+        _, code, stderr = self.run_until_closed(["solve", "-", "--all", "--pretty"], puzzle, 0)
+        assert (code, stderr) == (1, b"")

@@ -15,6 +15,7 @@ from fubuki import (
     generate,
     generate_puzzles,
 )
+from fubuki.census import group_multi_buckets
 from fubuki.cli import main
 from fubuki.core import MAX_LINE_SUM, MIN_LINE_SUM
 from fubuki.rng import SplitMix64
@@ -246,7 +247,12 @@ GOLDEN_UNIQUE = {
     "top-left": "6719d9c331be8d821aaee0daf17d6df4bc434cffc54b7fb706f8a6c1e66bc506",
     "none": "4fc41f92c19abdc385d63be5dda384985ac3046385502c720083fe45bc28b2ea",
 }
-GOLDEN_NONE_NOT_UNIQUE = "edf7c13015ef189a17ca9f5b3888689b39b02310fac2c4c3be7ec33e730362a2"
+GOLDEN_NOT_UNIQUE = {
+    "full-diagonal": "60414fbc64f4e5b9b0fabde9cc85494cabc0afa0060948449925eb7d68795f52",
+    "first-two-diagonal": "153295911ff0232d42a0b7ff4b4e81d4fd6c9be96ac80f2b76b5ab7b55e14cba",
+    "top-left": "e8d5f26c48a584e4e94d5828cf3a7ea5d923da81325d40440452c1d60f380acf",
+    "none": "edf7c13015ef189a17ca9f5b3888689b39b02310fac2c4c3be7ec33e730362a2",
+}
 
 # signature_key calls (one per rejection draw) at --seed 7 --count 100
 DRAWS_SEED_7 = {
@@ -269,9 +275,10 @@ class TestSeededOutput:
         argv = ["generate", "--regime", regime, "--unique", "--seed", "7", "--count", "100"]
         assert self.stdout_digest(capsys, argv) == GOLDEN_UNIQUE[regime]
 
-    def test_non_unique_output_is_pinned(self, capsys):
-        argv = ["generate", "--regime", "none", "--seed", "7", "--count", "100"]
-        assert self.stdout_digest(capsys, argv) == GOLDEN_NONE_NOT_UNIQUE
+    @pytest.mark.parametrize("regime", sorted(GOLDEN_NOT_UNIQUE))
+    def test_non_unique_output_is_pinned(self, capsys, regime):
+        argv = ["generate", "--regime", regime, "--seed", "7", "--count", "100"]
+        assert self.stdout_digest(capsys, argv) == GOLDEN_NOT_UNIQUE[regime]
 
     def test_pins_and_input_checks_hold_under_optimize(self):
         # under -O every assert is gone, so neither may rest on one
@@ -302,9 +309,10 @@ class TestSeededOutput:
     @pytest.mark.parametrize("regime", list(DRAWS_SEED_7), ids=lambda r: r.name)
     def test_one_key_per_draw_and_one_grid_per_puzzle(self, monkeypatch, regime):
         if regime is not PrescriptionRegime.FULL_DIAGONAL:
-            groups = generate._bucket_groups(regime)
-            for r1 in FIRST_ROW_SUMS:
-                groups[r1]  # the bucket counting is not counted
+            groups = generate._GROUPS[regime]
+            for r1 in FIRST_ROW_SUMS:  # the bucket counting is not counted
+                if r1 not in groups:
+                    groups[r1] = group_multi_buckets(regime, r1)
         calls = {"key": 0, "grid": 0}
         census_module = sys.modules["fubuki.census"]
         key, post_init = census_module.signature_key, Grid.__post_init__
@@ -360,7 +368,8 @@ class TestLazyBuckets:
             drawn.append(cells[0] + cells[1] + cells[2])
             return key(cells, regime)
 
-        generate._bucket_groups.cache_clear()
+        for groups in generate._GROUPS.values():
+            groups.clear()
         monkeypatch.setattr(census_module, "_group_rows", recorded_group)
         monkeypatch.setattr(census_module, "signature_key", recorded_key)
         argv = ["generate", "--regime", "first-two-diagonal", "--unique", "--seed", "7",

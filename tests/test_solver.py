@@ -205,7 +205,7 @@ def reference_solutions(clue: ClueSet) -> list[Grid]:
 
 
 class TestPruneSoundness:
-    def test_pruning_never_changes_the_solution_set(self):
+    def test_solutions_equal_the_reference_at_limits_none_1_and_2(self):
         for clue in random_clue_sets(1000, seed=424242):
             reference = reference_solutions(clue)
             assert solve(clue).solutions == reference
@@ -321,11 +321,22 @@ def brute_force_pairs(m: int) -> dict[int, tuple[tuple[int, int, int], ...]]:
     return {s: tuple(ps) for s, ps in pairs.items()}
 
 
-def fill_pairs() -> None:
-    """Store every row-1 mask's pair table the memo lacks, and check that
-    each table, stored before or now, is the brute-force one."""
-    for m in ROW_1_MASKS:
-        assert solver._pairs(m) == brute_force_pairs(m)
+def view_keys():
+    """Every key the view memo can hold."""
+    for s in range(6, 25):
+        yield s, 0, 0
+        for col in (1, 2, 3):
+            for digit in range(1, 10):
+                yield s, col, digit
+
+
+def check_held_tables() -> None:
+    """Fill every view the memo lacks, and check that each pair table a view
+    triple holds, stored before or now, is the brute-force one of its mask."""
+    brute = {m: brute_force_pairs(m) for m in ROW_1_MASKS}
+    for key in view_keys():
+        for t in solver._view(*key):
+            assert t[4] == brute[t[3]]
 
 
 def regime_clue_sets(n: int, seed: int, regime: PrescriptionRegime) -> list[ClueSet]:
@@ -339,9 +350,7 @@ class TestRowTable:
             "import fubuki.cli\n"
             "from fubuki import solver\n"
             "if solver._view.cache_info().currsize:\n"
-            "    raise SystemExit('views are built at import')\n"
-            "if solver._pairs.cache_info().currsize:\n"
-            "    raise SystemExit('pair tables are built at import')\n"
+            "    raise SystemExit('views, and so pair tables, are built at import')\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
@@ -371,16 +380,25 @@ class TestRowTable:
         assert solver._view.cache_info().currsize == VIEW_KEYS
 
     def test_view_triples_hold_the_memoised_pair_tables(self):
+        # the base view of a sum builds one table per digit set; its six
+        # orderings hold that one table, and every other view of the sum
+        # holds the base view's tables
         solver._view.cache_clear()
-        solver._pairs.cache_clear()
+        tables = {}
         for s in range(6, 25):
-            for col in (0, 1, 2, 3):
-                for digit in range(1, 10) if col else (0,):
-                    for t in solver._view(s, col, digit):
-                        assert t[4] is solver._pairs(t[3])
-        # the views filled the pair memo with every row-1 mask and no other key
-        assert solver._pairs.cache_info().currsize == len(ROW_1_MASKS)
-        fill_pairs()
+            by_mask: dict = {}
+            for t in solver._view(s, 0, 0):
+                by_mask.setdefault(t[3], []).append(t[4])
+            for m, held in by_mask.items():
+                assert len(held) == 6 and all(table is held[0] for table in held)
+                tables[m] = held[0]
+        assert sorted(tables) == sorted(ROW_1_MASKS)
+        assert len({id(table) for table in tables.values()}) == 84
+        for m, table in tables.items():
+            assert table == brute_force_pairs(m)
+        for key in view_keys():
+            for t in solver._view(*key):
+                assert t[4] is tables[t[3]]
 
     def test_memo_stays_within_its_key_bound(self):
         # 2..6 cells prescribed anywhere, so rows with several prescribed
@@ -398,21 +416,24 @@ class TestRowTable:
         assert solver._view.cache_info().currsize == VIEW_KEYS
 
     def test_pair_memo_stays_within_its_key_bound(self):
+        # the views the solves stored, and the rest filled after them, hold
+        # one table per row-1 digit set between them and no other
         solver._view.cache_clear()
-        solver._pairs.cache_clear()
         for clue in random_clue_sets(1000, seed=424242):
             solve(clue)
-        assert 0 < solver._pairs.cache_info().currsize <= len(ROW_1_MASKS)
-        # filling every row-1 mask adds the rest: the solves stored no other key
-        fill_pairs()
-        assert solver._pairs.cache_info().currsize == len(ROW_1_MASKS) == 84
+        held = {id(t[4]): t[3] for key in view_keys() for t in solver._view(*key)}
+        assert sorted(held.values()) == sorted(ROW_1_MASKS)
+        check_held_tables()
 
     def test_pair_tables_are_the_brute_force_ones(self):
-        solver._pairs.cache_clear()
-        fill_pairs()
+        solver._view.cache_clear()
+        tables = {t[3]: t[4] for s in range(6, 25) for t in solver._view(s, 0, 0)}
+        assert len(tables) == 84
+        for m, table in tables.items():
+            assert table == brute_force_pairs(m)
         # the 72 ordered pairs, each in the 35 tables of the row-1 digit
         # sets that avoid both its digits
-        stored = [p for m in ROW_1_MASKS for ps in solver._pairs(m).values() for p in ps]
+        stored = [p for table in tables.values() for ps in table.values() for p in ps]
         assert len(stored) == 84 * 30 and len(set(stored)) == 72
         # every table holds the same 72 tuples, not copies of them
         assert len({id(p) for p in stored}) == 72
@@ -425,18 +446,15 @@ class TestRowTable:
         cold = []
         for clue in clues:
             solver._view.cache_clear()
-            solver._pairs.cache_clear()
             cold.append([solve(clue), solve(clue, limit=1)])
         solver._view.cache_clear()
-        solver._pairs.cache_clear()
-        fill_pairs()
+        check_held_tables()
         assert [[solve(clue), solve(clue, limit=1)] for clue in clues] == cold
 
     def test_threads_filling_the_pair_memo_at_once_match_serial_solves(self):
         clues = regime_clue_sets(100, 43, PrescriptionRegime.NONE)
         serial = [solve(clue) for clue in clues]
         solver._view.cache_clear()
-        solver._pairs.cache_clear()
         start = threading.Barrier(4, timeout=60)
         results: list = [None] * 4
 
@@ -456,16 +474,16 @@ class TestRowTable:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert results == [serial] * 4
-        fill_pairs()  # and every table they stored is the brute-force one
+        check_held_tables()  # and every table they stored is the brute-force one
 
 
 class TestSolveMemory:
     def test_solver_retains_little_after_many_solves(self):
         # tracemalloc in a fresh process, started once the clue sets are
         # built: what solver.py's allocations still hold after 10,000
-        # solves, the triple table and both memos included. It reads
-        # 0.21 MB. The 19 whole views read 0.15 MB, as they hold all 84 pair
-        # tables: 0.05 MB of triples and 0.10 MB of tables; the other 513
+        # solves, the view memo and the pair tables it holds included. It reads
+        # 0.20 MB. The 19 whole views read 0.14 MB, as they hold all 84 pair
+        # tables: 0.04 MB of triples and 0.10 MB of tables; the other 513
         # views add 0.03 MB
         code = (
             "import gc, random, tracemalloc\n"

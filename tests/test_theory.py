@@ -28,7 +28,7 @@ from fubuki.theory import (
 
 
 # the shift table's caches, emptied around a test that patches its builder
-CACHED = (shift_match_table, theory._ordered_matches, rigid_diagonals)
+CACHED = (shift_match_table, theory._ordered_matches)
 
 # every reader of the shift table, each as a call that reads it
 READERS = {
@@ -219,7 +219,7 @@ class TestShiftTable:
         code = (
             "import fubuki.cli\n"
             "from fubuki import theory as t\n"
-            "for f in (t.shift_match_table, t._ordered_matches, t.rigid_diagonals):\n"
+            "for f in (t.shift_match_table, t._ordered_matches):\n"
             "    if f.cache_info().currsize:\n"
             "        raise SystemExit(f'{f.__name__} is built at import')\n"
         )
