@@ -57,9 +57,9 @@ from __future__ import annotations
 
 from collections import Counter, _count_elements
 from dataclasses import dataclass, field
-from itertools import combinations, islice, permutations
+from itertools import combinations, islice, permutations, repeat
 from math import factorial
-from operator import ge, itemgetter, mul
+from operator import ge, itemgetter, mul, sub
 from typing import Iterator, NamedTuple
 
 from .core import DIAGONAL_FLAT, MAX_LINE_SUM, MIN_LINE_SUM, PrescriptionRegime
@@ -84,12 +84,10 @@ EXPECTED_PUZZLE_COUNTS = {
 
 def _pack(cells: tuple[int, ...]) -> int:
     """Full-diagonal signature key of these cells."""
-    r1 = cells[0] + cells[1] + cells[2]
-    r2 = cells[3] + cells[4] + cells[5]
-    c1 = cells[0] + cells[3] + cells[6]
-    c2 = cells[1] + cells[4] + cells[7]
-    sums = ((r1 << 5 | r2) << 5 | c1) << 5 | c2
-    return ((sums << 4 | cells[0]) << 4 | cells[4]) << 4 | cells[8]
+    # rows 1 and 2, then columns 1 and 2, then the diagonal: a, e, k
+    a, b, c, d, e, f, g, h, k = cells
+    sums = (((a + b + c) << 5 | (d + e + f)) << 5 | (a + d + g)) << 5 | (b + e + h)
+    return ((sums << 4 | a) << 4 | e) << 4 | k
 
 
 # keys are linear in the cells (see the module docstring): the key of each unit grid
@@ -145,7 +143,7 @@ def _count_group(drop: int, rows: list[tuple[list[int], list[int]]]) -> dict[int
         # spare digit that a two-digit key keeps, int - int does not
         lowers[:] = [cap - (tail >> drop) for tail in tails]
         for head in heads:
-            _count_elements(counts, map((cap + (head >> drop)).__sub__, lowers))
+            _count_elements(counts, map(sub, repeat(cap + (head >> drop)), lowers))
     return counts
 
 

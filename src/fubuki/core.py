@@ -237,11 +237,26 @@ class ClueSet:
 
     @classmethod
     def from_grid(cls, grid: Grid, regime: PrescriptionRegime) -> "ClueSet":
-        """The puzzle this grid answers under the given regime."""
+        """The puzzle this grid answers under the given regime.
+
+        Built without running `__post_init__`, because every invariant it
+        checks already holds for a `Grid`: the entries (i, i, cells[4i-4])
+        are sorted by position, their values are distinct digits, and every
+        sum of three distinct digits lies in MIN_LINE_SUM..MAX_LINE_SUM.
+        The generator builds one clue set per emitted puzzle.
+        """
         _check_type(grid, Grid, "grid")
         _check_type(regime, PrescriptionRegime, "regime")
-        prescribed = tuple((r, c, grid.value_at(r, c)) for r, c in regime.cells)
-        return cls(prescribed, grid.row_sums(), grid.col_sums())
+        c = grid.cells
+        clue = object.__new__(cls)
+        object.__setattr__(
+            clue,
+            "prescribed",
+            ((1, 1, c[0]), (2, 2, c[4]), (3, 3, c[8]))[: _REGIME_CELL_COUNT[regime]],
+        )
+        object.__setattr__(clue, "row_sums", grid.row_sums())
+        object.__setattr__(clue, "col_sums", grid.col_sums())
+        return clue
 
     def satisfied_by(self, grid: Grid) -> bool:
         """Whether `grid` has every prescribed cell and every line sum."""

@@ -90,11 +90,12 @@ def generate_puzzles(config: GeneratorConfig) -> list[ClueSet]:
         ]
     groups = _GROUPS[regime] if config.require_unique else None
     values = list(_DIGITS)
+    shuffle = rng.shuffle
     puzzles: list[ClueSet] = []
     for _ in range(config.count):
         while True:
             values[:] = _DIGITS  # each draw shuffles 1..9 afresh
-            rng.shuffle(values)
+            shuffle(values)
             cells = tuple(values)
             if groups is None:
                 break

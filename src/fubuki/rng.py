@@ -83,14 +83,20 @@ class SplitMix64:
         it. A batch never holds more outputs than indices left to draw, so
         every output mixed is consumed. The generator shuffles once per draw,
         so `items` is checked by the `try`, not by a call.
+
+        An output below `safe` = 2**64 - len(items) is accepted without the
+        exact limit's two big-int operations. The shortcut is exact: every
+        bound n drawn is at most len(items), so 2**64 % n <= len(items) - 1
+        and the limit 2**64 - 2**64 % n is above `safe`.
         """
         take = self._take
         try:
             i = len(items) - 1
+            safe = _SPAN - len(items)
             while i > 0:
                 for u in take(i if i < _BATCH else _BATCH):
                     n = i + 1
-                    if u < _SPAN - _SPAN % n:
+                    if u < safe or u < _SPAN - _SPAN % n:
                         j = u % n
                         items[i], items[j] = items[j], items[i]
                         i -= 1

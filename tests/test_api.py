@@ -82,13 +82,14 @@ def test_no_module_imports_a_process_or_thread_pool():
 
 
 # public methods and properties that no code in src/ reads, on purpose: the
-# paper's statistics and the grid-level clue check, read by library users and
-# tests (the solver checks bare cells through ClueSet._holds), and argparse's
-# hook
+# paper's statistics, the grid-level clue check and the cell accessor, read by
+# library users and tests (the solver checks bare cells through ClueSet._holds
+# and ClueSet.from_grid indexes the cells), and argparse's hook
 UNREAD_METHODS = [
     "census.py: CensusReport.max_solutions",
     "cli.py: _Parser.error",
     "core.py: ClueSet.satisfied_by",
+    "core.py: Grid.value_at",
     "theory.py: DiagonalClass.max_solutions",
 ]
 

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fubuki import ClueSet, Grid, PrescriptionRegime, PuzzleFormatError
 from fubuki.rng import SplitMix64
@@ -102,6 +104,26 @@ class TestClueSet:
     def test_from_grid_none(self, grid_two_a):
         clue = ClueSet.from_grid(grid_two_a, PrescriptionRegime.NONE)
         assert clue.prescribed == ()
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=300)
+    @given(st.permutations(range(1, 10)).map(Grid))
+    def test_from_grid_is_the_validated_clue_set(self, grid):
+        # from_grid skips __post_init__, so it must build what the validating
+        # constructor builds, down to the types of its fields
+        for regime in PrescriptionRegime:
+            n = len(regime.cells)
+            clue = ClueSet.from_grid(grid, regime)
+            validated = ClueSet(
+                tuple((i, i, grid.cells[4 * i - 4]) for i in range(1, n + 1)),
+                grid.row_sums(),
+                grid.col_sums(),
+            )
+            assert clue == validated
+            assert hash(clue) == hash(validated)
+            fields = (clue.row_sums, clue.col_sums, *clue.prescribed)
+            assert type(clue.prescribed) is tuple
+            assert all(type(f) is tuple for f in fields)
+            assert all(type(v) is int for f in fields for v in f)
 
     def test_satisfied_by(self, grid_two_a, grid_two_b, grid_unique, clue_two):
         assert clue_two.satisfied_by(grid_two_a)

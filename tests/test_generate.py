@@ -120,6 +120,22 @@ class TestSplitMix64:
         assert fast.script == reference.script
         assert fast._state == reference._state
 
+    @pytest.mark.parametrize("length", [2, 3, 6, 9, 17])
+    def test_shuffle_shortcut_is_exact_at_its_edges(self, length):
+        # the first index drawn is scripted on each side of the shortcut
+        # `safe` = 2**64 - length and of the exact limit. `u <= safe` in place
+        # of `u < safe` is an equivalent mutant: every limit is at least
+        # 2**64 - length + 1
+        limit = SPAN - SPAN % length
+        for u in (SPAN - length - 1, SPAN - length, limit - 1, limit):
+            fast, reference = Scripted(7, [u]), Scripted(7, [u])
+            a, b = list(range(length)), list(range(length))
+            fast.shuffle(a)
+            reference_shuffle(reference, b)
+            assert a == b, hex(u)
+            assert fast.script == reference.script
+            assert fast._state == reference._state
+
     @PROPERTY
     @given(st.integers(0, MAX_SEED), st.integers(0, 8))
     def test_take_is_k_scalar_steps(self, seed, k):
