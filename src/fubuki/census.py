@@ -381,9 +381,7 @@ def companion_scan() -> CompanionScan:
     return CompanionScan(pairs)
 
 
-def companion_oracle_mismatches(
-    multi: dict[int, int], scan: CompanionScan, max_report: int = 5
-) -> list[str]:
+def companion_oracle_mismatches(multi: dict[int, int], scan: CompanionScan) -> list[str]:
     """Check the structural companions against the brute-force census.
 
     `multi` maps the full-diagonal signature key of every bucket of two or
@@ -399,15 +397,13 @@ def companion_oracle_mismatches(
     from `multi`, so a bucket of one grid has none, 1 * 0. So every bucket
     gets s * (s - 1) pairs; each of its s grids has at most s - 1
     companions, so each has exactly s - 1. Hence C(p) = B(p) - {p} for all
-    362,880 grids. Returns the first `max_report` violations, which must be
-    a positive int; empty means the routes agree.
+    362,880 grids. Returns at most the first 5 violations; empty means the
+    routes agree.
     """
     if not _is_int_dict(multi):
         raise _bad("multi", "a dict of ints", multi)
     _check_type(scan, CompanionScan, "scan")
-    if not (_is_int(max_report) and max_report >= 1):
-        raise _bad("max_report", "positive", max_report)
-    return list(islice(_oracle_violations(multi, scan), max_report))
+    return list(islice(_oracle_violations(multi, scan), 5))
 
 
 def _oracle_violations(multi: dict[int, int], scan: CompanionScan) -> Iterator[str]:

@@ -145,10 +145,6 @@ class Grid:
         c = self.cells
         return (c[0] + c[3] + c[6], c[1] + c[4] + c[7], c[2] + c[5] + c[8])
 
-    def diagonal(self) -> tuple[int, int, int]:
-        c = self.cells
-        return (c[0], c[4], c[8])
-
     def to_dict(self) -> dict:
         return {"cells": [list(r) for r in self.rows]}
 

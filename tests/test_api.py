@@ -2,11 +2,16 @@
 brute-force census stays independent of the solver it is checked against."""
 
 import ast
+import re
+import subprocess
+import sys
+import tokenize
 from pathlib import Path
 
 import fubuki
 
 ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "fubuki").glob("*.py"))
 
 PUBLIC_API = [
     "CensusReport",
@@ -74,7 +79,7 @@ def test_no_module_imports_a_process_or_thread_pool():
     # would add its import time to every command
     offenders = [
         f"{path.name}: {name}"
-        for path in sorted((ROOT / "src" / "fubuki").glob("*.py"))
+        for path in SOURCES
         for name in imported_modules(path)
         if name.split(".")[0] in ("concurrent", "multiprocessing")
     ]
@@ -83,8 +88,9 @@ def test_no_module_imports_a_process_or_thread_pool():
 
 # public methods and properties that no code in src/ reads, on purpose: the
 # paper's statistics, the grid-level clue check and the cell accessor, read by
-# library users and tests (the solver checks bare cells through ClueSet._holds
-# and ClueSet.from_grid indexes the cells), and argparse's hook
+# library users and tests (the solver checks bare cells, and ClueSet.from_grid
+# indexes them), and argparse's hook. A method counts as read only where it is
+# an attribute, so a bare name such as a parameter does not
 UNREAD_METHODS = [
     "census.py: CensusReport.max_solutions",
     "cli.py: _Parser.error",
@@ -97,16 +103,16 @@ UNREAD_METHODS = [
 def test_every_public_name_is_exported_or_read():
     # a public top-level name that is neither exported nor read anywhere in
     # src/ is dead code, and so is a public method or property of a class in
-    # src/ that is read nowhere there and not listed above
-    sources = sorted((ROOT / "src" / "fubuki").glob("*.py"))
-    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sources}
-    read = set()
+    # src/ that is read nowhere there as an attribute and not listed above
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    names, attributes = set(), set()
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+                attributes.add(node.attr)
+    read = names | attributes
     dead = []
     unread_methods = []
     for name, tree in trees.items():
@@ -130,7 +136,7 @@ def test_every_public_name_is_exported_or_read():
                     for method in node.body
                     if isinstance(method, ast.FunctionDef)
                     and not method.name.startswith("_")
-                    and method.name not in read
+                    and method.name not in attributes
                 ]
     assert dead == []
     assert sorted(unread_methods) == UNREAD_METHODS
@@ -147,7 +153,7 @@ MEMOS = [
 
 def test_memos_are_pinned():
     memos = []
-    for path in sorted((ROOT / "src" / "fubuki").glob("*.py")):
+    for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
@@ -158,3 +164,49 @@ def test_memos_are_pinned():
                 if name in ("cache", "lru_cache"):
                     memos.append(f"{path.stem}.{node.name}")
     assert sorted(memos) == MEMOS
+
+
+def test_import_builds_no_memo():
+    # a table built at import would be timed as set-up by every command: the
+    # solver's views, which hold its pair tables, and the shift tables
+    code = (
+        "import importlib\n"
+        "import fubuki.cli\n"
+        f"for memo in {MEMOS!r}:\n"
+        "    module, name = memo.split('.')\n"
+        "    f = getattr(importlib.import_module(f'fubuki.{module}'), name)\n"
+        "    if f.cache_info().currsize:\n"
+        "        raise SystemExit(f'{memo} is built at import')\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+
+
+# a name with one leading underscore
+PRIVATE = re.compile(r"(?<!\w)_[A-Za-z]\w*")
+
+
+def tokens(path: Path) -> list[tokenize.TokenInfo]:
+    with path.open("rb") as f:
+        return list(tokenize.tokenize(f.readline))
+
+
+def test_tests_name_no_private_fubuki_name():
+    # tests reach fubuki's internals through tests/internals.py alone, so a
+    # refactor edits that file and not each test. Names are matched in code,
+    # strings (monkeypatched names, code run in a fresh process) and
+    # comments; the entries of MEMOS and UNREAD_METHODS pin private names on purpose
+    private = {t.string for path in SOURCES for t in tokens(path) if PRIVATE.fullmatch(t.string)}
+    pins = {f'"{pin}"' for pin in MEMOS + UNREAD_METHODS}
+    offenders = [
+        f"{path.name}:{t.start[0]}: {name}"
+        for path in sorted((ROOT / "tests").glob("*.py"))
+        if path.name != "internals.py"
+        for t in tokens(path)
+        if t.string not in pins
+        for name in PRIVATE.findall(t.string)
+        if name in private
+    ]
+    assert private and offenders == []

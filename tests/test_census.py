@@ -1,4 +1,3 @@
-import importlib
 import re
 import subprocess
 import sys
@@ -16,18 +15,17 @@ from fubuki import (
     ClueSet,
     Grid,
     PrescriptionRegime,
+    census,
     census_all,
     closed_form_puzzle_count,
     companion_oracle_mismatches,
     count_solutions,
 )
-from fubuki.census import signature_key
+from fubuki.census import group_multi_buckets, signature_key
 from fubuki.core import MAX_LINE_SUM, MIN_LINE_SUM
 from fubuki.rng import SplitMix64
 from fubuki.theory import companion_cells, shift_cells
-
-# the package re-exports census() under the submodule's name
-census_module = importlib.import_module("fubuki.census")
+import internals
 
 R = PrescriptionRegime
 FIRST_ROW_SUMS = range(MIN_LINE_SUM, MAX_LINE_SUM + 1)
@@ -46,6 +44,10 @@ MULTI_GRID_BUCKETS = {
     R.TOP_LEFT: 97683,
     R.NONE: 43411,
 }
+
+
+def no_group(r1):
+    raise AssertionError(f"counted the group of first row sum {r1} for a bad argument")
 
 
 @pytest.fixture(scope="module")
@@ -146,7 +148,7 @@ class TestSweepMechanics:
 
     @pytest.mark.parametrize("regime", ["none", None, []], ids=repr)
     def test_key_rejects_a_non_regime(self, grid_unique, regime):
-        # "none" used to raise KeyError and [] TypeError from _DROP
+        # "none" used to raise KeyError and [] TypeError from the drop lookup
         with pytest.raises(ValueError, match="regime must be a PrescriptionRegime"):
             signature_key(grid_unique.cells, regime)
 
@@ -172,34 +174,31 @@ class TestSweepMechanics:
                 assert signature_key(cells, regime) == reference_key(cells, regime)
 
     def test_sweep_matches_naive_count(self):
-        # one _pack call per grid, each regime's key a right shift of it
-        drops = tuple(census_module._DROP[r] for r in R)
-        naive: list[Counter[int]] = [Counter() for _ in drops]
+        naive: dict[R, Counter[int]] = {r: Counter() for r in R}
         for cells in permutations(range(1, 10)):
-            key = census_module._pack(cells)
-            for drop, counts in zip(drops, naive):
-                counts[key >> drop] += 1
-        swept: list[dict[int, int]] = [{} for _ in drops]
+            for regime, counts in naive.items():
+                counts[signature_key(cells, regime)] += 1
+        swept: dict[R, dict[int, int]] = {r: {} for r in R}
         for r1 in FIRST_ROW_SUMS:
-            rows = census_module._group_rows(r1)
-            for drop, merged in zip(drops, swept):
-                counts = census_module._count_group(drop, rows)
+            for regime in R:
+                counts = internals.group_counts(regime, r1)
                 assert type(counts) is dict
-                assert merged.keys().isdisjoint(counts)
-                merged.update(counts)
-        for regime, got, want in zip(R, swept, naive):
-            assert got == dict(want), regime
+                assert swept[regime].keys().isdisjoint(counts)
+                swept[regime].update(counts)
+        for regime, want in naive.items():
+            assert swept[regime] == dict(want), regime
 
     def test_key_is_weighted_cell_sum(self):
-        weights = census_module._WEIGHTS
+        # the key of each unit grid weighs its cell
+        units = [tuple(int(i == j) for j in range(9)) for i in range(9)]
+        weights = [signature_key(unit, R.FULL_DIAGONAL) for unit in units]
         for cells in permutations(range(1, 10)):
-            assert census_module._pack(cells) == sum(map(mul, cells, weights))
+            assert signature_key(cells, R.FULL_DIAGONAL) == sum(map(mul, cells, weights))
 
     def test_full_diagonal_buckets_partition_all_grids(self, census_reports):
-        drop = census_module._DROP[R.FULL_DIAGONAL]
         counts: dict[int, int] = {}
         for r1 in FIRST_ROW_SUMS:
-            counts.update(census_module._count_group(drop, census_module._group_rows(r1)))
+            counts.update(internals.group_counts(R.FULL_DIAGONAL, r1))
         assert len(counts) == EXPECTED_PUZZLE_COUNTS[R.FULL_DIAGONAL]
         assert sum(counts.values()) == TOTAL_GRIDS
         assert max(counts.values()) == 2
@@ -216,13 +215,10 @@ class TestSweepMechanics:
 
     @pytest.mark.parametrize("regime", ["none", None, "full_diagonal", 3])
     def test_census_rejects_a_non_regime_before_sweeping(self, monkeypatch, regime):
-        # "none" used to raise KeyError from _DROP
-        def no_sweep(*args):
-            raise AssertionError("census swept for a non-regime")
-
-        monkeypatch.setattr(census_module, "_group_rows", no_sweep)
+        # "none" used to raise KeyError from the drop lookup
+        internals.before_each_group(monkeypatch, no_group)
         with pytest.raises(ValueError, match="regime must be a PrescriptionRegime"):
-            census_module.census(regime)
+            census(regime)
 
     def test_report_rejects_multi_buckets_that_disagree_with_sizes(self, census_reports):
         report = census_reports[R.FULL_DIAGONAL]
@@ -260,15 +256,12 @@ class TestSweepMechanics:
     @pytest.mark.parametrize("parts", [2, 3])
     def test_parts_share_no_key(self, census_reports, group_buckets, parts):
         # `none` has the coarsest keys, so a shared key would show there first
-        regimes = (R.NONE, R.FULL_DIAGONAL)
-        rows = {r1: census_module._group_rows(r1) for r1 in FIRST_ROW_SUMS}
-        for regime in regimes:
-            drop = census_module._DROP[regime]
+        for regime in (R.NONE, R.FULL_DIAGONAL):
             merged: dict[int, int] = {}
             for part in range(parts):
                 counts: dict[int, int] = {}
                 for r1 in FIRST_ROW_SUMS[part::parts]:
-                    group = census_module._count_group(drop, rows[r1])
+                    group = internals.group_counts(regime, r1)
                     assert counts.keys().isdisjoint(group)
                     counts.update(group)
                 assert merged.keys().isdisjoint(counts)
@@ -284,8 +277,7 @@ class TestSweepMechanics:
         # stand-in counts per (regime, first row sum): a single-grid bucket,
         # a bucket of r1 grids (r1 + 1 under `none`) and, in the last group,
         # one bucket of the grids that make up 9!
-        regimes = (R.NONE, R.FULL_DIAGONAL)
-        by_drop = {census_module._DROP[r]: r for r in regimes}
+        regimes = tuple(R)
         stub = {
             (regime, r1): {r1 << 4: 1, r1 << 4 | 1: r1 + (regime is R.NONE)}
             for regime in regimes
@@ -300,13 +292,12 @@ class TestSweepMechanics:
             calls.append(r1)
             return r1  # a group's rows stand in as its first row sum
 
-        def count_group(drop, r1):
-            calls.append((by_drop[drop], r1))
-            return dict(stub[by_drop[drop], r1])
+        def count_group(regime, r1):
+            calls.append((regime, r1))
+            return dict(stub[regime, r1])
 
-        monkeypatch.setattr(census_module, "_group_rows", group_rows)
-        monkeypatch.setattr(census_module, "_count_group", count_group)
-        reports = census_module._reports(regimes)
+        internals.stub_groups(monkeypatch, group_rows, count_group)
+        reports = census_all()
         # per first row sum, its rows once, then one regime at a time
         assert calls == [c for r1 in FIRST_ROW_SUMS for c in (r1, *((r, r1) for r in regimes))]
         for regime in regimes:
@@ -326,7 +317,7 @@ class TestGroupMultiBuckets:
     def test_groups_make_up_the_sweeps_buckets(self, census_reports, group_buckets, regime):
         union: dict[int, int] = {}
         for r1 in FIRST_ROW_SUMS:
-            group = census_module.group_multi_buckets(regime, r1)
+            group = group_multi_buckets(regime, r1)
             assert union.keys().isdisjoint(group)
             union.update(group)
         assert union == group_buckets[regime]
@@ -337,40 +328,31 @@ class TestGroupMultiBuckets:
 
     @pytest.mark.parametrize("regime", ["none", None, 3])
     def test_rejects_a_non_regime_before_counting(self, monkeypatch, regime):
-        # "none" used to raise KeyError from _DROP
-        def no_count(*args):
-            raise AssertionError("counted a group for a non-regime")
-
-        monkeypatch.setattr(census_module, "_group_rows", no_count)
+        # "none" used to raise KeyError from the drop lookup
+        internals.before_each_group(monkeypatch, no_group)
         with pytest.raises(ValueError, match="regime must be a PrescriptionRegime"):
-            census_module.group_multi_buckets(regime, 15)
+            group_multi_buckets(regime, 15)
 
     @pytest.mark.parametrize("r1", [5, 25, "6", True, 6.0, None], ids=repr)
     def test_rejects_a_non_line_sum_before_counting(self, monkeypatch, r1):
         # 5, "6" and True used to return {}, "every grid unique", and 6.0
         # sum 6's buckets
-        def no_count(*args):
-            raise AssertionError("counted a group for a non-line-sum")
-
-        monkeypatch.setattr(census_module, "_group_rows", no_count)
+        internals.before_each_group(monkeypatch, no_group)
         with pytest.raises(ValueError, match="r1 must be an integer in 6..24"):
-            census_module.group_multi_buckets(R.NONE, r1)
+            group_multi_buckets(R.NONE, r1)
 
     def test_rejects_a_group_short_of_grids_under_optimize(self):
         # a real raise, not an assert that -O strips; first row sum 6 has one
         # digit set, {1, 2, 3}, so 3! * 6! grids
         code = (
-            "import importlib\n"
+            "import sys\n"
+            f"sys.path.insert(0, {internals.HERE!r})\n"
+            "import pytest, internals\n"
+            "from fubuki.census import group_multi_buckets\n"
             "from fubuki.core import PrescriptionRegime as R\n"
-            "census = importlib.import_module('fubuki.census')\n"
-            "count_group = census._count_group\n"
-            "def short_group(drop, rows):\n"
-            "    counts = count_group(drop, rows)\n"
-            "    del counts[next(iter(counts))]\n"
-            "    return counts\n"
-            "census._count_group = short_group\n"
+            "internals.short_groups(pytest.MonkeyPatch())\n"
             "try:\n"
-            "    census.group_multi_buckets(R.NONE, 6)\n"
+            "    group_multi_buckets(R.NONE, 6)\n"
             "except RuntimeError as error:\n"
             "    print(error)\n"
             "else:\n"
@@ -481,14 +463,8 @@ class TestCompanionOracle:
         assert companion_oracle_mismatches(multi, scan) == [found]
 
     def test_report_is_capped(self, full_scan):
-        assert len(companion_oracle_mismatches({}, full_scan, max_report=3)) == 3
-
-    @pytest.mark.parametrize("max_report", [0, -1, True, 2.5, None])
-    def test_rejects_a_report_cap_that_could_hide_violations(self, full_scan, max_report):
-        # with a cap of 0, even an empty multi (every bucket wrong) read as
-        # "routes agree"; a bool or float is no count
-        with pytest.raises(ValueError, match=re.escape(f"must be positive, got {max_report!r}")):
-            companion_oracle_mismatches({}, full_scan, max_report=max_report)
+        # an empty multi puts every one of the 11,448 two-grid buckets wrong
+        assert len(companion_oracle_mismatches({}, full_scan)) == 5
 
 
 class TestVerifyMemory:

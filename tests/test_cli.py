@@ -12,7 +12,8 @@ from itertools import combinations
 import pytest
 
 from fubuki import ClueSet, build_shift_table, count_solutions
-from fubuki.cli import _build_parser, main
+from fubuki.cli import main
+from internals import parsed_options
 
 TWO_SOLUTION_PUZZLE = {
     "prescribed": [
@@ -199,7 +200,7 @@ class TestIntOptions:
         ],
     )
     def test_accepted(self, argv):
-        assert vars(_build_parser().parse_args(argv))[argv[-2][2:]] == int(argv[-1])
+        assert parsed_options(argv)[argv[-2][2:]] == int(argv[-1])
 
     @pytest.mark.parametrize(
         "argv",

@@ -15,15 +15,23 @@ from fubuki import (
     generate,
     generate_puzzles,
 )
-from fubuki.census import group_multi_buckets
 from fubuki.cli import main
 from fubuki.core import MAX_LINE_SUM, MIN_LINE_SUM
 from fubuki.rng import SplitMix64
+from internals import (
+    GAMMA,
+    GROUP_STEPS,
+    SPAN,
+    NoDraws,
+    Scalar,
+    Scripted,
+    before_each_group,
+    forget_groups,
+    take,
+)
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=300)
-SPAN = 1 << 64
 MAX_SEED = SPAN - 1
-GAMMA = 0x9E3779B97F4A7C15
 # states from which output i (1..8) of a batch lands exactly on 2**64, and
 # their neighbours: the lanes wrap there
 WRAP_STATES = sorted({(-i * GAMMA + d) % SPAN for i in range(1, 9) for d in (-1, 0, 1)})
@@ -37,35 +45,26 @@ def reference_shuffle(rng: SplitMix64, items: list) -> None:
         items[i], items[j] = items[j], items[i]
 
 
-class Scalar(SplitMix64):
-    """The published SplitMix64 step, mixing one output at a time: the
-    reference the lane-packed mixer is checked against."""
-
-    def _take(self, k: int) -> tuple[int, ...]:
-        outputs = []
-        for _ in range(k):
-            self._state = z = (self._state + GAMMA) % SPAN
-            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % SPAN
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % SPAN
-            outputs.append(z ^ (z >> 31))
-        return tuple(outputs)
+def assert_same_state(a: SplitMix64, b: SplitMix64) -> None:
+    """Two streams are in one state exactly when their next outputs agree:
+    SplitMix64's output is a bijection of its state, as its finalizer only
+    xor-shifts and multiplies by odd constants. A scripted stream's leftover
+    script is compared first, and then spent."""
+    if isinstance(a, Scripted):
+        assert a.script == b.script
+        a.script.clear()
+        b.script.clear()
+    assert a.next_u64() == b.next_u64()
 
 
-class Scripted(SplitMix64):
-    """SplitMix64 whose first outputs are scripted, so rejections can be forced.
-
-    Scripted outputs come before the stream's own and do not move its state.
-    Every draw, single or batched, goes through `_take`, so overriding it
-    scripts `below` and `shuffle` alike.
-    """
-
-    def __init__(self, seed: int, script: list[int]) -> None:
-        super().__init__(seed)
-        self.script = list(script)
-
-    def _take(self, k: int) -> tuple[int, ...]:
-        scripted = tuple(self.script.pop() for _ in range(min(k, len(self.script))))
-        return scripted + super()._take(k - len(scripted))
+def assert_shuffles_alike(fast: SplitMix64, reference: SplitMix64, length: int, note=None):
+    """`fast.shuffle` permutes as `reference_shuffle` does on `reference`,
+    and leaves the two streams in one state."""
+    a, b = list(range(length)), list(range(length))
+    fast.shuffle(a)
+    reference_shuffle(reference, b)
+    assert a == b, note
+    assert_same_state(fast, reference)
 
 
 class TestSplitMix64:
@@ -96,13 +95,8 @@ class TestSplitMix64:
     @PROPERTY
     @given(st.integers(0, MAX_SEED), st.integers(0, 20))
     def test_shuffle_is_fisher_yates_on_below(self, seed, length):
-        fast, reference = SplitMix64(seed), SplitMix64(seed)
-        a, b = list(range(length)), list(range(length))
-        fast.shuffle(a)
-        reference_shuffle(reference, b)
-        assert a == b
         # states agree only after the same number of next_u64 draws
-        assert fast._state == reference._state
+        assert_shuffles_alike(SplitMix64(seed), SplitMix64(seed), length)
 
     @PROPERTY
     @given(
@@ -112,13 +106,7 @@ class TestSplitMix64:
     )
     def test_shuffle_rejects_as_below_does(self, seed, length, script):
         # draws this close to 2**64 are rejected for most bounds up to 20
-        fast, reference = Scripted(seed, script), Scripted(seed, script)
-        a, b = list(range(length)), list(range(length))
-        fast.shuffle(a)
-        reference_shuffle(reference, b)
-        assert a == b
-        assert fast.script == reference.script
-        assert fast._state == reference._state
+        assert_shuffles_alike(Scripted(seed, script), Scripted(seed, script), length)
 
     @pytest.mark.parametrize("length", [2, 3, 6, 9, 17])
     def test_shuffle_shortcut_is_exact_at_its_edges(self, length):
@@ -128,42 +116,31 @@ class TestSplitMix64:
         # 2**64 - length + 1
         limit = SPAN - SPAN % length
         for u in (SPAN - length - 1, SPAN - length, limit - 1, limit):
-            fast, reference = Scripted(7, [u]), Scripted(7, [u])
-            a, b = list(range(length)), list(range(length))
-            fast.shuffle(a)
-            reference_shuffle(reference, b)
-            assert a == b, hex(u)
-            assert fast.script == reference.script
-            assert fast._state == reference._state
+            assert_shuffles_alike(Scripted(7, [u]), Scripted(7, [u]), length, hex(u))
 
     @PROPERTY
     @given(st.integers(0, MAX_SEED), st.integers(0, 8))
     def test_take_is_k_scalar_steps(self, seed, k):
         fast, scalar = SplitMix64(seed), Scalar(seed)
-        assert fast._take(k) == scalar._take(k)
-        assert fast._state == scalar._state
+        assert take(fast, k) == take(scalar, k)
+        assert_same_state(fast, scalar)
 
     @pytest.mark.parametrize("k", range(9))
     def test_take_is_k_scalar_steps_where_the_state_wraps(self, k):
         for state in WRAP_STATES:
             fast, scalar = SplitMix64(state), Scalar(state)
-            assert fast._take(k) == scalar._take(k), hex(state)
-            assert fast._state == scalar._state
+            assert take(fast, k) == take(scalar, k), hex(state)
+            assert_same_state(fast, scalar)
 
     def test_take_nothing(self):
         rng = SplitMix64(MAX_SEED)
-        assert rng._take(0) == ()
-        assert rng._state == MAX_SEED
+        assert take(rng, 0) == ()
+        assert_same_state(rng, SplitMix64(MAX_SEED))
 
     @pytest.mark.parametrize("length", [9, 17, 64])
     def test_shuffle_past_one_batch_is_scalar_fisher_yates(self, length):
         for seed in (0, 7, MAX_SEED, *WRAP_STATES):
-            fast, scalar = SplitMix64(seed), Scalar(seed)
-            a, b = list(range(length)), list(range(length))
-            fast.shuffle(a)
-            reference_shuffle(scalar, b)
-            assert a == b, hex(seed)
-            assert fast._state == scalar._state
+            assert_shuffles_alike(SplitMix64(seed), Scalar(seed), length, hex(seed))
 
     @pytest.mark.parametrize("seed", [-1, SPAN, True, 1.5, "5", None])
     def test_rejects_a_seed_outside_64_bits(self, seed):
@@ -175,11 +152,6 @@ class TestSplitMix64:
     def test_below_rejects_a_bound_outside_1_to_2_64(self, n):
         # above 2**64 no output is below the rejection limit, so it would
         # never return; True would return 0 and 2.5 a float
-
-        class NoDraws(SplitMix64):
-            def _take(self, k):
-                raise AssertionError("a bad bound drew an output")
-
         with pytest.raises(ValueError, match="bound must be an int"):
             NoDraws(1).below(n)
 
@@ -324,11 +296,6 @@ class TestSeededOutput:
 
     @pytest.mark.parametrize("regime", list(DRAWS_SEED_7), ids=lambda r: r.name)
     def test_one_key_per_draw_and_one_grid_per_puzzle(self, monkeypatch, regime):
-        if regime is not PrescriptionRegime.FULL_DIAGONAL:
-            groups = generate._GROUPS[regime]
-            for r1 in FIRST_ROW_SUMS:  # the bucket counting is not counted
-                if r1 not in groups:
-                    groups[r1] = group_multi_buckets(regime, r1)
         calls = {"key": 0, "grid": 0}
         census_module = sys.modules["fubuki.census"]
         key, post_init = census_module.signature_key, Grid.__post_init__
@@ -356,7 +323,7 @@ class TestLazyBuckets:
             "import sys\n"
             "calls = []\n"
             "def hook(frame, event, arg):\n"
-            "    if event == 'call' and frame.f_code.co_name in ('_group_rows', '_count_group'):\n"
+            f"    if event == 'call' and frame.f_code.co_name in {GROUP_STEPS!r}:\n"
             "        calls.append(1)\n"
             "sys.setprofile(hook)\n"
             "import fubuki.cli\n"
@@ -373,20 +340,15 @@ class TestLazyBuckets:
 
     def test_a_call_counts_only_the_groups_its_draws_land_in(self, monkeypatch, capsys):
         census_module = sys.modules["fubuki.census"]
-        group_rows, key = census_module._group_rows, census_module.signature_key
+        key = census_module.signature_key
         built, drawn = [], []
-
-        def recorded_group(r1):
-            built.append(r1)
-            return group_rows(r1)
 
         def recorded_key(cells, regime):
             drawn.append(cells[0] + cells[1] + cells[2])
             return key(cells, regime)
 
-        for groups in generate._GROUPS.values():
-            groups.clear()
-        monkeypatch.setattr(census_module, "_group_rows", recorded_group)
+        forget_groups()
+        before_each_group(monkeypatch, built.append)
         monkeypatch.setattr(census_module, "signature_key", recorded_key)
         argv = ["generate", "--regime", "first-two-diagonal", "--unique", "--seed", "7",
                 "--count", "1"]

@@ -5,8 +5,9 @@ from itertools import combinations, permutations
 
 import pytest
 
-from fubuki import ClueSet, Grid, PrescriptionRegime, count_solutions, solve, solver
+from fubuki import ClueSet, Grid, PrescriptionRegime, count_solutions, solve
 from fubuki.rng import SplitMix64
+import internals
 
 
 class TestShowcasePuzzles:
@@ -103,7 +104,7 @@ class TestEdges:
             grid_two_a.row_sums(),
             col_sums or grid_two_a.col_sums(),
         )
-        monkeypatch.setattr(solver, "_search", lambda clues, limit: [cells])
+        internals.emit_from_search(monkeypatch, cells)
         with pytest.raises(RuntimeError, match=message):
             solve(clue)
 
@@ -335,7 +336,7 @@ def check_held_tables() -> None:
     triple holds, stored before or now, is the brute-force one of its mask."""
     brute = {m: brute_force_pairs(m) for m in ROW_1_MASKS}
     for key in view_keys():
-        for t in solver._view(*key):
+        for t in internals.view(*key):
             assert t[4] == brute[t[3]]
 
 
@@ -344,50 +345,37 @@ def regime_clue_sets(n: int, seed: int, regime: PrescriptionRegime) -> list[Clue
 
 
 class TestRowTable:
-    def test_import_builds_no_table(self):
-        # a view built at import would be timed as set-up by every command
-        code = (
-            "import fubuki.cli\n"
-            "from fubuki import solver\n"
-            "if solver._view.cache_info().currsize:\n"
-            "    raise SystemExit('views, and so pair tables, are built at import')\n"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
-        )
-        assert result.returncode == 0, result.stderr
-
     def test_one_search_builds_every_ordered_triple(self, clue_unique):
-        solver._view.cache_clear()
+        internals.clear_views()
         solve(clue_unique)
         # one whole list for row 1's sum and one view for its prescribed cell
-        built = solver._view.cache_info().currsize
+        built = internals.views_held()
         assert 0 < built <= 2
-        triples = [t for s in range(6, 25) for t in solver._view(s, 0, 0)]
+        triples = [t for s in range(6, 25) for t in internals.view(s)]
         assert len(triples) == 504
         assert sorted(t[:3] for t in triples) == list(permutations(range(1, 10), 3))
 
     def test_views_are_ordered_sublists_of_the_table(self):
-        solver._view.cache_clear()
+        internals.clear_views()
         for s in range(6, 25):
             ts = brute_force_triples(s)
-            assert [t[:4] for t in solver._view(s, 0, 0)] == ts
+            assert [t[:4] for t in internals.view(s)] == ts
             for col in (1, 2, 3):
                 for digit in range(1, 10):
-                    assert [t[:4] for t in solver._view(s, col, digit)] == [
+                    assert [t[:4] for t in internals.view(s, col, digit)] == [
                         t for t in ts if t[col - 1] == digit
                     ]
-        assert solver._view.cache_info().currsize == VIEW_KEYS
+        assert internals.views_held() == VIEW_KEYS
 
     def test_view_triples_hold_the_memoised_pair_tables(self):
         # the base view of a sum builds one table per digit set; its six
         # orderings hold that one table, and every other view of the sum
         # holds the base view's tables
-        solver._view.cache_clear()
+        internals.clear_views()
         tables = {}
         for s in range(6, 25):
             by_mask: dict = {}
-            for t in solver._view(s, 0, 0):
+            for t in internals.view(s):
                 by_mask.setdefault(t[3], []).append(t[4])
             for m, held in by_mask.items():
                 assert len(held) == 6 and all(table is held[0] for table in held)
@@ -397,37 +385,34 @@ class TestRowTable:
         for m, table in tables.items():
             assert table == brute_force_pairs(m)
         for key in view_keys():
-            for t in solver._view(*key):
+            for t in internals.view(*key):
                 assert t[4] is tables[t[3]]
 
     def test_memo_stays_within_its_key_bound(self):
         # 2..6 cells prescribed anywhere, so rows with several prescribed
         # cells and unsatisfiable sums are among them
-        solver._view.cache_clear()
+        internals.clear_views()
         for clue in random_clue_sets(1000, seed=424242):
             solve(clue)
-        assert 0 < solver._view.cache_info().currsize <= VIEW_KEYS
+        assert 0 < internals.views_held() <= VIEW_KEYS
         # filling every valid key adds the rest: the solves stored no other key
-        for s in range(6, 25):
-            solver._view(s, 0, 0)
-            for col in (1, 2, 3):
-                for digit in range(1, 10):
-                    solver._view(s, col, digit)
-        assert solver._view.cache_info().currsize == VIEW_KEYS
+        for key in view_keys():
+            internals.view(*key)
+        assert internals.views_held() == VIEW_KEYS
 
     def test_pair_memo_stays_within_its_key_bound(self):
         # the views the solves stored, and the rest filled after them, hold
         # one table per row-1 digit set between them and no other
-        solver._view.cache_clear()
+        internals.clear_views()
         for clue in random_clue_sets(1000, seed=424242):
             solve(clue)
-        held = {id(t[4]): t[3] for key in view_keys() for t in solver._view(*key)}
+        held = {id(t[4]): t[3] for key in view_keys() for t in internals.view(*key)}
         assert sorted(held.values()) == sorted(ROW_1_MASKS)
         check_held_tables()
 
     def test_pair_tables_are_the_brute_force_ones(self):
-        solver._view.cache_clear()
-        tables = {t[3]: t[4] for s in range(6, 25) for t in solver._view(s, 0, 0)}
+        internals.clear_views()
+        tables = {t[3]: t[4] for s in range(6, 25) for t in internals.view(s)}
         assert len(tables) == 84
         for m, table in tables.items():
             assert table == brute_force_pairs(m)
@@ -445,16 +430,16 @@ class TestRowTable:
         clues = regime_clue_sets(100, 41, regime)
         cold = []
         for clue in clues:
-            solver._view.cache_clear()
+            internals.clear_views()
             cold.append([solve(clue), solve(clue, limit=1)])
-        solver._view.cache_clear()
+        internals.clear_views()
         check_held_tables()
         assert [[solve(clue), solve(clue, limit=1)] for clue in clues] == cold
 
     def test_threads_filling_the_pair_memo_at_once_match_serial_solves(self):
         clues = regime_clue_sets(100, 43, PrescriptionRegime.NONE)
         serial = [solve(clue) for clue in clues]
-        solver._view.cache_clear()
+        internals.clear_views()
         start = threading.Barrier(4, timeout=60)
         results: list = [None] * 4
 

@@ -1,7 +1,5 @@
 import csv
 import io
-import subprocess
-import sys
 from itertools import combinations, permutations
 
 import pytest
@@ -17,7 +15,6 @@ from fubuki import (
     shift_table_to_csv,
     solve,
 )
-from fubuki import theory
 from fubuki.theory import (
     companion_cells,
     possible_shifts,
@@ -25,10 +22,8 @@ from fubuki.theory import (
     shift_cells,
     shift_match_table,
 )
+import internals
 
-
-# the shift table's caches, emptied around a test that patches its builder
-CACHED = (shift_match_table, theory._ordered_matches)
 
 # every reader of the shift table, each as a call that reads it
 READERS = {
@@ -43,11 +38,9 @@ READERS = {
 @pytest.fixture
 def fresh_table():
     """No shift table cached before the test, and none left over after it."""
-    for f in CACHED:
-        f.cache_clear()
+    internals.clear_shift_tables()
     yield
-    for f in CACHED:
-        f.cache_clear()
+    internals.clear_shift_tables()
 
 
 def brute_force_triplets(values: frozenset, shift: int) -> list[tuple[int, int, int]]:
@@ -81,7 +74,7 @@ class TestShiftGrid:
 
 
 class TestPairings:
-    """The table's entries, each one `_pairings` found for a complement."""
+    """The table's entries, each a split of a complement that meets the pairing condition."""
 
     def test_examples(self):
         # complement {4, ..., 9}: pairs (4,5),(6,7),(8,9) by 1, (4,7),(5,8),(6,9) by 3
@@ -182,27 +175,24 @@ class TestShiftTable:
 
     @pytest.mark.parametrize("reader", sorted(READERS))
     def test_more_than_two_shifts_raises(self, fresh_table, monkeypatch, reader):
-        real = theory._pairings
-
-        def three_shifts(rest):
+        def three_shifts(real, rest):
             # diagonal (1, 2, 3) admits 1 and 3; claim 2 as well
             if rest == (4, 5, 6, 7, 8, 9):
                 return [*real(rest), (2, (4, 5, 8))]
             return real(rest)
 
-        monkeypatch.setattr(theory, "_pairings", three_shifts)
+        internals.wrap_pairings(monkeypatch, three_shifts)
         with pytest.raises(RuntimeError, match=r"\(1, 2, 3\) admits 3 shifts"):
             READERS[reader]()
 
     def test_table_is_built_once(self, fresh_table, monkeypatch):
         calls = []
-        real = theory._pairings
 
-        def counted(rest):
+        def counted(real, rest):
             calls.append(rest)
             return real(rest)
 
-        monkeypatch.setattr(theory, "_pairings", counted)
+        internals.wrap_pairings(monkeypatch, counted)
         grid = Grid((1, 4, 5, 7, 2, 6, 8, 9, 3))
         per_pass = []
         for _ in range(2):
@@ -213,20 +203,6 @@ class TestShiftTable:
             closed_form_puzzle_count()
             per_pass.append(len(calls))
         assert per_pass == [84, 0]  # every diagonal's complement, once
-
-    def test_import_builds_no_table(self):
-        # a table built at import would be timed as set-up by every command
-        code = (
-            "import fubuki.cli\n"
-            "from fubuki import theory as t\n"
-            "for f in (t.shift_match_table, t._ordered_matches):\n"
-            "    if f.cache_info().currsize:\n"
-            "        raise SystemExit(f'{f.__name__} is built at import')\n"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
-        )
-        assert result.returncode == 0, result.stderr
 
 
 class TestCompanions:
@@ -255,7 +231,7 @@ class TestCompanions:
 
     def test_rigid_diagonal_grids_have_none(self):
         g = Grid.from_rows([(1, 2, 5), (9, 3, 6), (7, 8, 4)])  # diagonal {1, 3, 4}
-        assert classify_diagonal(g.diagonal()).rigid
+        assert classify_diagonal(g.cells[::4]).rigid
         assert companion_solutions(g) == []
 
     def test_companions_solve_the_same_puzzle(self, grid_two_a):
