@@ -8,6 +8,9 @@ not the tests. A fresh process imports it with `HERE` on `sys.path`.
 """
 
 import importlib
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 from fubuki import PrescriptionRegime, SplitMix64, cli, generate, solver, theory
@@ -81,6 +84,25 @@ def view(s, col=0, digit=0):
 def emit_from_search(monkeypatch, cells):
     """Make the solver's search find `cells` alone, whatever the clues."""
     monkeypatch.setattr(solver, "_search", lambda clues, limit: [cells])
+
+
+def memos_at_import(module):
+    """The entries each memo of `fubuki.<module>` holds, keyed "module.name",
+    in a fresh process that has imported fubuki.cli and nothing else."""
+    code = (
+        "import importlib, json\n"
+        "import fubuki.cli\n"
+        f"m = importlib.import_module('fubuki.{module}')\n"
+        "print(json.dumps({\n"
+        f"    '{module}.' + name: f.cache_info().currsize\n"
+        "    for name, f in vars(m).items()\n"
+        "    if hasattr(f, 'cache_info') and f.__module__ == m.__name__\n"
+        "}))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True
+    )
+    return json.loads(result.stdout)
 
 
 def clear_shift_tables():

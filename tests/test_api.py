@@ -3,8 +3,6 @@ brute-force census stays independent of the solver it is checked against."""
 
 import ast
 import re
-import subprocess
-import sys
 import tokenize
 from pathlib import Path
 
@@ -164,24 +162,6 @@ def test_memos_are_pinned():
                 if name in ("cache", "lru_cache"):
                     memos.append(f"{path.stem}.{node.name}")
     assert sorted(memos) == MEMOS
-
-
-def test_import_builds_no_memo():
-    # a table built at import would be timed as set-up by every command: the
-    # solver's views, which hold its pair tables, and the shift tables
-    code = (
-        "import importlib\n"
-        "import fubuki.cli\n"
-        f"for memo in {MEMOS!r}:\n"
-        "    module, name = memo.split('.')\n"
-        "    f = getattr(importlib.import_module(f'fubuki.{module}'), name)\n"
-        "    if f.cache_info().currsize:\n"
-        "        raise SystemExit(f'{memo} is built at import')\n"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
-    )
-    assert result.returncode == 0, result.stderr
 
 
 # a name with one leading underscore

@@ -204,6 +204,13 @@ class TestShiftTable:
             per_pass.append(len(calls))
         assert per_pass == [84, 0]  # every diagonal's complement, once
 
+    def test_import_builds_no_table(self):
+        # a table built at import would be timed as set-up by every command
+        assert internals.memos_at_import("theory") == {
+            "theory._ordered_matches": 0,
+            "theory.shift_match_table": 0,
+        }
+
 
 class TestCompanions:
     def test_showcase_pair(self, grid_two_a, grid_two_b):
