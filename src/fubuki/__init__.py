@@ -13,7 +13,7 @@ from .census import (
     companion_scan,
 )
 from .core import ClueSet, Grid, PrescriptionRegime, PuzzleFormatError
-from .generate import GeneratorConfig, generate_puzzles
+from .generate import generate_puzzles
 from .rng import SplitMix64
 from .solver import SolveResult, count_solutions, solve
 from .theory import (
@@ -33,7 +33,6 @@ __all__ = [
     "CompanionScan",
     "DiagonalClass",
     "EXPECTED_PUZZLE_COUNTS",
-    "GeneratorConfig",
     "Grid",
     "PrescriptionRegime",
     "PuzzleFormatError",

@@ -25,7 +25,7 @@ from .census import (
     TOTAL_GRIDS,
 )
 from .core import ClueSet, Grid, PrescriptionRegime, PuzzleFormatError, _bad
-from .generate import GeneratorConfig, generate_puzzles
+from .generate import generate_puzzles
 from .rng import _MASK64
 from .solver import solve
 from .theory import build_shift_table, classify_diagonal, shift_table_to_csv
@@ -217,13 +217,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    config = GeneratorConfig(
-        regime=args.regime,
-        require_unique=args.unique,
-        seed=args.seed,
-        count=args.count,
-    )
-    for clue in generate_puzzles(config):
+    for clue in generate_puzzles(args.regime, args.unique, args.seed, args.count):
         if args.pretty:
             print(render_puzzle(clue))
             print()

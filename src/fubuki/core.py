@@ -131,12 +131,6 @@ class Grid:
         c = self.cells
         return (c[0:3], c[3:6], c[6:9])
 
-    def value_at(self, row: int, col: int) -> int:
-        """Cell value at 1-based (row, col)."""
-        if not (_is_int(row) and _is_int(col) and 1 <= row <= 3 and 1 <= col <= 3):
-            raise _bad("position", "two integers in 1..3", (row, col))
-        return self.cells[(row - 1) * 3 + (col - 1)]
-
     def row_sums(self) -> tuple[int, int, int]:
         c = self.cells
         return (c[0] + c[1] + c[2], c[3] + c[4] + c[5], c[6] + c[7] + c[8])

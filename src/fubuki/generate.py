@@ -9,8 +9,6 @@ that lands there and kept for the process.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .census import group_multi_buckets
 from .core import ClueSet, Grid, PrescriptionRegime, _bad, _check_type, _is_int
 from .rng import SplitMix64
@@ -29,22 +27,6 @@ _GROUPS: dict[PrescriptionRegime, dict[int, dict[int, int]]] = {
 }
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
-    regime: PrescriptionRegime
-    require_unique: bool
-    seed: int
-    count: int
-
-    def __post_init__(self) -> None:
-        _check_type(self.regime, PrescriptionRegime, "regime")
-        _check_type(self.require_unique, bool, "require_unique")
-        # bounded here, by the stream it seeds, so no two seeds alias one stream
-        SplitMix64(self.seed)
-        if not (_is_int(self.count) and self.count >= 1):
-            raise _bad("count", "an int of at least 1", self.count)
-
-
 def _rigid_diagonal_grid(rng: SplitMix64, diagonals: tuple[tuple[int, int, int], ...]) -> Grid:
     """A grid whose diagonal, one of `diagonals`, admits no shift, hence a
     unique-solution puzzle."""
@@ -59,8 +41,10 @@ def _rigid_diagonal_grid(rng: SplitMix64, diagonals: tuple[tuple[int, int, int],
     return Grid(tuple(cells))
 
 
-def generate_puzzles(config: GeneratorConfig) -> list[ClueSet]:
-    """Emit `count` puzzles; identical config gives identical output.
+def generate_puzzles(
+    regime: PrescriptionRegime, require_unique: bool, seed: int, count: int
+) -> list[ClueSet]:
+    """Emit `count` puzzles; identical arguments give identical output.
 
     With uniqueness required under the full-diagonal regime, the diagonal is
     sampled from the 35 sets admitting no shift, read once per call, which
@@ -75,24 +59,26 @@ def generate_puzzles(config: GeneratorConfig) -> list[ClueSet]:
     is pinned by a test, so a change here must keep the stream
     byte-identical.
     """
-    # resolved through fubuki.census at each call, not bound at import, so
-    # a wrapper installed on that module's name sees every rejection draw
-    from .census import signature_key
-
-    _check_type(config, GeneratorConfig, "config")
-    regime = config.regime
-    rng = SplitMix64(config.seed)
-    if config.require_unique and regime is PrescriptionRegime.FULL_DIAGONAL:
+    _check_type(regime, PrescriptionRegime, "regime")
+    _check_type(require_unique, bool, "require_unique")
+    # bounded by the stream it seeds, so no two seeds alias one stream
+    rng = SplitMix64(seed)
+    if not (_is_int(count) and count >= 1):
+        raise _bad("count", "an int of at least 1", count)
+    if require_unique and regime is PrescriptionRegime.FULL_DIAGONAL:
         diagonals = rigid_diagonals()
         return [
             ClueSet.from_grid(_rigid_diagonal_grid(rng, diagonals), regime)
-            for _ in range(config.count)
+            for _ in range(count)
         ]
-    groups = _GROUPS[regime] if config.require_unique else None
+    # resolved through fubuki.census at each call, not bound at import, so
+    # a wrapper installed on that module's name sees every rejection draw
+    from .census import signature_key
+    groups = _GROUPS[regime] if require_unique else None
     values = list(_DIGITS)
     shuffle = rng.shuffle
     puzzles: list[ClueSet] = []
-    for _ in range(config.count):
+    for _ in range(count):
         while True:
             values[:] = _DIGITS  # each draw shuffles 1..9 afresh
             shuffle(values)

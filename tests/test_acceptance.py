@@ -14,7 +14,6 @@ from itertools import combinations, permutations
 
 from fubuki import (
     ClueSet,
-    GeneratorConfig,
     Grid,
     PrescriptionRegime,
     build_shift_table,
@@ -230,14 +229,12 @@ def test_criterion_7_shift_structure_exhaustive():
 def test_criterion_8_generator_soundness():
     with criterion(8, "1000 seeded unique puzzles per regime, reproducible"):
         for regime in R:
-            config = GeneratorConfig(
-                regime=regime, require_unique=True, seed=20260810, count=1000
-            )
-            puzzles = generate_puzzles(config)
+            args = dict(regime=regime, require_unique=True, seed=20260810, count=1000)
+            puzzles = generate_puzzles(**args)
             assert len(puzzles) == 1000
             for clue in puzzles:
                 assert count_solutions(clue) == 1, f"{regime.value}: {clue.to_dict()}"
-            again = generate_puzzles(config)
+            again = generate_puzzles(**args)
             assert again == puzzles
             first = "\n".join(json.dumps(c.to_dict()) for c in puzzles)
             second = "\n".join(json.dumps(c.to_dict()) for c in again)

@@ -18,7 +18,6 @@ PUBLIC_API = [
     "CompanionScan",
     "DiagonalClass",
     "EXPECTED_PUZZLE_COUNTS",
-    "GeneratorConfig",
     "Grid",
     "PrescriptionRegime",
     "PuzzleFormatError",
@@ -85,15 +84,13 @@ def test_no_module_imports_a_process_or_thread_pool():
 
 
 # public methods and properties that no code in src/ reads, on purpose: the
-# paper's statistics, the grid-level clue check and the cell accessor, read by
-# library users and tests (the solver checks bare cells, and ClueSet.from_grid
-# indexes them), and argparse's hook. A method counts as read only where it is
+# paper's statistics and the grid-level clue check, read by library users and
+# tests (the solver checks bare cells), and argparse's hook. A method counts as read only where it is
 # an attribute, so a bare name such as a parameter does not
 UNREAD_METHODS = [
     "census.py: CensusReport.max_solutions",
     "cli.py: _Parser.error",
     "core.py: ClueSet.satisfied_by",
-    "core.py: Grid.value_at",
     "theory.py: DiagonalClass.max_solutions",
 ]
 

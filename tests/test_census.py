@@ -124,11 +124,6 @@ class TestCensusReports:
         assert data["puzzles_by_solutions"] == {"1": 339984, "2": 11448}
 
 
-class TestMaxSolutionsObserved:
-    def test_full_diagonal(self, census_reports):
-        assert census_reports[R.FULL_DIAGONAL].max_solutions == 2
-
-
 class TestSweepMechanics:
     def test_iteration_order_does_not_matter(self, census_reports):
         counts: Counter[int] = Counter()
@@ -194,18 +189,6 @@ class TestSweepMechanics:
         weights = [signature_key(unit, R.FULL_DIAGONAL) for unit in units]
         for cells in permutations(range(1, 10)):
             assert signature_key(cells, R.FULL_DIAGONAL) == sum(map(mul, cells, weights))
-
-    def test_full_diagonal_buckets_partition_all_grids(self, census_reports):
-        counts: dict[int, int] = {}
-        for r1 in FIRST_ROW_SUMS:
-            counts.update(internals.group_counts(R.FULL_DIAGONAL, r1))
-        assert len(counts) == EXPECTED_PUZZLE_COUNTS[R.FULL_DIAGONAL]
-        assert sum(counts.values()) == TOTAL_GRIDS
-        assert max(counts.values()) == 2
-        report = census_reports[R.FULL_DIAGONAL]
-        assert report.sizes == dict(Counter(counts.values())) == {1: 339984, 2: 11448}
-        assert report.multi == {key: n for key, n in counts.items() if n >= 2}
-        assert report.max_solutions == 2
 
     def test_report_rejects_a_short_sweep(self):
         # also when the multi-grid buckets were not kept

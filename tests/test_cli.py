@@ -334,14 +334,18 @@ companion oracle: 362880/362880 grids match brute force PASS
 
 
 class TestVerify:
-    def test_all_prints_the_golden_report_serial_and_parallel(self):
+    def test_all_prints_the_golden_report(self):
+        result = run_cli("verify", "--all")
+        assert (result.returncode, result.stdout, result.stderr) == (0, VERIFY_ALL_STDOUT, "")
+
+    def test_two_threads_print_what_one_does(self, capsys):
+        # --threads is accepted and has no effect: the sweep runs in-process
+        outputs = []
         for threads in ("1", "2"):
-            result = run_cli("verify", "--all", "--threads", threads)
-            assert (result.returncode, result.stdout, result.stderr) == (
-                0,
-                VERIFY_ALL_STDOUT,
-                "",
-            ), threads
+            assert main(["verify", "--regime", "none", "--threads", threads]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].out == "regime none: solvable puzzles: 46147 (expected 46147) PASS\n"
 
     def test_single_weak_regime(self):
         result = run_cli("verify", "--regime", "top-left", "--threads", "1")

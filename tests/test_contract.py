@@ -32,7 +32,6 @@ CALLABLES = {
         if callable(getattr(fubuki, name)) and name not in SWEEPS
     },
     "Grid.from_rows": Grid.from_rows,
-    "Grid.value_at": SHOWCASE.value_at,
     "Grid.from_dict": Grid.from_dict,
     "ClueSet.from_grid": ClueSet.from_grid,
     "ClueSet.satisfied_by": ClueSet.from_grid(SHOWCASE, PrescriptionRegime.NONE).satisfied_by,

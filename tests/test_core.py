@@ -34,17 +34,8 @@ class TestGrid:
 
     def test_diagonal_and_accessors(self, grid_two_a):
         assert grid_two_a.cells[::4] == (1, 2, 3)
-        assert grid_two_a.value_at(2, 1) == 7
-        assert grid_two_a.value_at(3, 2) == 9
-
-    @pytest.mark.parametrize(
-        "row, col",
-        [(True, 1), (1, False), (1.5, 1), (1, "1"), (None, 2), (0, 1), (1, 4)],
-    )
-    def test_value_at_rejects_a_position_that_is_not_an_int_in_range(self, grid_two_a, row, col):
-        # True == 1 used to read cell (1, 1); 1.5 and "1" raised TypeError
-        with pytest.raises(ValueError, match="two integers in 1..3"):
-            grid_two_a.value_at(row, col)
+        assert grid_two_a.rows[1][0] == 7
+        assert grid_two_a.rows[2][1] == 9
 
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError, match="duplicate"):

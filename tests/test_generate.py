@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fubuki import (
-    GeneratorConfig,
     Grid,
     PrescriptionRegime,
     classify_diagonal,
@@ -162,18 +161,18 @@ class TestSplitMix64:
 class TestGenerator:
     def test_config_rejects_bad_count(self):
         with pytest.raises(ValueError):
-            GeneratorConfig(PrescriptionRegime.NONE, True, 1, 0)
+            generate_puzzles(PrescriptionRegime.NONE, True, 1, 0)
 
     @pytest.mark.parametrize("count", [True, 2.5, "3", None])
     def test_config_rejects_a_count_that_is_not_an_int(self, count):
         with pytest.raises(ValueError, match="count must be an int"):
-            GeneratorConfig(PrescriptionRegime.NONE, True, 1, count)
+            generate_puzzles(PrescriptionRegime.NONE, True, 1, count)
 
     @pytest.mark.parametrize("seed", [-1, MAX_SEED + 1, MAX_SEED + 6, True, 5.0, "5"])
     def test_config_rejects_a_seed_outside_64_bits(self, seed):
         # -1 and 2**64 + 5 would alias 2**64 - 1 and 5 in SplitMix64's state
         with pytest.raises(ValueError, match="seed must be an int"):
-            GeneratorConfig(PrescriptionRegime.NONE, False, seed, 1)
+            generate_puzzles(PrescriptionRegime.NONE, False, seed, 1)
 
     @pytest.mark.parametrize(
         "regime, unique", [("none", True), ("none", False), (None, True), (None, False)]
@@ -182,50 +181,48 @@ class TestGenerator:
         # the CLI's name "none" used to get as far as census or ClueSet and
         # raise AttributeError there
         with pytest.raises(ValueError, match="regime must be a PrescriptionRegime"):
-            generate_puzzles(GeneratorConfig(regime, unique, 7, 1))
+            generate_puzzles(regime, unique, 7, 1)
 
     @pytest.mark.parametrize("unique", ["no", "", 0, 1, None])
     def test_config_rejects_require_unique_that_is_not_a_bool(self, unique):
         # "no" is truthy, so it used to generate unique puzzles quietly
         with pytest.raises(ValueError, match="require_unique must be a bool"):
-            GeneratorConfig(PrescriptionRegime.NONE, unique, 1, 2)
+            generate_puzzles(PrescriptionRegime.NONE, unique, 1, 2)
 
     def test_deterministic_per_config(self):
-        config = GeneratorConfig(PrescriptionRegime.TOP_LEFT, True, 77, 10)
-        assert generate_puzzles(config) == generate_puzzles(config)
+        args = (PrescriptionRegime.TOP_LEFT, True, 77, 10)
+        assert generate_puzzles(*args) == generate_puzzles(*args)
 
     def test_different_seeds_differ(self):
-        a = generate_puzzles(GeneratorConfig(PrescriptionRegime.NONE, False, 1, 5))
-        b = generate_puzzles(GeneratorConfig(PrescriptionRegime.NONE, False, 2, 5))
+        a = generate_puzzles(PrescriptionRegime.NONE, False, 1, 5)
+        b = generate_puzzles(PrescriptionRegime.NONE, False, 2, 5)
         assert a != b
 
     def test_prescribed_cells_match_regime(self):
         for regime in PrescriptionRegime:
-            (clue,) = generate_puzzles(GeneratorConfig(regime, False, 3, 1))
+            (clue,) = generate_puzzles(regime, False, 3, 1)
             assert tuple((r, c) for r, c, _ in clue.prescribed) == regime.cells
 
     def test_unique_puzzles_really_are_unique(self):
         for regime in PrescriptionRegime:
-            for clue in generate_puzzles(GeneratorConfig(regime, True, 2026, 25)):
+            for clue in generate_puzzles(regime, True, 2026, 25):
                 assert count_solutions(clue) == 1
 
     def test_full_diagonal_unique_uses_rigid_diagonals(self):
-        puzzles = generate_puzzles(
-            GeneratorConfig(PrescriptionRegime.FULL_DIAGONAL, True, 8, 25)
-        )
+        puzzles = generate_puzzles(PrescriptionRegime.FULL_DIAGONAL, True, 8, 25)
         for clue in puzzles:
             diagonal = [v for _, _, v in clue.prescribed]
             assert classify_diagonal(diagonal).rigid
 
     def test_non_unique_generation_is_unfiltered_projection(self):
-        (clue,) = generate_puzzles(GeneratorConfig(PrescriptionRegime.NONE, False, 4, 1))
+        (clue,) = generate_puzzles(PrescriptionRegime.NONE, False, 4, 1)
         assert clue.prescribed == ()
         assert sum(clue.row_sums) == 45
 
     def test_non_unique_draw_raises(self, monkeypatch):
         monkeypatch.setattr(generate, "count_solutions", lambda clue: 2)
         with pytest.raises(RuntimeError, match="non-unique"):
-            generate_puzzles(GeneratorConfig(PrescriptionRegime.NONE, True, 7, 1))
+            generate_puzzles(PrescriptionRegime.NONE, True, 7, 1)
 
 
 # SHA-256 of `fubuki generate ... --seed 7 --count 100` stdout, per regime.
@@ -310,7 +307,7 @@ class TestSeededOutput:
 
         monkeypatch.setattr(census_module, "signature_key", counted_key)
         monkeypatch.setattr(Grid, "__post_init__", counted_post_init)
-        puzzles = generate_puzzles(GeneratorConfig(regime, True, 7, 100))
+        puzzles = generate_puzzles(regime, True, 7, 100)
         assert len(puzzles) == 100
         assert calls == {"key": DRAWS_SEED_7[regime], "grid": 100}
 
@@ -321,22 +318,25 @@ class TestLazyBuckets:
         # made while the package imports included
         code = (
             "import sys\n"
-            "calls = []\n"
+            "calls, rejected = [], 0\n"
             "def hook(frame, event, arg):\n"
             f"    if event == 'call' and frame.f_code.co_name in {GROUP_STEPS!r}:\n"
             "        calls.append(1)\n"
             "sys.setprofile(hook)\n"
             "import fubuki.cli\n"
-            "from fubuki import GeneratorConfig, PrescriptionRegime\n"
+            "from fubuki import PrescriptionRegime, generate_puzzles\n"
             "for regime in PrescriptionRegime:\n"
-            "    GeneratorConfig(regime, True, 7, 1)\n"
+            "    try:\n"
+            "        generate_puzzles(regime, True, 7, 0)\n"
+            "    except ValueError:\n"
+            "        rejected += 1\n"
             "sys.setprofile(None)\n"
-            "print(len(calls))\n"
+            "print(len(calls), rejected)\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
         )
-        assert (result.returncode, result.stdout, result.stderr) == (0, "0\n", "")
+        assert (result.returncode, result.stdout, result.stderr) == (0, "0 4\n", "")
 
     def test_a_call_counts_only_the_groups_its_draws_land_in(self, monkeypatch, capsys):
         census_module = sys.modules["fubuki.census"]

@@ -54,7 +54,7 @@ def solvable_clue_sets(draw) -> ClueSet:
     clue sets almost never have a solution.
     """
     grid = draw(grids)
-    prescribed = tuple((r, c, grid.value_at(r, c)) for r, c in draw(cell_positions))
+    prescribed = tuple((r, c, grid.rows[r - 1][c - 1]) for r, c in draw(cell_positions))
     return ClueSet(prescribed, grid.row_sums(), grid.col_sums())
 
 
@@ -65,7 +65,7 @@ def grids_and_clue_sets(draw) -> tuple[Grid, ClueSet]:
     and wrong parts is drawn."""
     grid, other = draw(grids), draw(grids)
     cells, rows, cols = (draw(st.sampled_from((grid, other))) for _ in range(3))
-    prescribed = tuple((r, c, cells.value_at(r, c)) for r, c in draw(cell_positions))
+    prescribed = tuple((r, c, cells.rows[r - 1][c - 1]) for r, c in draw(cell_positions))
     return grid, ClueSet(prescribed, rows.row_sums(), cols.col_sums())
 
 
@@ -74,7 +74,7 @@ def grids_and_near_clue_sets(draw) -> tuple[Grid, ClueSet]:
     """A grid and its own clue set with at most one line sum moved to another
     legal value, so that a check skipping any one line sum is caught."""
     grid = draw(grids)
-    prescribed = tuple((r, c, grid.value_at(r, c)) for r, c in draw(cell_positions))
+    prescribed = tuple((r, c, grid.rows[r - 1][c - 1]) for r, c in draw(cell_positions))
     sums = list(grid.row_sums() + grid.col_sums())
     k = draw(st.integers(0, 6))  # 6 moves none
     if k < 6:
@@ -84,7 +84,7 @@ def grids_and_near_clue_sets(draw) -> tuple[Grid, ClueSet]:
 
 def showcase_row_clues(row: int, cols: tuple[int, ...]) -> ClueSet:
     """The showcase grid's line sums with cells `cols` of `row` prescribed."""
-    prescribed = tuple((row, c, SHOWCASE.value_at(row, c)) for c in cols)
+    prescribed = tuple((row, c, SHOWCASE.rows[row - 1][c - 1]) for c in cols)
     return ClueSet(prescribed, SHOWCASE.row_sums(), SHOWCASE.col_sums())
 
 
@@ -180,7 +180,7 @@ def test_solver_finds_exactly_the_reference_solutions(grids_by_line_sums, clues)
 @example(SHOWCASE, [(3, 1), (3, 2), (3, 3)])
 def test_solutions_are_sorted_distinct_and_include_the_grid(grid, positions):
     clues = ClueSet(
-        tuple((r, c, grid.value_at(r, c)) for r, c in positions),
+        tuple((r, c, grid.rows[r - 1][c - 1]) for r, c in positions),
         grid.row_sums(),
         grid.col_sums(),
     )
@@ -196,7 +196,7 @@ def test_solutions_are_sorted_distinct_and_include_the_grid(grid, positions):
 def test_satisfied_by_matches_its_definition(grid_and_clues):
     grid, clues = grid_and_clues
     expected = (
-        all(grid.value_at(r, c) == v for r, c, v in clues.prescribed)
+        all(grid.rows[r - 1][c - 1] == v for r, c, v in clues.prescribed)
         and grid.row_sums() == clues.row_sums
         and grid.col_sums() == clues.col_sums
     )
