@@ -124,6 +124,11 @@ class TestCensusReports:
         assert data["puzzles_by_solutions"] == {"1": 339984, "2": 11448}
 
 
+class TestMaxSolutionsObserved:
+    def test_full_diagonal(self, census_reports):
+        assert census_reports[R.FULL_DIAGONAL].max_solutions == 2
+
+
 class TestSweepMechanics:
     def test_iteration_order_does_not_matter(self, census_reports):
         counts: Counter[int] = Counter()

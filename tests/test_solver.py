@@ -392,20 +392,32 @@ class TestRowTable:
             for t in internals.view(*key):
                 assert t[4] is tables[t[3]]
 
-    def test_memo_stays_within_its_key_bound(self):
+    @pytest.fixture(scope="class")
+    def memo_after_solves(self):
+        """One pass of 1000 solves, then every valid key filled: the views
+        held after each step, and each pair table held, by id, with its mask."""
         # 2..6 cells prescribed anywhere, so rows with several prescribed
         # cells and unsatisfiable sums are among them
         internals.clear_views()
         for clue in random_clue_sets(1000, seed=424242):
             solve(clue)
-        assert 0 < internals.views_held() <= VIEW_KEYS
+        after_solves = internals.views_held()
+        held = {id(t[4]): (t[3], t[4]) for key in view_keys() for t in internals.view(*key)}
+        return after_solves, internals.views_held(), held
+
+    def test_memo_stays_within_its_key_bound(self, memo_after_solves):
+        after_solves, after_filling, _ = memo_after_solves
+        assert 0 < after_solves <= VIEW_KEYS
         # filling every valid key adds the rest: the solves stored no other key
-        held = {id(t[4]): t[3] for key in view_keys() for t in internals.view(*key)}
-        assert internals.views_held() == VIEW_KEYS
+        assert after_filling == VIEW_KEYS
+
+    def test_pair_memo_stays_within_its_key_bound(self, memo_after_solves):
         # the views the solves stored, and the rest filled after them, hold
         # one table per row-1 digit set between them and no other
-        assert sorted(held.values()) == sorted(ROW_1_MASKS)
-        check_held_tables()
+        held = memo_after_solves[2]
+        assert sorted(mask for mask, _ in held.values()) == sorted(ROW_1_MASKS)
+        for mask, table in held.values():
+            assert table == brute_force_pairs(mask)
 
     def test_pair_tables_are_the_brute_force_ones(self):
         internals.clear_views()
