@@ -13,7 +13,7 @@ from .census import group_multi_buckets
 from .core import ClueSet, Grid, PrescriptionRegime, _bad, _check_type, _is_int
 from .rng import SplitMix64
 from .solver import count_solutions
-from .theory import rigid_diagonals
+from .theory import build_shift_table
 
 # Flat indices the off-diagonal values fill, in row-major reading order.
 _OFF_DIAGONAL_FLAT = (1, 2, 3, 5, 6, 7)
@@ -66,7 +66,7 @@ def generate_puzzles(
     if not (_is_int(count) and count >= 1):
         raise _bad("count", "an int of at least 1", count)
     if require_unique and regime is PrescriptionRegime.FULL_DIAGONAL:
-        diagonals = rigid_diagonals()
+        diagonals = tuple(d for d, shifts in build_shift_table().items() if not shifts)
         return [
             ClueSet.from_grid(_rigid_diagonal_grid(rng, diagonals), regime)
             for _ in range(count)

@@ -8,16 +8,17 @@ sums are pinned. Such a shift produces a legal grid exactly when the six
 off-diagonal values split into +cell values P and -cell values M with
 M = P + s. `_pairings` states that condition, once; `shift_match_table()`
 applies it to each of the 84 diagonals on first use and is the only check of
-the bound of at most two shifts. Classifying the diagonals and deriving
-companion solutions, instead of searching for them, project that table, and
-`shift_cells` is the one place a shift is applied.
+the bound of at most two shifts. `build_shift_table()` projects it to each
+diagonal's positive shifts, which `classify_diagonal` reads;
+`companion_cells` derives companion solutions from it, instead of searching
+for them. `shift_cells` is the one place a shift is applied.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterable, Mapping
 
 from .core import Grid, _bad, _check_type, _is_int
@@ -68,8 +69,9 @@ def shift_match_table() -> _Matches:
     are ordered by |shift| ascending, positive before negative, which fixes
     companion order. Built on first use, not at import, by one `_pairings`
     call per diagonal. Raises RuntimeError if a diagonal admits more than
-    two shifts, a bound checked rather than assumed. Every other reader of
-    the shift structure projects this table.
+    two shifts, a bound checked rather than assumed. `build_shift_table`,
+    `companion_cells` and `census.companion_scan` read it; every other
+    reader of the shift structure goes through one of the first two.
     """
     table: _Matches = {}
     for diag in combinations(range(1, 10), 3):
@@ -80,10 +82,13 @@ def shift_match_table() -> _Matches:
     return table
 
 
-def possible_shifts(diagonal: Iterable[int]) -> frozenset[int]:
-    """All positive shifts the complement of this diagonal can be paired by."""
-    entries = shift_match_table()[_check_diagonal(diagonal)]
-    return frozenset(shift for shift, _ in entries if shift > 0)
+def build_shift_table() -> dict[tuple[int, int, int], frozenset[int]]:
+    """Admissible positive shifts for every 3-subset of 1..9, in lex order,
+    as a fresh dict projected from `shift_match_table()`."""
+    return {
+        diag: frozenset(shift for shift, _ in entries if shift > 0)
+        for diag, entries in shift_match_table().items()
+    }
 
 
 @dataclass(frozen=True)
@@ -109,19 +114,7 @@ class DiagonalClass:
 
 def classify_diagonal(diagonal: Iterable[int]) -> DiagonalClass:
     diag = _check_diagonal(diagonal)
-    return DiagonalClass(diagonal=frozenset(diag), shifts=possible_shifts(diag))
-
-
-def build_shift_table() -> dict[tuple[int, int, int], frozenset[int]]:
-    """Admissible positive shifts for every 3-subset of 1..9, in lex order,
-    as a fresh dict projected from `shift_match_table()`."""
-    return {diag: possible_shifts(diag) for diag in shift_match_table()}
-
-
-def rigid_diagonals() -> tuple[tuple[int, int, int], ...]:
-    """The diagonals admitting no shift, in lex order, as a fresh projection
-    of `shift_match_table()`."""
-    return tuple(d for d, entries in shift_match_table().items() if not entries)
+    return DiagonalClass(diagonal=frozenset(diag), shifts=build_shift_table()[diag])
 
 
 def shift_table_to_csv(table: Mapping[tuple[int, int, int], frozenset[int]]) -> str:
@@ -151,17 +144,9 @@ def shift_cells(cells: tuple[int, ...], shift: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@cache
-def _ordered_matches() -> _Matches:
-    """shift_match_table() under all six orderings of each diagonal, so a
-    grid's diagonal is looked up as it stands."""
-    table = shift_match_table()
-    return {ordered: table[diag] for diag in table for ordered in permutations(diag)}
-
-
 def companion_cells(cells: tuple[int, ...]) -> list[tuple[int, ...]]:
     """All other cell tuples sharing this grid's diagonal and line sums."""
-    entries = _ordered_matches()[cells[0], cells[4], cells[8]]
+    entries = shift_match_table()[tuple(sorted((cells[0], cells[4], cells[8])))]
     if not entries:  # rigid diagonal: 35 of 84, no companion to match
         return []
     plus = tuple(sorted((cells[1], cells[5], cells[6])))

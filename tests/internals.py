@@ -107,7 +107,6 @@ def memos_at_import(module):
 
 def clear_shift_tables():
     theory.shift_match_table.cache_clear()
-    theory._ordered_matches.cache_clear()
 
 
 def wrap_pairings(monkeypatch, wrapper):

@@ -83,6 +83,26 @@ def test_no_module_imports_a_process_or_thread_pool():
     assert offenders == []
 
 
+def test_no_module_imports_a_name_it_never_reads():
+    # the project runs no linter; `from __future__` imports change the compiler,
+    # and __init__.py imports to re-export
+    unused = []
+    for path in [*SOURCES, *sorted((ROOT / "tests").glob("*.py"))]:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.parent.name}/{path.name}:{node.lineno}: {bound}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+            for alias in node.names
+            if (bound := alias.asname or alias.name.split(".")[0]) not in read
+        ]
+    assert unused == []
+
+
 # public methods and properties that no code in src/ reads, on purpose: the
 # paper's statistics and the grid-level clue check, read by library users and
 # tests (the solver checks bare cells), and argparse's hook. A method counts as read only where it is
@@ -141,7 +161,6 @@ def test_every_public_name_is_exported_or_read():
 # table built on first use; a new memo is added here on purpose
 MEMOS = [
     "solver._view",
-    "theory._ordered_matches",
     "theory.shift_match_table",
 ]
 

@@ -3,6 +3,10 @@ raises ValueError, never TypeError, AttributeError, IndexError or KeyError.
 
 Every public callable that takes arguments, and the public methods, is
 called with every combination of junk values over its required parameters.
+A callable with a valid argument tuple below is also called with each junk
+value at each position in turn and valid values everywhere else, so every
+parameter's check is reached, not only the first; for three or more
+parameters that sweep replaces the full product.
 """
 
 import inspect
@@ -11,7 +15,7 @@ from itertools import product
 import pytest
 
 import fubuki
-from fubuki import ClueSet, Grid, PrescriptionRegime, SplitMix64
+from fubuki import ClueSet, CompanionScan, Grid, PrescriptionRegime, SplitMix64
 
 # argument-free sweeps: no argument to get wrong, and each takes seconds
 SWEEPS = {"census_all", "closed_form_puzzle_count", "companion_scan", "build_shift_table"}
@@ -42,6 +46,13 @@ CALLABLES = {
     "SplitMix64.shuffle": SplitMix64(1).shuffle,
 }
 
+VALID = {
+    "generate_puzzles": (PrescriptionRegime.NONE, False, 7, 1),
+    "ClueSet": ((), (6, 15, 24), (6, 15, 24)),
+    "ClueSet.from_grid": (SHOWCASE, PrescriptionRegime.NONE),
+    "companion_oracle_mismatches": ({}, CompanionScan([])),
+}
+
 
 def required_parameters(func) -> int:
     if isinstance(func, type) and issubclass(func, Exception):
@@ -52,17 +63,31 @@ def required_parameters(func) -> int:
     )
 
 
+def argument_lists(name: str, func):
+    valid = VALID.get(name, ())
+    for i in range(len(valid)):
+        for value in junk():
+            if name == "generate_puzzles" and i == 3 and value == 2**70:
+                continue  # a real count, whose list would never finish
+            yield [*valid[:i], value, *valid[i + 1 :]]
+    if len(valid) < 3:
+        for picks in product(range(len(junk())), repeat=required_parameters(func)):
+            values = junk()
+            yield [values[i] for i in picks]
+
+
 @pytest.mark.parametrize("name", sorted(CALLABLES))
 def test_junk_arguments_raise_only_value_error(name):
     func = CALLABLES[name]
-    leaks = []
-    for picks in product(range(len(junk())), repeat=required_parameters(func)):
-        values = junk()
-        args = [values[i] for i in picks]
+    leaks, checked = [], set()
+    for args in argument_lists(name, func):
         try:
             func(*args)
-        except ValueError:
-            pass
+        except ValueError as exc:
+            checked.add(str(exc).split()[0])
         except Exception as exc:
             leaks.append(f"{name}{tuple(args)!r}: {type(exc).__name__}: {exc}")
     assert not leaks, f"{len(leaks)} leaks, the first: {leaks[:3]}"
+    if name in VALID:
+        # each parameter's own check raised at least once
+        assert set(inspect.signature(func).parameters) <= checked

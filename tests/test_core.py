@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fubuki import ClueSet, Grid, PrescriptionRegime, PuzzleFormatError
+from fubuki import CensusReport, ClueSet, Grid, PrescriptionRegime, PuzzleFormatError
 from fubuki.rng import SplitMix64
 
 
@@ -174,6 +174,10 @@ class TestClueSet:
         (lambda: ClueSet((), (6, 15, 24), None), "col_sums"),
         (lambda: ClueSet(5, (6, 15, 24), (6, 15, 24)), "prescribed"),
         (lambda: ClueSet((5,), (6, 15, 24), (6, 15, 24)), "prescribed"),
+        (lambda: ClueSet((), ("a", "b", "c"), (6, 15, 24)), "row_sums"),
+        (lambda: ClueSet(((4, 1, 1),), (6, 15, 24), (6, 15, 24)), "prescribed row"),
+        (lambda: CensusReport(PrescriptionRegime.NONE, {1: "x"}, None), "sizes"),
+        (lambda: CensusReport(PrescriptionRegime.NONE, {1: 362880}, {1: "x"}), "multi"),
     ],
     ids=[
         "grid-int",
@@ -183,11 +187,16 @@ class TestClueSet:
         "col-sums-none",
         "prescribed-int",
         "prescribed-entry-int",
+        "row-sums-of-str",
+        "prescribed-row-4",
+        "report-sizes-of-str",
+        "report-multi-of-str",
     ],
 )
 def test_a_field_that_is_not_iterable_raises_value_error(build, field):
-    # all but the prescribed cases used to raise TypeError, not the documented error
-    with pytest.raises(ValueError, match=f"^{field} must be"):
+    # all but the prescribed cases used to raise TypeError, not the documented
+    # error; the last four are iterables holding an entry of the wrong kind
+    with pytest.raises(ValueError, match=f"^{field} must (be|contain)"):
         build()
 
 

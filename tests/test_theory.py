@@ -1,6 +1,6 @@
 import csv
 import io
-from itertools import combinations, permutations
+from itertools import combinations
 
 import pytest
 
@@ -15,22 +15,14 @@ from fubuki import (
     shift_table_to_csv,
     solve,
 )
-from fubuki.theory import (
-    companion_cells,
-    possible_shifts,
-    rigid_diagonals,
-    shift_cells,
-    shift_match_table,
-)
+from fubuki.theory import companion_cells, shift_cells, shift_match_table
 import internals
 
 
 # every reader of the shift table, each as a call that reads it
 READERS = {
     "build_shift_table": build_shift_table,
-    "possible_shifts": lambda: possible_shifts((1, 2, 3)),
     "classify_diagonal": lambda: classify_diagonal((1, 2, 3)),
-    "rigid_diagonals": rigid_diagonals,
     "companion_cells": lambda: companion_cells((1, 4, 5, 7, 2, 6, 8, 9, 3)),
 }
 
@@ -108,9 +100,9 @@ class TestPairings:
 
 class TestPossibleShifts:
     def test_examples(self):
-        assert possible_shifts((1, 2, 3)) == {1, 3}
-        assert possible_shifts((4, 5, 6)) == {6}
-        assert possible_shifts((2, 3, 4)) == frozenset()
+        assert classify_diagonal((1, 2, 3)).shifts == {1, 3}
+        assert classify_diagonal((4, 5, 6)).shifts == {6}
+        assert classify_diagonal((2, 3, 4)).shifts == frozenset()
 
     def test_classify(self):
         dc = classify_diagonal((1, 3, 4))
@@ -123,14 +115,14 @@ class TestPossibleShifts:
         with pytest.raises(ValueError):
             classify_diagonal((1, 1, 2))
 
-    @pytest.mark.parametrize("read", [classify_diagonal, possible_shifts])
+    @pytest.mark.parametrize("read", [classify_diagonal])
     @pytest.mark.parametrize("diagonal", [5, None, ("a", 1, 2), (1, 2, None), ([1], 2, 3)])
     def test_rejects_what_is_not_three_digits(self, read, diagonal):
         # a non-iterable or a value that does not sort used to raise TypeError
         with pytest.raises(ValueError, match="3 distinct"):
             read(diagonal)
 
-    @pytest.mark.parametrize("read", [classify_diagonal, possible_shifts])
+    @pytest.mark.parametrize("read", [classify_diagonal])
     def test_rejects_bools(self, read):
         with pytest.raises(ValueError, match="3 distinct"):
             read((True, 2, 3))
@@ -154,10 +146,6 @@ class TestShiftTable:
             (1, 8, 9): {1, 3},
             (7, 8, 9): {1, 3},
         }
-
-    def test_rigid_diagonals_match_empty_rows(self):
-        table = build_shift_table()
-        assert rigid_diagonals() == tuple(d for d in table if not table[d])
 
     def test_csv_round_trip(self):
         table = build_shift_table()
@@ -206,10 +194,7 @@ class TestShiftTable:
 
     def test_import_builds_no_table(self):
         # a table built at import would be timed as set-up by every command
-        assert internals.memos_at_import("theory") == {
-            "theory._ordered_matches": 0,
-            "theory.shift_match_table": 0,
-        }
+        assert internals.memos_at_import("theory") == {"theory.shift_match_table": 0}
 
 
 class TestCompanions:
@@ -245,21 +230,3 @@ class TestCompanions:
         clue = ClueSet.from_grid(grid_two_a, PrescriptionRegime.FULL_DIAGONAL)
         for companion in companion_solutions(grid_two_a):
             assert clue.satisfied_by(companion)
-
-    def test_ordered_lookup_matches_sorted_lookup(self):
-        def sorted_lookup(cells):
-            # the match table keyed by the sorted diagonal, read directly
-            entries = shift_match_table()[tuple(sorted((cells[0], cells[4], cells[8])))]
-            plus = tuple(sorted((cells[1], cells[5], cells[6])))
-            return [shift_cells(cells, shift) for shift, required in entries if plus == required]
-
-        digits = range(1, 10)
-        found = 0
-        for diag in permutations(digits, 3):  # every ordered diagonal, 504
-            rest = [d for d in digits if d not in diag]
-            for off in permutations(rest):
-                cells = (diag[0], *off[:3], diag[1], *off[3:], diag[2])
-                companions = companion_cells(cells)
-                assert companions == sorted_lookup(cells)
-                found += len(companions)
-        assert found == 22896
