@@ -39,13 +39,14 @@ adds their fields in place, so dropping low fields distributes over the sum:
 a regime's key of first row plus lower rows is (head >> drop) + (tail >>
 drop). The sweep uses this to count without running Python per grid. For
 each of the 84 digit sets of the first row it builds the 720 keys of the
-rows below once, then, per regime and for each of the set's 6 row
-orderings, counts head + tail over all 720 tails in C
-(`collections._count_elements`). Each key is built as (cap + head) - (cap -
-tail), cap being above every key: CPython gives the result of int + int a
-spare digit, which a stored two-digit full-diagonal key would keep, while
-int - int sizes it to its larger operand, so the 351,432 stored keys stay
-in 32-byte blocks.
+rows below once, each a row-2 key plus a row-3 key read from two tables of
+the 504 ordered triples (built on first use), then, per regime and for
+each of the set's 6 row orderings, counts head + tail over all 720 tails
+in C (`collections._count_elements`). Each key is built as (cap + head) -
+(cap - tail), cap being above every key: CPython gives the result of int +
+int a spare digit, which a stored two-digit full-diagonal key would keep,
+while int - int sizes it to its larger operand, so the 351,432 stored keys
+stay in 32-byte blocks.
 
 The companion scan is a second route to the full-diagonal count that reads
 no bucket: it lists the 22,896 (grid, companion) pairs of the shift
@@ -57,6 +58,7 @@ from __future__ import annotations
 
 from collections import Counter, _count_elements
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations, islice, permutations, repeat
 from math import factorial
 from operator import ge, itemgetter, mul, sub
@@ -113,11 +115,24 @@ def signature_key(cells: tuple[int, ...], regime: PrescriptionRegime) -> int:
     return _pack(cells) >> drop
 
 
+@cache
+def _row_keys() -> tuple[dict[tuple[int, ...], int], dict[tuple[int, ...], int]]:
+    """The full-diagonal keys of rows 2 and 3 alone, by their cells: one
+    table each over the 504 ordered triples of distinct digits."""
+    triples = list(permutations(range(1, 10), 3))
+    return tuple(
+        {row: sum(map(mul, row, weights)) for row in triples}
+        for weights in (_WEIGHTS[3:6], _WEIGHTS[6:])
+    )
+
+
 def _group_rows(r1: int) -> list[tuple[list[int], list[int]]]:
     """Full-diagonal keys of the first rows and of the rows below, per
     first-row digit set summing to `r1`: the 6 orderings of the set as heads
-    and the 720 fillings of the other six digits as tails."""
-    head_weights, tail_weights = _WEIGHTS[:3], _WEIGHTS[3:]
+    and the 720 fillings of the other six digits as tails. A tail's key is
+    its row 2's key plus its row 3's (the key is linear in the cells)."""
+    head_weights = _WEIGHTS[:3]
+    second, third = _row_keys()
     digits = range(1, 10)
     rows = []
     for first in combinations(digits, 3):
@@ -126,7 +141,7 @@ def _group_rows(r1: int) -> list[tuple[list[int], list[int]]]:
         rest = [d for d in digits if d not in first]
         rows.append((
             [sum(map(mul, row, head_weights)) for row in permutations(first)],
-            [sum(map(mul, lower, tail_weights)) for lower in permutations(rest)],
+            [second[lower[:3]] + third[lower[3:]] for lower in permutations(rest)],
         ))
     return rows
 
@@ -333,10 +348,22 @@ class CompanionScan:
 
     Each pair is held as `bytes(grid + companion)`: 18 bytes, one per cell,
     the grid's nine cells first. Bytes compare as the tuple pairs of their
-    cells do, so the list is in the order of those pairs.
+    cells do, so the list is in the order of those pairs. Construction
+    raises ValueError unless `pairs` is a list of 18-byte `bytes` values;
+    what they hold is the companion oracle's to check.
     """
 
     pairs: list[bytes] = field(repr=False)
+
+    def __post_init__(self) -> None:
+        pairs = self.pairs
+        # passes in C: the scan is built once per verify, at 22,896 pairs
+        if not (
+            isinstance(pairs, list)
+            and all(map(isinstance, pairs, repeat(bytes)))
+            and set(map(len, pairs)) <= {18}
+        ):
+            raise _bad("pairs", "a list of 18-byte bytes values", pairs)
 
     @property
     def grids_with_companion(self) -> int:

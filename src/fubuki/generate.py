@@ -1,10 +1,14 @@
 """Seeded puzzle generation, optionally with a guaranteed-unique solution.
 
-Every puzzle but a full-diagonal unique one comes from one draw loop. The
-multi-grid buckets it rejects a weaker regime's draws by sit in `_GROUPS`,
-a plain dict per regime from first row sum to the buckets that
-`census.group_multi_buckets` counts for that sum, filled on the first draw
-that lands there and kept for the process.
+Every puzzle but a full-diagonal unique one comes from one draw loop. It
+rejects a weaker regime's draw when the draw's key is among the multi-grid
+buckets that `census.group_multi_buckets` counts for the draw's first row
+sum. The loop asks only whether a key is there, never a bucket's size, so
+`_GROUPS` holds each counted group as bitmasks: a dict from `key >> _LOW`
+to an int whose bit `key & _LOW_MASK` is set for each multi-grid key. A
+group is counted on the first draw that lands there and kept for the
+process; its `{key: size}` dict is dropped once its bits are set, so the
+57 groups hold 14,425 ints where they would hold 206,382 keys and sizes.
 """
 
 from __future__ import annotations
@@ -17,14 +21,28 @@ from .theory import build_shift_table
 
 # Flat indices the off-diagonal values fill, in row-major reading order.
 _OFF_DIAGONAL_FLAT = (1, 2, 3, 5, 6, 7)
-_DIGITS = range(1, 10)
+# a tuple: a list is refilled from it faster than from a range
+_DIGITS = tuple(range(1, 10))
+_LOW = 10
+_LOW_MASK = (1 << _LOW) - 1
 
-# a weaker regime's multi-grid buckets by first row sum; r1 leads every key,
-# so a grid whose key is missing from its sum's group is the only solution
-# of its puzzle
+# a weaker regime's multi-grid keys by first row sum, as the bitmasks above;
+# r1 leads every key, so a grid whose key's bit is clear in its sum's group
+# is the only solution of its puzzle
 _GROUPS: dict[PrescriptionRegime, dict[int, dict[int, int]]] = {
     regime: {} for regime in PrescriptionRegime if regime is not PrescriptionRegime.FULL_DIAGONAL
 }
+
+
+def _hold_group(regime: PrescriptionRegime, r1: int) -> dict[int, int]:
+    """Count `regime`'s group of first row sum `r1`, hold its multi-grid keys
+    in `_GROUPS` as bitmasks, and return those."""
+    masks: dict[int, int] = {}
+    for key in group_multi_buckets(regime, r1):
+        high = key >> _LOW
+        masks[high] = masks.get(high, 0) | 1 << (key & _LOW_MASK)
+    _GROUPS[regime][r1] = masks
+    return masks
 
 
 def _rigid_diagonal_grid(rng: SplitMix64, diagonals: tuple[tuple[int, int, int], ...]) -> Grid:
@@ -86,10 +104,11 @@ def generate_puzzles(
             if groups is None:
                 break
             r1 = cells[0] + cells[1] + cells[2]
-            multi = groups.get(r1)
-            if multi is None:
-                multi = groups[r1] = group_multi_buckets(regime, r1)
-            if signature_key(cells, regime) not in multi:
+            masks = groups.get(r1)
+            if masks is None:
+                masks = _hold_group(regime, r1)
+            key = signature_key(cells, regime)
+            if not masks.get(key >> _LOW, 0) >> (key & _LOW_MASK) & 1:
                 break
         clue = ClueSet.from_grid(Grid(cells), regime)
         if groups is not None and count_solutions(clue) != 1:

@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from fubuki import PrescriptionRegime, SplitMix64, cli, generate, solver, theory
+from fubuki.core import MAX_LINE_SUM, MIN_LINE_SUM
 
 # the package re-exports census() under the submodule's name
 census = importlib.import_module("fubuki.census")
@@ -161,6 +162,22 @@ def forget_groups():
     """Drop every group the generator has counted."""
     for groups in generate._GROUPS.values():
         groups.clear()
+
+
+# a key held by the generator sets bit `key & (2**MASK_LOW - 1)` of the int
+# its group maps `key >> MASK_LOW` to
+MASK_LOW = generate._LOW
+
+
+def hold_every_group(regime):
+    """Count every group of a weaker `regime` afresh, through the path the
+    generator fills its cache by, and return what the cache then holds:
+    {first row sum: {key >> MASK_LOW: bits}}."""
+    groups = generate._GROUPS[regime]
+    groups.clear()
+    for r1 in range(MIN_LINE_SUM, MAX_LINE_SUM + 1):
+        generate._hold_group(regime, r1)
+    return dict(groups)
 
 
 def parsed_options(argv):

@@ -51,6 +51,7 @@ VALID = {
     "ClueSet": ((), (6, 15, 24), (6, 15, 24)),
     "ClueSet.from_grid": (SHOWCASE, PrescriptionRegime.NONE),
     "companion_oracle_mismatches": ({}, CompanionScan([])),
+    "CompanionScan": ([],),
 }
 
 
@@ -91,3 +92,17 @@ def test_junk_arguments_raise_only_value_error(name):
     if name in VALID:
         # each parameter's own check raised at least once
         assert set(inspect.signature(func).parameters) <= checked
+
+
+def test_a_scan_that_constructs_can_be_read():
+    # a junk scan is refused when built, so its statistics and the oracle
+    # never meet junk pairs; one 18-byte pair that is no grid is read
+    read = []
+    for pairs in [*junk(), [bytes(17)], [bytearray(18)], [(1,) * 18], [bytes(18)]]:
+        try:
+            scan = CompanionScan(pairs)
+        except ValueError:
+            continue
+        stats = (scan.grids_with_companion, scan.single_solution_puzzles, scan.solvable_puzzles)
+        read.append((pairs, stats, len(fubuki.companion_oracle_mismatches({}, scan))))
+    assert read == [([], (0, 362880, 362880), 0), ([bytes(18)], (1, 362879, 362880), 1)]
