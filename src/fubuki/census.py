@@ -57,7 +57,6 @@ oracle checks those pairs against the census's multi-grid buckets.
 from __future__ import annotations
 
 from collections import Counter, _count_elements
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations, islice, permutations, repeat
 from math import factorial
@@ -195,7 +194,6 @@ def group_multi_buckets(regime: PrescriptionRegime, r1: int) -> dict[int, int]:
     return _multi_of(counts)
 
 
-@dataclass
 class CensusReport:
     """Bucket-size statistics of one regime's sweep.
 
@@ -212,21 +210,20 @@ class CensusReport:
     exactly k solutions; `puzzles_by_solutions[k]` is the number of such
     puzzles. `solvable_puzzles` is the total number of distinct clue sets
     answered by at least one grid, the quantity the published counts refer
-    to.
+    to. A report is mutable, equal to another of equal fields, unhashable,
+    and its repr leaves `multi` out.
     """
 
-    regime: PrescriptionRegime
-    sizes: dict[int, int]
-    multi: dict[int, int] | None = field(repr=False)
-
-    def __post_init__(self) -> None:
-        _check_type(self.regime, PrescriptionRegime, "regime")
-        sizes, multi = self.sizes, self.multi
+    def __init__(
+        self, regime: PrescriptionRegime, sizes: dict[int, int], multi: dict[int, int] | None
+    ) -> None:
+        self.regime, self.sizes, self.multi = regime, sizes, multi
+        _check_type(regime, PrescriptionRegime, "regime")
         if not (isinstance(sizes, dict) and all(map(_is_int, [*sizes, *sizes.values()]))):
             raise _bad("sizes", "a dict of ints to ints", sizes)
         if not (multi is None or _is_int_dict(multi)):
             raise _bad("multi", "None or a dict of ints", multi)
-        name = self.regime.value
+        name = regime.value
         if self.total_grids != TOTAL_GRIDS:
             raise RuntimeError(
                 f"{name} census buckets hold {self.total_grids} grids, expected {TOTAL_GRIDS}"
@@ -243,6 +240,16 @@ class CensusReport:
             raise RuntimeError(
                 f"{name} census multi-grid buckets by size are {multi_sizes}, expected {wanted}"
             )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.regime, self.sizes, self.multi) == (other.regime, other.sizes, other.multi)
+
+    __hash__ = None  # equal by fields that can change
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(regime={self.regime!r}, sizes={self.sizes!r})"
 
     @property
     def total_grids(self) -> int:
@@ -340,7 +347,6 @@ def closed_form_puzzle_count() -> ClosedFormCount:
     return ClosedFormCount(total=sum(addends), addends=addends)
 
 
-@dataclass
 class CompanionScan:
     """Every (grid, companion) pair of the shift structure, sorted, and the
     full-diagonal statistics they give; a puzzle is counted at its smallest
@@ -350,13 +356,12 @@ class CompanionScan:
     the grid's nine cells first. Bytes compare as the tuple pairs of their
     cells do, so the list is in the order of those pairs. Construction
     raises ValueError unless `pairs` is a list of 18-byte `bytes` values;
-    what they hold is the companion oracle's to check.
+    what they hold is the companion oracle's to check. A scan is mutable,
+    equal to another of equal pairs, unhashable, and its repr shows no pair.
     """
 
-    pairs: list[bytes] = field(repr=False)
-
-    def __post_init__(self) -> None:
-        pairs = self.pairs
+    def __init__(self, pairs: list[bytes]) -> None:
+        self.pairs = pairs
         # passes in C: the scan is built once per verify, at 22,896 pairs
         if not (
             isinstance(pairs, list)
@@ -364,6 +369,16 @@ class CompanionScan:
             and set(map(len, pairs)) <= {18}
         ):
             raise _bad("pairs", "a list of 18-byte bytes values", pairs)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.pairs == other.pairs
+
+    __hash__ = None  # equal by fields that can change
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}()"
 
     @property
     def grids_with_companion(self) -> int:

@@ -2,13 +2,12 @@
 
 A Fubuki grid is a 3x3 arrangement of the digits 1..9, each used once, and a
 puzzle prescribes some cells plus the three row sums and three column sums.
-All types here are immutable values; they can be shared freely between
-threads and processes.
+All types here are immutable values that pickle and copy to equal values,
+so they can be shared freely between threads and processes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
@@ -70,8 +69,12 @@ _REGIME_CELL_COUNT = {
 
 # The argument contract (see README's Library section): a bad argument raises
 # `_bad`'s ValueError; hot paths test inline and call `_bad` only to raise.
+# The message cuts the rejected value's repr after 200 characters.
 def _bad(name: str, domain: str, value: object) -> ValueError:
-    return ValueError(f"{name} must be {domain}, got {value!r}")
+    shown = repr(value)
+    if len(shown) > 200:
+        shown = shown[:200] + "..."
+    return ValueError(f"{name} must be {domain}, got {shown}")
 
 
 def _check_type(value: object, cls: type, name: str) -> None:
@@ -90,16 +93,64 @@ def _check_cell_value(v: object, what: str) -> None:
         raise _bad(what, "an integer in 1..9", v)
 
 
-@dataclass(frozen=True, order=True)
-class Grid:
+class _Value:
+    """A frozen value over the fields its class names in `__slots__`: equal
+    and hashed by their tuple, shown as `Name(field=value, ...)`, pickled and
+    copied by calling the class on them, and never assigned after `__init__`.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self) -> tuple:
+        return (type(self), self._values())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Grid(_Value):
     """A completely filled board: the digits 1..9 in row-major order.
 
     Construction rejects any cell multiset other than exactly {1, ..., 9}.
     Ordering is lexicographic over the row-major cells, which is the
-    deterministic order the solver emits.
+    deterministic order the solver emits; a Grid orders only against a Grid.
     """
 
-    cells: tuple[int, ...]
+    __slots__ = ("cells",)
+
+    def __init__(self, cells: tuple[int, ...]) -> None:
+        object.__setattr__(self, "cells", cells)
+        self.__post_init__()
+
+    def __lt__(self, other: object) -> bool:
+        return self.cells < other.cells if other.__class__ is self.__class__ else NotImplemented
+
+    def __le__(self, other: object) -> bool:
+        return self.cells <= other.cells if other.__class__ is self.__class__ else NotImplemented
+
+    def __gt__(self, other: object) -> bool:
+        return self.cells > other.cells if other.__class__ is self.__class__ else NotImplemented
+
+    def __ge__(self, other: object) -> bool:
+        return self.cells >= other.cells if other.__class__ is self.__class__ else NotImplemented
 
     def __post_init__(self) -> None:
         try:
@@ -158,8 +209,9 @@ class Grid:
 
 
 def _grid_of_permutation(cells: tuple[int, ...]) -> Grid:
-    """A Grid holding `cells` as given, built without running `__init__` or
-    `__post_init__`, so nothing is checked or copied.
+    """A Grid holding `cells` as given, built with `object.__new__` and the
+    slot set directly, so neither `__init__` nor `__post_init__` runs and
+    nothing is checked or copied.
 
     Precondition: `cells` is a tuple of exact ints already proved to be a
     permutation of 1..9. The solver calls this for its own output, which it
@@ -170,8 +222,7 @@ def _grid_of_permutation(cells: tuple[int, ...]) -> Grid:
     return grid
 
 
-@dataclass(frozen=True)
-class ClueSet:
+class ClueSet(_Value):
     """A puzzle: prescribed cells plus row and column sums.
 
     `prescribed` holds (row, col, value) triples with 1-based positions and is
@@ -180,9 +231,18 @@ class ClueSet:
     whose sums cannot total 45 is a legal value that simply has no solutions.
     """
 
-    prescribed: tuple[tuple[int, int, int], ...]
-    row_sums: tuple[int, int, int]
-    col_sums: tuple[int, int, int]
+    __slots__ = ("prescribed", "row_sums", "col_sums")
+
+    def __init__(
+        self,
+        prescribed: tuple[tuple[int, int, int], ...],
+        row_sums: tuple[int, int, int],
+        col_sums: tuple[int, int, int],
+    ) -> None:
+        object.__setattr__(self, "prescribed", prescribed)
+        object.__setattr__(self, "row_sums", row_sums)
+        object.__setattr__(self, "col_sums", col_sums)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         for name in ("row_sums", "col_sums"):

@@ -47,9 +47,9 @@ row 1 instead of reading the table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, permutations
+from typing import NamedTuple
 
 from .core import ClueSet, Grid, _bad, _grid_of_permutation, _is_int
 
@@ -65,8 +65,7 @@ _Triple = tuple[int, int, int, int, _Table]  # (a, b, c, mask, table); see _view
 _PAIR = {(t, u): (t, u, 1 << t | 1 << u) for t, u in permutations(range(1, 10), 2)}
 
 
-@dataclass
-class SolveResult:
+class SolveResult(NamedTuple):
     """Solutions are deduplicated by construction and lexicographically ordered.
 
     When `truncated` is true the enumeration stopped at `limit` with more
@@ -217,7 +216,8 @@ def solve(clues: ClueSet, limit: int | None = None) -> SolveResult:
             raise RuntimeError(f"solver emitted {f}, which is not a permutation of 1..9")
         if not holds(f):
             raise RuntimeError(f"solver emitted {f}, which does not satisfy the clues")
-    return SolveResult(solutions=list(map(_grid_of_permutation, found)), truncated=truncated)
+    # positional: a NamedTuple built from keywords costs more per call
+    return SolveResult(list(map(_grid_of_permutation, found)), truncated)
 
 
 def count_solutions(clues: ClueSet) -> int:

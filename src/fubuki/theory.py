@@ -16,10 +16,9 @@ for them. `shift_cells` is the one place a shift is applied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .core import Grid, _bad, _check_type, _is_int
 
@@ -91,8 +90,7 @@ def build_shift_table() -> dict[tuple[int, int, int], frozenset[int]]:
     }
 
 
-@dataclass(frozen=True)
-class DiagonalClass:
+class DiagonalClass(NamedTuple):
     """Uniqueness classification of one diagonal value set.
 
     A diagonal is rigid when no shift pairs its complement; every solvable

@@ -3,6 +3,8 @@ brute-force census stays independent of the solver it is checked against."""
 
 import ast
 import re
+import subprocess
+import sys
 import tokenize
 from pathlib import Path
 
@@ -81,6 +83,28 @@ def test_no_module_imports_a_process_or_thread_pool():
         if name.split(".")[0] in ("concurrent", "multiprocessing")
     ]
     assert offenders == []
+
+
+def test_no_module_imports_dataclasses():
+    # dataclasses imports inspect, ast, dis and tokenize, and each decorated
+    # class generates its methods at import: the bulk of every command's start
+    offenders = [
+        f"{path.name}: {name}"
+        for path in SOURCES
+        for name in imported_modules(path)
+        if name.split(".")[0] == "dataclasses"
+    ]
+    assert offenders == []
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # in a fresh interpreter, a bound on import time that timing noise cannot
+    # fail; the standard library imports neither when it starts
+    code = "import sys, fubuki.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True
+    )
+    assert result.stdout == "[]\n"
 
 
 def test_no_module_imports_a_name_it_never_reads():

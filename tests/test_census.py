@@ -2,7 +2,6 @@ import re
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
 from itertools import permutations
 from operator import mul
 
@@ -13,6 +12,7 @@ from fubuki import (
     TOTAL_GRIDS,
     CensusReport,
     ClueSet,
+    CompanionScan,
     Grid,
     PrescriptionRegime,
     census,
@@ -434,7 +434,7 @@ class TestCompanionOracle:
             # 8 cells and no companion: ahead of every pair, in no bucket. A
             # scan refuses it when built, so it is put in the built scan below
             with pytest.raises(ValueError, match="pairs must be a list of 18-byte"):
-                replace(full_scan, pairs=[bytes(range(1, 9)), *pairs])
+                CompanionScan([bytes(range(1, 9)), *pairs])
             found = "pair (1, 2, 3, 4, 5, 6, 7, 8) -> (): not both permutations of 1..9"
         elif fault == "other-bucket":
             grids = (pair[:9] for pair in pairs)
@@ -451,7 +451,7 @@ class TestCompanionOracle:
             pairs[0], pairs[1] = pairs[1], pairs[0]
             assert len(set(pairs)) == len(pairs)
             found = "the (grid, companion) pairs are not strictly increasing"
-        scan = replace(full_scan, pairs=pairs)
+        scan = CompanionScan(pairs)
         if fault == "short":
             scan.pairs.insert(0, bytes(range(1, 9)))
         multi = census_reports[R.FULL_DIAGONAL].multi

@@ -15,7 +15,7 @@ from itertools import product
 import pytest
 
 import fubuki
-from fubuki import ClueSet, CompanionScan, Grid, PrescriptionRegime, SplitMix64
+from fubuki import CensusReport, ClueSet, CompanionScan, Grid, PrescriptionRegime, SplitMix64
 
 # argument-free sweeps: no argument to get wrong, and each takes seconds
 SWEEPS = {"census_all", "closed_form_puzzle_count", "companion_scan", "build_shift_table"}
@@ -106,3 +106,28 @@ def test_a_scan_that_constructs_can_be_read():
         stats = (scan.grids_with_companion, scan.single_solution_puzzles, scan.solvable_puzzles)
         read.append((pairs, stats, len(fubuki.companion_oracle_mismatches({}, scan))))
     assert read == [([], (0, 362880, 362880), 0), ([bytes(18)], (1, 362879, 362880), 1)]
+
+
+def test_a_long_rejected_value_is_cut_in_the_message(full_scan):
+    # shown whole, these two messages ran to 1,671,464 and 1,188,932 characters
+    pairs = [*full_scan.pairs, b"x"]
+    multi = {key: "x" for key in range(100_000)}
+    with pytest.raises(ValueError) as scan_error:
+        CompanionScan(pairs)
+    with pytest.raises(ValueError) as report_error:
+        CensusReport(PrescriptionRegime.NONE, {1: 362880}, multi)
+    assert str(scan_error.value) == (
+        f"pairs must be a list of 18-byte bytes values, got {repr(pairs)[:200]}..."
+    )
+    assert str(report_error.value) == (
+        f"multi must be None or a dict of ints, got {repr(multi)[:200]}..."
+    )
+
+
+@pytest.mark.parametrize("length, cut", [(197, False), (198, True)])
+def test_a_repr_is_cut_only_past_200_characters(length, cut):
+    value = b"x" * length  # its repr is 3 characters longer
+    with pytest.raises(ValueError) as error:
+        PrescriptionRegime.parse(value)
+    shown = repr(value)[:200] + "..." if cut else repr(value)
+    assert str(error.value) == f"regime must be a str, got {shown}"

@@ -1,10 +1,24 @@
+import copy
 import json
+import operator
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fubuki import CensusReport, ClueSet, Grid, PrescriptionRegime, PuzzleFormatError
+from fubuki import (
+    CensusReport,
+    ClueSet,
+    CompanionScan,
+    Grid,
+    PrescriptionRegime,
+    PuzzleFormatError,
+    SolveResult,
+    classify_diagonal,
+    closed_form_puzzle_count,
+    solve,
+)
 from fubuki.rng import SplitMix64
 
 
@@ -222,3 +236,117 @@ class TestPrescriptionRegime:
         # these used to raise AttributeError or TypeError, not the documented error
         with pytest.raises(ValueError, match="regime must be a str"):
             PrescriptionRegime.parse(text)
+
+
+SHOWCASE = Grid((1, 4, 5, 7, 2, 6, 8, 9, 3))
+SHOWCASE_CLUE = ClueSet.from_grid(SHOWCASE, PrescriptionRegime.FULL_DIAGONAL)
+
+
+def values() -> dict:
+    """One value of each public value type, built afresh."""
+    return {
+        "Grid": Grid(SHOWCASE.cells),
+        "ClueSet": ClueSet.from_grid(SHOWCASE, PrescriptionRegime.FULL_DIAGONAL),
+        "DiagonalClass": classify_diagonal((1, 2, 3)),
+        "SolveResult": solve(SHOWCASE_CLUE),
+        # one two-grid bucket, so `multi` holds a key
+        "CensusReport": CensusReport(
+            PrescriptionRegime.FULL_DIAGONAL, {1: 362878, 2: 1}, {5: 2}
+        ),
+        "CompanionScan": CompanionScan([bytes(range(18))]),
+        "ClosedFormCount": closed_form_puzzle_count(),
+    }
+
+
+HASHABLE = ["ClosedFormCount", "ClueSet", "DiagonalClass", "Grid"]
+
+
+class TestValueTypes:
+    """What each value type promises beyond its fields: equality, hashing,
+    repr, pickling and copying, and which of them can change."""
+
+    @pytest.mark.parametrize("name", sorted(values()))
+    def test_pickle_and_copy_give_an_equal_value_of_the_same_type(self, name):
+        value = values()[name]
+        copies = [
+            *(pickle.loads(pickle.dumps(value, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)),
+            copy.copy(value),
+            copy.deepcopy(value),
+        ]
+        for other in copies:
+            assert type(other) is type(value)
+            assert other == value
+        if name in HASHABLE:
+            # equal values built apart hash alike
+            assert {hash(other) for other in copies} == {hash(value)}
+        else:
+            with pytest.raises(TypeError):
+                hash(value)
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (SHOWCASE, "Grid(cells=(1, 4, 5, 7, 2, 6, 8, 9, 3))"),
+            (
+                SHOWCASE_CLUE,
+                "ClueSet(prescribed=((1, 1, 1), (2, 2, 2), (3, 3, 3)), "
+                "row_sums=(10, 15, 20), col_sums=(16, 15, 14))",
+            ),
+            (
+                classify_diagonal((1, 3, 4)),
+                "DiagonalClass(diagonal=frozenset({1, 3, 4}), shifts=frozenset())",
+            ),
+            (
+                CensusReport(PrescriptionRegime.NONE, {1: 362880}, None),
+                "CensusReport(regime=<PrescriptionRegime.NONE: 'none'>, sizes={1: 362880})",
+            ),
+            (CompanionScan([bytes(range(18))]), "CompanionScan()"),
+        ],
+        ids=["Grid", "ClueSet", "DiagonalClass", "CensusReport", "CompanionScan"],
+    )
+    def test_repr(self, value, text):
+        assert repr(value) == text
+
+    def test_keywords_build_what_positions_build(self):
+        built = values()
+        assert Grid(cells=SHOWCASE.cells) == built["Grid"]
+        assert ClueSet(
+            prescribed=SHOWCASE_CLUE.prescribed,
+            row_sums=SHOWCASE_CLUE.row_sums,
+            col_sums=SHOWCASE_CLUE.col_sums,
+        ) == built["ClueSet"]
+        result = built["SolveResult"]
+        assert SolveResult(solutions=result.solutions, truncated=result.truncated) == result
+        report = built["CensusReport"]
+        assert CensusReport(regime=report.regime, sizes=report.sizes, multi=report.multi) == report
+        assert CompanionScan(pairs=[bytes(range(18))]) == built["CompanionScan"]
+
+    def test_equality_reads_every_field_and_the_type(self):
+        report = values()["CensusReport"]
+        assert report != CensusReport(report.regime, report.sizes, {6: 2})
+        assert CompanionScan([bytes(18)]) != CompanionScan([bytes(range(18))])
+        # a value equals no tuple of its fields
+        assert SHOWCASE != SHOWCASE.cells
+        assert SHOWCASE_CLUE != (
+            SHOWCASE_CLUE.prescribed, SHOWCASE_CLUE.row_sums, SHOWCASE_CLUE.col_sums
+        )
+        assert CompanionScan([]) != []
+
+    @pytest.mark.parametrize("compare", [operator.lt, operator.le, operator.gt, operator.ge])
+    def test_a_grid_orders_only_against_a_grid(self, compare):
+        assert compare(SHOWCASE, Grid(SHOWCASE.cells)) == compare(SHOWCASE.cells, SHOWCASE.cells)
+        for left, right in [(SHOWCASE, SHOWCASE.cells), (SHOWCASE.cells, SHOWCASE)]:
+            with pytest.raises(TypeError):
+                compare(left, right)
+
+    @pytest.mark.parametrize(
+        "name, field", [("Grid", "cells"), ("ClueSet", "row_sums"), ("DiagonalClass", "shifts")]
+    )
+    def test_frozen_fields_can_be_neither_set_nor_deleted(self, name, field):
+        value = values()[name]
+        before = getattr(value, field)
+        with pytest.raises(AttributeError):
+            setattr(value, field, before)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        assert getattr(value, field) is before
