@@ -28,9 +28,9 @@ which the companion oracle reads: every statistic is a function of the
 histogram, and a key missing from the multi-grid buckets belongs to a single
 grid. A weaker regime's multi-grid buckets have one source,
 `group_multi_buckets`, which counts one regime's group of one first row sum
-alone. The generator sweeps no census: it calls `group_multi_buckets` for a
-group only when a draw first lands there, so a run counts only the groups
-its draws need.
+alone. The generator sweeps no census: it counts a group the same way, with
+`_group_counts`, only when a draw first lands there, so a run counts only
+the groups its draws need.
 
 No field of the packing ever carries into the next (a line sum is at most
 24 < 32, a cell at most 9 < 16), so the key is linear in the cells: it is
@@ -51,16 +51,27 @@ stay in 32-byte blocks.
 The companion scan is a second route to the full-diagonal count that reads
 no bucket: it lists the 22,896 (grid, companion) pairs of the shift
 structure, each held as 18 bytes, one per cell, sorted. The companion
-oracle checks those pairs against the census's multi-grid buckets.
+oracle checks those pairs against the census's multi-grid buckets, 2,048
+at a time, laid end to end. Each half of a pair is an 8-byte lane of two
+ints, as rng.py mixes its outputs: its cells times `_WEIGHTS`, its key if
+it is a permutation (the key is linear), and the sum of 2**v over its cells
+v, from byte tables giving 0 outside 1..9. That sum is 2**1 + ... + 2**9
+only for a permutation of 1..9: k powers of two sum to k one-bits only if
+no two are equal. No lane carries: 255 in every cell keeps a key under
+2**37, and a bit sum is at most 9 * 512. A byte per pair ORs the XORs of
+its halves' cells, 0 when they are equal. Python runs only for a pair these
+show faulty, to write its message. Chunks keep the ints small, so the
+oracle's peak stays near that of the scan it reads.
 """
 
 from __future__ import annotations
 
+import struct
 from collections import Counter, _count_elements
 from functools import cache
-from itertools import combinations, islice, permutations, repeat
+from itertools import chain, combinations, compress, islice, permutations, repeat
 from math import factorial
-from operator import ge, itemgetter, mul, sub
+from operator import add, ge, itemgetter, mul, not_, or_, sub
 from typing import Iterator, NamedTuple
 
 from .core import DIAGONAL_FLAT, MAX_LINE_SUM, MIN_LINE_SUM, PrescriptionRegime
@@ -171,15 +182,8 @@ def _multi_of(counts: dict[int, int]) -> dict[int, int]:
     return {key: n for key, n in counts.items() if n >= 2}
 
 
-def group_multi_buckets(regime: PrescriptionRegime, r1: int) -> dict[int, int]:
-    """The multi-grid buckets of `regime` among grids of first row sum `r1`.
-
-    r1 leads every key, so this group's buckets are the whole sweep's buckets
-    of its keys. Raises ValueError, before counting, for a non-regime or
-    unless `r1` is an int in MIN_LINE_SUM..MAX_LINE_SUM, and RuntimeError
-    unless the group was counted over all of its grids, 4,320 per first-row
-    digit set summing to `r1`.
-    """
+def _group_counts(regime: PrescriptionRegime, r1: int) -> dict[int, int]:
+    """`regime`'s signature counts of first row sum `r1`, checked as `group_multi_buckets` says."""
     _check_type(regime, PrescriptionRegime, "regime")
     if not (_is_int(r1) and MIN_LINE_SUM <= r1 <= MAX_LINE_SUM):
         raise _bad("r1", f"an integer in {MIN_LINE_SUM}..{MAX_LINE_SUM}", r1)
@@ -191,7 +195,19 @@ def group_multi_buckets(regime: PrescriptionRegime, r1: int) -> dict[int, int]:
         raise RuntimeError(
             f"{regime.value} group of first row sum {r1} holds {grids} grids, expected {wanted}"
         )
-    return _multi_of(counts)
+    return counts
+
+
+def group_multi_buckets(regime: PrescriptionRegime, r1: int) -> dict[int, int]:
+    """The multi-grid buckets of `regime` among grids of first row sum `r1`.
+
+    r1 leads every key, so this group's buckets are the whole sweep's buckets
+    of its keys. Raises ValueError, before counting, for a non-regime or
+    unless `r1` is an int in MIN_LINE_SUM..MAX_LINE_SUM, and RuntimeError
+    unless the group was counted over all of its grids, 4,320 per first-row
+    digit set summing to `r1`.
+    """
+    return _multi_of(_group_counts(regime, r1))
 
 
 class CensusReport:
@@ -410,15 +426,19 @@ def companion_scan() -> CompanionScan:
     puzzle count that is independent of the signature census. Each pair is
     stored as 18 bytes (see `CompanionScan`).
     """
-    pairs = []
+    pairs: list[bytes] = []
     for diagonal, entries in shift_match_table().items():
         for _, required in entries:
             minus = set(range(1, 10)).difference(diagonal, required)
+            # the 36 (+cell, -cell) orderings below each diagonal ordering
+            lowers = [p + m for p in permutations(required) for m in permutations(minus)]
             for d in permutations(diagonal):
-                for p in permutations(required):
-                    for m in permutations(minus):
-                        cells = _SCATTER(d + p + m)
-                        pairs.extend(bytes(cells + c) for c in companion_cells(cells))
+                grids = list(map(_SCATTER, map(add, repeat(d), lowers)))
+                # read at each ordering: a wrapper on this module's name sees every call
+                companions = list(map(companion_cells, grids))
+                # each grid repeated once per companion, joined to it in order
+                heads = chain.from_iterable(map(repeat, grids, map(len, companions)))
+                pairs += map(bytes, map(add, heads, chain.from_iterable(companions)))
     pairs.sort()
     return CompanionScan(pairs)
 
@@ -448,25 +468,62 @@ def companion_oracle_mismatches(multi: dict[int, int], scan: CompanionScan) -> l
     return list(islice(_oracle_violations(multi, scan), 5))
 
 
+# the low and the high byte of 2**v for a cell v in 1..9, 0 for any other byte
+_BIT_LOW = bytes((1 << v & 0xFF) * (1 <= v <= 9) for v in range(256))
+_BIT_HIGH = bytes((1 << v >> 8) * (1 <= v <= 9) for v in range(256))
+_ALL_BITS = sum(1 << v for v in range(1, 10))  # a permutation's bit sum
+_CHUNK = 2048  # pairs checked at once
+_DIGITS = list(range(1, 10))
+
+
+def _chunk_lanes(blob: bytes, n: int) -> tuple[tuple[int, ...], list[int]]:
+    """The grid keys of `n` pairs laid end to end in `blob`, 18 bytes each,
+    and the indices of the faulty pairs (see the module docstring)."""
+    keys, bits, differ = [0, 0], [0, 0], 0
+    key_lane, bit_lane = bytearray(8 * n), bytearray(8 * n)
+    for i, weight in enumerate(_WEIGHTS):
+        halves = blob[i::18], blob[9 + i :: 18]
+        for h, cells in enumerate(halves):
+            key_lane[::8] = cells
+            keys[h] += weight * int.from_bytes(key_lane, "little")
+            bit_lane[::8], bit_lane[1::8] = cells.translate(_BIT_LOW), cells.translate(_BIT_HIGH)
+            bits[h] += int.from_bytes(bit_lane, "little")
+        differ |= int.from_bytes(halves[0], "little") ^ int.from_bytes(halves[1], "little")
+    all_bits = int.from_bytes(_ALL_BITS.to_bytes(8, "little") * n, "little")
+    wrong = (keys[0] ^ keys[1]) | (bits[0] ^ all_bits) | (bits[1] ^ all_bits)
+    lanes = struct.Struct(f"<{n}Q").unpack
+    equal = map(not_, differ.to_bytes(n, "little"))
+    faulty = compress(range(n), map(or_, lanes(wrong.to_bytes(8 * n, "little")), equal))
+    return lanes(keys[0].to_bytes(8 * n, "little")), list(faulty)
+
+
 def _oracle_violations(multi: dict[int, int], scan: CompanionScan) -> Iterator[str]:
     # the full diagonal drops no bits, so its signature key is _pack itself
-    digits = list(range(1, 10))
     pairs_per_key: Counter[int] = Counter()
-    for pair in scan.pairs:
-        # tuples of ints, as the messages show cells; they also sort faster than bytes
-        cells = tuple(pair)
-        p, c = cells[:9], cells[9:]
-        # only a permutation of 1..9 packs; it is counted whatever its companion
-        grid_ok = sorted(p) == digits
-        if grid_ok:
-            key = _pack(p)
-            pairs_per_key[key] += 1
-        if not grid_ok or sorted(c) != digits:
-            yield f"pair {p} -> {c}: not both permutations of 1..9"
-        elif c == p:
-            yield f"pair {p} -> {c}: companion equals the grid"
-        elif _pack(c) != key:
-            yield f"pair {p} -> {c}: companion outside the grid's bucket"
+    for start in range(0, len(scan.pairs), _CHUNK):
+        chunk = scan.pairs[start : start + _CHUNK]
+        try:
+            blob = b"".join(chunk)
+        except TypeError:  # a value put in `pairs` after construction
+            raise _bad("pairs", "a list of 18-byte bytes values", scan.pairs) from None
+        if set(map(len, chunk)) != {18}:  # a half that is not 9 bytes is laid out as no grid
+            halves = (h for pair in chunk for h in (pair[:9], pair[9:]))
+            blob = b"".join(h if len(h) == 9 else bytes(9) for h in halves)
+        keys, faulty = _chunk_lanes(blob, len(chunk))
+        counted = bytearray(b"\1" * len(chunk))
+        for j in faulty:
+            # tuples of ints, as the messages show cells
+            cells = tuple(chunk[j])
+            p, c = cells[:9], cells[9:]
+            # a grid that is a permutation of 1..9 is counted whatever its companion
+            grid_ok = counted[j] = sorted(p) == _DIGITS
+            if not grid_ok or sorted(c) != _DIGITS:
+                yield f"pair {p} -> {c}: not both permutations of 1..9"
+            elif c == p:
+                yield f"pair {p} -> {c}: companion equals the grid"
+            elif _pack(c) != _pack(p):
+                yield f"pair {p} -> {c}: companion outside the grid's bucket"
+        pairs_per_key.update(compress(keys, counted))
     if any(map(ge, scan.pairs, islice(scan.pairs, 1, None))):
         yield "the (grid, companion) pairs are not strictly increasing"
     for key, size in multi.items():

@@ -2,18 +2,21 @@
 
 Every puzzle but a full-diagonal unique one comes from one draw loop. It
 rejects a weaker regime's draw when the draw's key is among the multi-grid
-buckets that `census.group_multi_buckets` counts for the draw's first row
-sum. The loop asks only whether a key is there, never a bucket's size, so
+buckets of the draw's first row sum, the keys of `census.group_multi_buckets`.
+The loop asks only whether a key is there, never a bucket's size, so
 `_GROUPS` holds each counted group as bitmasks: a dict from `key >> _LOW`
 to an int whose bit `key & _LOW_MASK` is set for each multi-grid key. A
 group is counted on the first draw that lands there and kept for the
-process; its `{key: size}` dict is dropped once its bits are set, so the
-57 groups hold 14,425 ints where they would hold 206,382 keys and sizes.
+process; its bits are set from its counts, and no `{key: size}` dict is
+built, so the 57 groups hold 14,425 ints where they would hold 206,382.
 """
 
 from __future__ import annotations
 
-from .census import group_multi_buckets
+from itertools import compress, repeat
+from operator import le
+
+from .census import _group_counts
 from .core import ClueSet, Grid, PrescriptionRegime, _bad, _check_type, _is_int
 from .rng import SplitMix64
 from .solver import count_solutions
@@ -38,7 +41,8 @@ def _hold_group(regime: PrescriptionRegime, r1: int) -> dict[int, int]:
     """Count `regime`'s group of first row sum `r1`, hold its multi-grid keys
     in `_GROUPS` as bitmasks, and return those."""
     masks: dict[int, int] = {}
-    for key in group_multi_buckets(regime, r1):
+    counts = _group_counts(regime, r1)
+    for key in compress(counts, map(le, repeat(2), counts.values())):
         high = key >> _LOW
         masks[high] = masks.get(high, 0) | 1 << (key & _LOW_MASK)
     _GROUPS[regime][r1] = masks

@@ -11,6 +11,9 @@ import importlib
 import json
 import subprocess
 import sys
+from collections import Counter
+from itertools import islice
+from operator import ge
 from pathlib import Path
 
 from fubuki import PrescriptionRegime, SplitMix64, cli, generate, solver, theory
@@ -183,3 +186,39 @@ def hold_every_group(regime):
 def parsed_options(argv):
     """The CLI's options for `argv`, parsed but not run."""
     return vars(cli._build_parser().parse_args(argv))
+
+
+def reference_oracle(multi, scan):
+    """The companion oracle's messages, found one pair at a time: the check
+    the bulk oracle replaced, which it is compared against. Not capped."""
+    digits = list(range(1, 10))
+    pairs_per_key = Counter()
+    for pair in scan.pairs:
+        cells = tuple(pair)
+        p, c = cells[:9], cells[9:]
+        # only a permutation of 1..9 packs; it is counted whatever its companion
+        grid_ok = sorted(p) == digits
+        if grid_ok:
+            key = census._pack(p)
+            pairs_per_key[key] += 1
+        if not grid_ok or sorted(c) != digits:
+            yield f"pair {p} -> {c}: not both permutations of 1..9"
+        elif c == p:
+            yield f"pair {p} -> {c}: companion equals the grid"
+        elif census._pack(c) != key:
+            yield f"pair {p} -> {c}: companion outside the grid's bucket"
+    if any(map(ge, scan.pairs, islice(scan.pairs, 1, None))):
+        yield "the (grid, companion) pairs are not strictly increasing"
+    for key, size in multi.items():
+        pairs = pairs_per_key.get(key, 0)
+        if pairs != size * (size - 1):
+            yield f"bucket {key:#x} of {size} grids has {pairs} companion pairs"
+    for key in sorted(pairs_per_key.keys() - multi.keys()):
+        yield f"bucket {key:#x} has companion pairs but one grid in the census"
+
+
+def flagged_pairs(pairs):
+    """The indices of the 18-byte `pairs` that the oracle's bulk check
+    flags as faulty, all read as one chunk; the messages it caps come from
+    these alone."""
+    return census._chunk_lanes(b"".join(pairs), len(pairs))[1]

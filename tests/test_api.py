@@ -36,6 +36,7 @@ PUBLIC_API = [
     "companion_solutions",
     "count_solutions",
     "generate_puzzles",
+    "group_multi_buckets",
     "shift_table_to_csv",
     "solve",
 ]

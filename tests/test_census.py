@@ -2,10 +2,12 @@ import re
 import subprocess
 import sys
 from collections import Counter
-from itertools import permutations
+from itertools import islice, permutations
 from operator import mul
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fubuki import (
     EXPECTED_PUZZLE_COUNTS,
@@ -379,6 +381,43 @@ class TestCompanionScan:
         assert full_scan.pairs == walked
 
 
+# the scan's ends and the edges of the oracle's first two chunks of 2,048 pairs
+EDGES = [0, 2047, 2048, 22895]
+CORRUPTIONS = st.one_of(
+    st.tuples(st.just("byte"), st.integers(0, 17), st.sampled_from([0, 10, 255])),
+    st.tuples(st.just("swap"), st.sampled_from([0, 9]), st.integers(0, 8), st.integers(0, 8)),
+    st.tuples(st.just("cut"), st.sampled_from([8, 17, 19])),
+    st.tuples(st.just("grid")),
+    st.tuples(st.just("other"), st.integers(0, 22895)),
+)
+
+
+def corrupt(pairs, index, corruption):
+    """Break pair `index` of `pairs` in place: a byte set to a value, two
+    bytes of one half swapped, the pair cut to a length (19 repeats its
+    first byte), or its companion replaced by its own or another pair's grid."""
+    pair = bytearray(pairs[index])
+    kind, *args = corruption
+    if kind == "byte":
+        pair[args[0]] = args[1]
+    elif kind == "swap":
+        half, i, j = args
+        pair[half + i], pair[half + j] = pair[half + j], pair[half + i]
+    elif kind == "cut":
+        pair = (pair + pair)[: args[0]]
+    else:
+        pair[9:] = pairs[args[0] if kind == "other" else index][:9]
+    pairs[index] = bytes(pair)
+
+
+def built_scan(pairs):
+    """A scan holding `pairs`, put in after construction, which refuses a
+    pair that is not 18 bytes."""
+    scan = CompanionScan([])
+    scan.pairs = pairs
+    return scan
+
+
 class TestCompanionOracle:
     # the clean run is acceptance criterion 5; each case here breaks one input
     @pytest.mark.parametrize(
@@ -460,6 +499,63 @@ class TestCompanionOracle:
     def test_report_is_capped(self, full_scan):
         # an empty multi puts every one of the 11,448 two-grid buckets wrong
         assert len(companion_oracle_mismatches({}, full_scan)) == 5
+
+    def test_flags_exactly_the_pairs_with_a_non_digit_cell(self, full_scan):
+        # each byte value outside 1..9 takes the place of each digit in a
+        # diagonal cell of both halves of a pair of its own; the halves keep
+        # equal keys, so the permutation test alone must flag those pairs,
+        # and no other, uncapped
+        pairs = list(full_scan.pairs)
+        # the pairs with each digit on the diagonal, in turn
+        holding = {d: iter([i for i, p in enumerate(pairs) if d in p[:9:4]]) for d in range(1, 10)}
+        wanted = set()
+        for value in set(range(256)) - set(range(1, 10)):
+            for digit in range(1, 10):
+                index = next(i for i in holding[digit] if i not in wanted)
+                cell = pairs[index][:9:4].index(digit) * 4
+                corrupt(pairs, index, ("byte", cell, value))
+                corrupt(pairs, index, ("byte", 9 + cell, value))
+                wanted.add(index)
+        # a half moved by a shift keeps its key; moved by 1 it is mostly no
+        # permutation, so again the permutation test alone must flag it
+        for half in (0, 9):
+            for index in range(len(pairs)):
+                moved = shift_cells(pairs[index][half : half + 9], 1)
+                if index not in wanted and sorted(moved) != list(range(1, 10)):
+                    break
+            pairs[index] = pairs[index][:half] + bytes(moved) + pairs[index][half + 9 :]
+            wanted.add(index)
+        assert internals.flagged_pairs(pairs) == sorted(wanted)
+        assert internals.flagged_pairs(full_scan.pairs) == []
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=12)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(EDGES) | st.integers(0, 22895), CORRUPTIONS),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    # a short pair and a long one side by side join to 36 bytes, as two pairs do
+    @example([(2046, ("cut", 17)), (2047, ("cut", 19))])
+    @example([(0, ("byte", 17, 0)), (22895, ("grid",))])
+    def test_agrees_with_the_pair_by_pair_check(self, census_reports, full_scan, faults):
+        pairs = list(full_scan.pairs)
+        for index, corruption in faults:
+            corrupt(pairs, index, corruption)
+        scan = built_scan(pairs)
+        multi = census_reports[R.FULL_DIAGONAL].multi
+        wanted = list(islice(internals.reference_oracle(multi, scan), 5))
+        assert companion_oracle_mismatches(multi, scan) == wanted
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_a_scan_of_no_pair_or_one_agrees_with_the_pair_by_pair_check(
+        self, census_reports, full_scan, count
+    ):
+        scan = CompanionScan(full_scan.pairs[:count])
+        multi = census_reports[R.FULL_DIAGONAL].multi
+        wanted = list(islice(internals.reference_oracle(multi, scan), 5))
+        assert companion_oracle_mismatches(multi, scan) == wanted
 
 
 class TestVerifyMemory:

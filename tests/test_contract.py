@@ -108,6 +108,31 @@ def test_a_scan_that_constructs_can_be_read():
     assert read == [([], (0, 362880, 362880), 0), ([bytes(18)], (1, 362879, 362880), 1)]
 
 
+def test_a_value_put_in_a_built_scan_is_refused_as_at_construction():
+    # the oracle joins the pairs as bytes; a value that no bytes value joins
+    # raises what the constructor raises for the same list, and a bytes
+    # value of any length is reported, not raised
+    grid = tuple(range(1, 10))
+    pair = bytes(grid) * 2
+    for value in [*junk(), (1,) * 18]:
+        if isinstance(value, bytes):
+            continue
+        scan = CompanionScan([pair])
+        scan.pairs.append(value)
+        with pytest.raises(ValueError) as error:
+            fubuki.companion_oracle_mismatches({}, scan)
+        wanted = f"pairs must be a list of 18-byte bytes values, got {scan.pairs!r}"
+        assert str(error.value) == wanted
+    for length in (0, 1, 8, 9, 17, 19, 40):
+        scan = CompanionScan([pair])
+        scan.pairs.append(bytes(length))
+        cells = (0,) * length
+        assert fubuki.companion_oracle_mismatches({}, scan)[:2] == [
+            f"pair {grid} -> {grid}: companion equals the grid",
+            f"pair {cells[:9]} -> {cells[9:]}: not both permutations of 1..9",
+        ]
+
+
 def test_a_long_rejected_value_is_cut_in_the_message(full_scan):
     # shown whole, these two messages ran to 1,671,464 and 1,188,932 characters
     pairs = [*full_scan.pairs, b"x"]

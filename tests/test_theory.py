@@ -1,5 +1,6 @@
 import csv
 import io
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -8,6 +9,7 @@ from fubuki import (
     ClueSet,
     Grid,
     PrescriptionRegime,
+    SplitMix64,
     build_shift_table,
     classify_diagonal,
     closed_form_puzzle_count,
@@ -15,8 +17,37 @@ from fubuki import (
     shift_table_to_csv,
     solve,
 )
-from fubuki.theory import companion_cells, shift_cells, shift_match_table
+from fubuki.theory import MINUS_FLAT, PLUS_FLAT, companion_cells, shift_cells, shift_match_table
 import internals
+
+# flat row-major indices of the three rows and the three columns
+LINES = [(0, 1, 2), (3, 4, 5), (6, 7, 8), (0, 3, 6), (1, 4, 7), (2, 5, 8)]
+OFF_DIAGONAL = (1, 2, 3, 5, 6, 7)
+
+
+def null_space(rows):
+    """The rank of a matrix of Fractions and a basis of its null space, by
+    reduction to row echelon form."""
+    rows, pivots = [list(row) for row in rows], []
+    width = len(rows[0])
+    for col in range(width):
+        pivot = next((k for k in range(len(pivots), len(rows)) if rows[k][col]), None)
+        if pivot is None:
+            continue
+        r = len(pivots)
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        rows[r] = [v / rows[r][col] for v in rows[r]]
+        for k in range(len(rows)):
+            if k != r and rows[k][col]:
+                rows[k] = [a - rows[k][col] * b for a, b in zip(rows[k], rows[r])]
+        pivots.append(col)
+    basis = []
+    for free in (c for c in range(width) if c not in pivots):
+        vector = [Fraction(c == free) for c in range(width)]
+        for row, col in zip(rows, pivots):
+            vector[col] = -row[free]
+        basis.append(vector)
+    return len(pivots), basis
 
 
 # every reader of the shift table, each as a call that reads it
@@ -63,6 +94,34 @@ class TestShiftGrid:
         # brute force over the 720 fillings of that diagonal confirms
         # the puzzle has no other solution
         assert solve(clue_unique).solutions == [grid_unique]
+
+
+class TestDegreeOfFreedom:
+    def test_line_sums_leave_the_off_diagonal_cells_one_direction(self):
+        # with the diagonal fixed, the six line sums are six equations on the
+        # six off-diagonal cells; these form one 6-cycle between the rows and
+        # the columns, so the equations have rank 5 and their solutions are one
+        # line, with signs alternating around the cycle
+        equations = [[Fraction(i in line) for i in OFF_DIAGONAL] for line in LINES]
+        rank, basis = null_space(equations)
+        assert rank == 5 and len(basis) == 1
+        (vector,) = basis
+        assert all(sum(map(Fraction.__mul__, row, vector)) == 0 for row in equations)
+        scale = vector[OFF_DIAGONAL.index(PLUS_FLAT[0])]
+        direction = dict(zip(OFF_DIAGONAL, (v / scale for v in vector)))
+        assert direction == {**dict.fromkeys(PLUS_FLAT, 1), **dict.fromkeys(MINUS_FLAT, -1)}
+
+    def test_a_shift_moves_the_cells_along_that_direction(self):
+        # so shift_cells is the only way to keep the diagonal and the line
+        # sums: each shift s adds s times the direction above
+        direction = [(i in PLUS_FLAT) - (i in MINUS_FLAT) for i in range(9)]
+        rng = SplitMix64(2013)
+        for _ in range(50):
+            cells = list(range(1, 10))
+            rng.shuffle(cells)
+            for s in range(-8, 9):
+                moved = [a - b for a, b in zip(shift_cells(tuple(cells), s), cells)]
+                assert moved == [s * d for d in direction]
 
 
 class TestPairings:
