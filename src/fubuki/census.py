@@ -363,6 +363,11 @@ def closed_form_puzzle_count() -> ClosedFormCount:
     return ClosedFormCount(total=sum(addends), addends=addends)
 
 
+def _is_bytes_list(pairs: object) -> bool:
+    # passes in C: a scan holds 22,896 pairs
+    return isinstance(pairs, list) and all(map(isinstance, pairs, repeat(bytes)))
+
+
 class CompanionScan:
     """Every (grid, companion) pair of the shift structure, sorted, and the
     full-diagonal statistics they give; a puzzle is counted at its smallest
@@ -378,12 +383,7 @@ class CompanionScan:
 
     def __init__(self, pairs: list[bytes]) -> None:
         self.pairs = pairs
-        # passes in C: the scan is built once per verify, at 22,896 pairs
-        if not (
-            isinstance(pairs, list)
-            and all(map(isinstance, pairs, repeat(bytes)))
-            and set(map(len, pairs)) <= {18}
-        ):
+        if not (_is_bytes_list(pairs) and set(map(len, pairs)) <= {18}):
             raise _bad("pairs", "a list of 18-byte bytes values", pairs)
 
     def __eq__(self, other: object) -> bool:
@@ -465,6 +465,10 @@ def companion_oracle_mismatches(multi: dict[int, int], scan: CompanionScan) -> l
     if not _is_int_dict(multi):
         raise _bad("multi", "a dict of ints", multi)
     _check_type(scan, CompanionScan, "scan")
+    # the pairs are checked again: a built scan's `pairs` can be rebound or
+    # changed; their lengths are the oracle's to report
+    if not _is_bytes_list(scan.pairs):
+        raise _bad("pairs", "a list of 18-byte bytes values", scan.pairs)
     return list(islice(_oracle_violations(multi, scan), 5))
 
 
@@ -502,10 +506,7 @@ def _oracle_violations(multi: dict[int, int], scan: CompanionScan) -> Iterator[s
     pairs_per_key: Counter[int] = Counter()
     for start in range(0, len(scan.pairs), _CHUNK):
         chunk = scan.pairs[start : start + _CHUNK]
-        try:
-            blob = b"".join(chunk)
-        except TypeError:  # a value put in `pairs` after construction
-            raise _bad("pairs", "a list of 18-byte bytes values", scan.pairs) from None
+        blob = b"".join(chunk)
         if set(map(len, chunk)) != {18}:  # a half that is not 9 bytes is laid out as no grid
             halves = (h for pair in chunk for h in (pair[:9], pair[9:]))
             blob = b"".join(h if len(h) == 9 else bytes(9) for h in halves)

@@ -1,8 +1,11 @@
 """Seeded puzzle generation, optionally with a guaranteed-unique solution.
 
-Every puzzle but a full-diagonal unique one comes from one draw loop. It
-rejects a weaker regime's draw when the draw's key is among the multi-grid
-buckets of the draw's first row sum, the keys of `census.group_multi_buckets`.
+Every puzzle but a full-diagonal unique one comes from one draw loop. The
+loop reads its draws, each a shuffle of 1..9, from `SplitMix64._shuffles`,
+the stream of repeated `shuffle` calls mixed eight draws at a time (see
+`rng.py`). It rejects a weaker regime's draw when the draw's key is among
+the multi-grid buckets of the draw's first row sum, the keys of
+`census.group_multi_buckets`.
 The loop asks only whether a key is there, never a bucket's size, so
 `_GROUPS` holds each counted group as bitmasks: a dict from `key >> _LOW`
 to an int whose bit `key & _LOW_MASK` is set for each multi-grid key. A
@@ -24,7 +27,6 @@ from .theory import build_shift_table
 
 # Flat indices the off-diagonal values fill, in row-major reading order.
 _OFF_DIAGONAL_FLAT = (1, 2, 3, 5, 6, 7)
-# a tuple: a list is refilled from it faster than from a range
 _DIGITS = tuple(range(1, 10))
 _LOW = 10
 _LOW_MASK = (1 << _LOW) - 1
@@ -97,14 +99,10 @@ def generate_puzzles(
     # a wrapper installed on that module's name sees every rejection draw
     from .census import signature_key
     groups = _GROUPS[regime] if require_unique else None
-    values = list(_DIGITS)
-    shuffle = rng.shuffle
+    draws = rng._shuffles(_DIGITS)  # each draw a shuffle of 1..9 afresh
     puzzles: list[ClueSet] = []
     for _ in range(count):
-        while True:
-            values[:] = _DIGITS  # each draw shuffles 1..9 afresh
-            shuffle(values)
-            cells = tuple(values)
+        for cells in draws:
             if groups is None:
                 break
             r1 = cells[0] + cells[1] + cells[2]

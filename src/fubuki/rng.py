@@ -5,18 +5,33 @@ sampling for bounded draws and Fisher-Yates shuffling. The algorithm is
 fully specified here, so seeded output is stable across Python versions and
 implementations, unlike the stdlib's Mersenne Twister convenience methods.
 
-Outputs are mixed up to 8 at a time in one packed int: output i of a batch
+Outputs are mixed many at a time in one packed int: output i of a batch
 sits in the 128-bit lane i, every xor-shift and multiply acts on all lanes
 at once, and masking each lane back to 64 bits before the next step reads
 it keeps each lane's arithmetic exactly the scalar mixer's. A 64-bit value times a 64-bit
 constant fits in 128 bits, so no lane carries into the next. The stream is
 the same as mixing one output at a time.
+
+`shuffle` mixes up to 8 outputs at once. The generator's rejection draws
+instead read `_shuffles`, a stream of nine-item shuffles that mixes 64
+outputs, eight draws' worth, in one pass, and takes every index of the
+block with one `map`. SplitMix64 is counter-based: output k of a state is
+the mix of state + k·GAMMA, so a block is mixed from the state without
+moving it. The state then moves one draw at a time, by 8·GAMMA as each
+draw is handed out, so it never runs ahead of the draws read: after the
+n-th draw it is the state after n shuffles. A block is used only when every
+output in it is below `shuffle`'s `safe` = 2**64 - 9, so that each output
+is one index and none is rejected. Otherwise the next draw is `shuffle`
+itself, and the block is mixed again from the state that draw leaves. So
+the stream adds no rejection rule of its own and is the stream of repeated
+shuffles.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Callable
+from operator import mod
+from typing import Callable, Iterator
 
 from .core import _bad, _is_int
 
@@ -38,6 +53,25 @@ def _lanes(k: int) -> tuple[int, int, int, int, Callable[[bytes], tuple[int, ...
 
 
 _LANES = tuple(_lanes(k) for k in range(_BATCH + 1))
+_BLOCK = _lanes(64)  # eight nine-item draws of 8 outputs each
+_BOUNDS = tuple(range(9, 1, -1)) * 8  # each output's index bound in a block
+_DRAW_STEP = _BATCH * _GAMMA  # the state's move per nine-item draw
+
+
+def _mix(
+    state: int, ones: int, steps: int, low: int, size: int,
+    unpack: Callable[[bytes], tuple[int, ...]],
+) -> tuple[int, ...]:
+    """The outputs that follow `state`, one per lane of the constants
+    given, mixed together; the state is not moved."""
+    z = (state * ones + steps) & low
+    z = (z ^ (z >> 30)) & low
+    z = z * _MIX1 & low
+    z = (z ^ (z >> 27)) & low
+    z = z * _MIX2 & low
+    # no mask after the last xor-shift: unpack reads only the low 8
+    # bytes of each lane
+    return unpack((z ^ (z >> 31)).to_bytes(size, "little"))
 
 
 class SplitMix64:
@@ -48,17 +82,9 @@ class SplitMix64:
 
     def _take(self, k: int) -> tuple[int, ...]:
         """The next k outputs of the stream, 0 <= k <= 8, mixed together."""
-        ones, steps, low, size, unpack = _LANES[k]
         state = self._state
         self._state = (state + k * _GAMMA) & _MASK64
-        z = (state * ones + steps) & low
-        z = (z ^ (z >> 30)) & low
-        z = z * _MIX1 & low
-        z = (z ^ (z >> 27)) & low
-        z = z * _MIX2 & low
-        # no mask after the last xor-shift: unpack reads only the low 8
-        # bytes of each lane
-        return unpack((z ^ (z >> 31)).to_bytes(size, "little"))
+        return _mix(state, *_LANES[k])
 
     def next_u64(self) -> int:
         return self._take(1)[0]
@@ -108,3 +134,31 @@ class SplitMix64:
             return seq[self.below(len(seq))]
         except (TypeError, LookupError, ValueError):
             raise _bad("seq", "a non-empty sequence", seq) from None
+
+    def _shuffles(self, values: tuple) -> Iterator[tuple]:
+        """Endless: the n-th item is the tuple that the n-th `shuffle` of
+        `list(values)`, nine items, would leave, and the state is then the
+        state after n shuffles (see the module docstring). Nothing else may
+        draw from this generator while the stream is read."""
+        safe = _SPAN - 9
+        while True:
+            state = self._state
+            outputs = _mix(state, *_BLOCK)
+            if max(outputs) >= safe:
+                items = list(values)
+                self.shuffle(items)
+                yield tuple(items)
+                continue
+            indices = map(mod, outputs, _BOUNDS)
+            for n, (j8, j7, j6, j5, j4, j3, j2, j1) in enumerate(zip(*[indices] * 8), 1):
+                self._state = (state + n * _DRAW_STEP) & _MASK64
+                a = list(values)
+                a[8], a[j8] = a[j8], a[8]
+                a[7], a[j7] = a[j7], a[7]
+                a[6], a[j6] = a[j6], a[6]
+                a[5], a[j5] = a[j5], a[5]
+                a[4], a[j4] = a[j4], a[4]
+                a[3], a[j3] = a[j3], a[3]
+                a[2], a[j2] = a[j2], a[2]
+                a[1], a[j1] = a[j1], a[1]
+                yield tuple(a)

@@ -16,7 +16,7 @@ from itertools import islice
 from operator import ge
 from pathlib import Path
 
-from fubuki import PrescriptionRegime, SplitMix64, cli, generate, solver, theory
+from fubuki import PrescriptionRegime, SplitMix64, cli, generate, rng, solver, theory
 from fubuki.core import MAX_LINE_SUM, MIN_LINE_SUM
 
 # the package re-exports census() under the submodule's name
@@ -63,9 +63,43 @@ class NoDraws(SplitMix64):
         raise AssertionError("drew an output")
 
 
-def take(rng, k):
-    """The next k outputs of `rng`, 0 <= k <= 8, mixed as one batch."""
-    return rng._take(k)
+def take(stream, k):
+    """The next k outputs of `stream`: a batch, 0 <= k <= 8, of a
+    SplitMix64, or k one-at-a-time steps of a `Scalar`."""
+    return stream._take(k)
+
+
+def mix_block(state):
+    """The 64 outputs that follow `state`, mixed as one block of the
+    generator's draw stream."""
+    return rng._mix(state, *rng._BLOCK)
+
+
+def shuffles(stream, values):
+    """The generator's draw stream on `stream`: the n-th item is the n-th
+    shuffle of `list(values)`, nine items."""
+    return stream._shuffles(values)
+
+
+def state(stream):
+    return stream._state
+
+
+def undo_xorshift(u, r):
+    """The 64-bit x with x ^ (x >> r) == u: each pass fixes r more top bits."""
+    x = u
+    for _ in range(64 // r):
+        x = u ^ (x >> r)
+    return x
+
+
+def seed_with_output(u, k):
+    """The seed whose k-th output (from 1) is `u`: SplitMix64's finalizer
+    undone, each xor-shift by repeated xor and each multiply by the inverse
+    of its odd constant modulo 2**64."""
+    z = undo_xorshift(u, 31) * pow(0x94D049BB133111EB, -1, SPAN) % SPAN
+    z = undo_xorshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, SPAN) % SPAN
+    return (undo_xorshift(z, 30) - k * GAMMA) % SPAN
 
 
 def clear_views():

@@ -109,16 +109,21 @@ def test_a_scan_that_constructs_can_be_read():
 
 
 def test_a_value_put_in_a_built_scan_is_refused_as_at_construction():
-    # the oracle joins the pairs as bytes; a value that no bytes value joins
-    # raises what the constructor raises for the same list, and a bytes
-    # value of any length is reported, not raised
+    # a built scan's pairs can be changed or rebound: a value that is not
+    # bytes, put in them or bound as them, raises what the constructor
+    # raises for the same list, and a bytes value of any length is
+    # reported, not raised
     grid = tuple(range(1, 10))
     pair = bytes(grid) * 2
-    for value in [*junk(), (1,) * 18]:
-        if isinstance(value, bytes):
-            continue
-        scan = CompanionScan([pair])
-        scan.pairs.append(value)
+    scans = []
+    for value in [*junk(), (1,) * 18, bytearray(pair), memoryview(pair)]:
+        if not isinstance(value, bytes):
+            scans.append(CompanionScan([pair]))
+            scans[-1].pairs.append(value)
+        if value != []:
+            scans.append(CompanionScan([pair]))
+            scans[-1].pairs = value
+    for scan in scans:
         with pytest.raises(ValueError) as error:
             fubuki.companion_oracle_mismatches({}, scan)
         wanted = f"pairs must be a list of 18-byte bytes values, got {scan.pairs!r}"

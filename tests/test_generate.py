@@ -28,14 +28,19 @@ from internals import (
     before_each_group,
     forget_groups,
     hold_every_group,
+    mix_block,
+    seed_with_output,
+    shuffles,
+    state,
     take,
 )
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=300)
 MAX_SEED = SPAN - 1
-# states from which output i (1..8) of a batch lands exactly on 2**64, and
+# states from which output i (1..64) of a block lands exactly on 2**64, and
 # their neighbours: the lanes wrap there
-WRAP_STATES = sorted({(-i * GAMMA + d) % SPAN for i in range(1, 9) for d in (-1, 0, 1)})
+WRAP_STATES = sorted({(-i * GAMMA + d) % SPAN for i in range(1, 65) for d in (-1, 0, 1)})
+DIGITS = tuple(range(1, 10))
 FIRST_ROW_SUMS = range(MIN_LINE_SUM, MAX_LINE_SUM + 1)
 
 
@@ -158,6 +163,59 @@ class TestSplitMix64:
 
     def test_below_2_64_is_the_output_itself(self):
         assert SplitMix64(0).below(SPAN) == 0xE220A8397B1DCDAF
+
+
+def shuffled(rng: SplitMix64) -> tuple:
+    items = list(DIGITS)
+    rng.shuffle(items)
+    return tuple(items)
+
+
+class TestDrawStream:
+    """The generator's draw stream is repeated `shuffle` of 1..9, and its
+    state is never ahead of the draws it has handed out."""
+
+    @PROPERTY
+    @given(st.integers(0, MAX_SEED))
+    def test_block_is_64_scalar_steps(self, seed):
+        assert mix_block(seed) == take(Scalar(seed), 64)
+
+    def test_block_is_64_scalar_steps_where_the_state_wraps(self):
+        for seed in WRAP_STATES:
+            assert mix_block(seed) == take(Scalar(seed), 64), hex(seed)
+
+    @settings(PROPERTY, max_examples=60)
+    @given(st.integers(0, MAX_SEED))
+    def test_stream_is_repeated_shuffles_and_never_runs_ahead(self, seed):
+        # 130 draws cross two blocks of eight; the states agree after each
+        stream, twin = SplitMix64(seed), SplitMix64(seed)
+        draws = shuffles(stream, DIGITS)
+        assert state(stream) == state(twin)
+        for n in range(1, 131):
+            assert next(draws) == shuffled(twin), n
+            assert state(stream) == state(twin), n
+
+    @pytest.mark.parametrize("k", [1, 8, 9, 64, 65])
+    @pytest.mark.parametrize("u", [MAX_SEED, SPAN - 9, SPAN - 10])
+    def test_an_output_at_or_above_safe_is_drawn_by_shuffle(self, monkeypatch, u, k):
+        # a real stream whose k-th output is u: at or above 2**64 - 9 the
+        # block holding it is not used and `shuffle` makes the next draw;
+        # 2**64 - 1 is rejected for the bounds 9, 7, 6, 5 and 3
+        seed = seed_with_output(u, k)
+        assert take(Scalar(seed), k)[-1] == u
+        stream, twin = SplitMix64(seed), SplitMix64(seed)
+        real, calls = SplitMix64.shuffle, []
+
+        def counted(rng, items):
+            calls.append(rng is stream)
+            real(rng, items)
+
+        monkeypatch.setattr(SplitMix64, "shuffle", counted)
+        draws = shuffles(stream, DIGITS)
+        for n in range(20):
+            assert next(draws) == shuffled(twin), n
+        assert_same_state(stream, twin)
+        assert any(calls) == (u >= SPAN - 9)
 
 
 class TestGenerator:
