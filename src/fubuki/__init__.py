@@ -3,7 +3,6 @@
 from .census import (
     CensusReport,
     ClosedFormCount,
-    CompanionScan,
     EXPECTED_PUZZLE_COUNTS,
     TOTAL_GRIDS,
     census,
@@ -31,7 +30,6 @@ __all__ = [
     "CensusReport",
     "ClosedFormCount",
     "ClueSet",
-    "CompanionScan",
     "DiagonalClass",
     "EXPECTED_PUZZLE_COUNTS",
     "Grid",

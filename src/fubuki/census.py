@@ -49,19 +49,21 @@ while int - int sizes it to its larger operand, so the 351,432 stored keys
 stay in 32-byte blocks.
 
 The companion scan is a second route to the full-diagonal count that reads
-no bucket: it lists the 22,896 (grid, companion) pairs of the shift
-structure, each held as 18 bytes, one per cell, sorted. The companion
-oracle checks those pairs against the census's multi-grid buckets, 2,048
-at a time, laid end to end. Each half of a pair is an 8-byte lane of two
-ints, as rng.py mixes its outputs: its cells times `_WEIGHTS`, its key if
-it is a permutation (the key is linear), and the sum of 2**v over its cells
-v, from byte tables giving 0 outside 1..9. That sum is 2**1 + ... + 2**9
-only for a permutation of 1..9: k powers of two sum to k one-bits only if
-no two are equal. No lane carries: 255 in every cell keeps a key under
-2**37, and a bit sum is at most 9 * 512. A byte per pair ORs the XORs of
-its halves' cells, 0 when they are equal. Python runs only for a pair these
-show faulty, to write its message. Chunks keep the ints small, so the
-oracle's peak stays near that of the scan it reads.
+no bucket: it returns the 22,896 (grid, companion) pairs of the shift
+structure as a sorted list of 18-byte values, one byte per cell, and
+`verify` counts the puzzles from them. The companion oracle checks once
+that it was given such a list, then checks the pairs against the census's
+multi-grid buckets, 2,048 at a time, laid end to end. Each half of a pair
+is an 8-byte lane of two ints, as rng.py mixes its outputs: its cells
+times `_WEIGHTS`, its key if it is a permutation (the key is linear), and
+the sum of 2**v over its cells v, from byte tables giving 0 outside 1..9.
+That sum is 2**1 + ... + 2**9 only for a permutation of 1..9: k powers of
+two sum to k one-bits only if no two are equal. No lane carries: 255 in
+every cell keeps a key under 2**37, and a bit sum is at most 9 * 512. A
+byte per pair ORs the XORs of its halves' cells, 0 when they are equal.
+Python runs only for a pair these show faulty, to write its message.
+Chunks keep the ints small, so the oracle's peak stays near that of the
+scan it reads.
 """
 
 from __future__ import annotations
@@ -173,8 +175,8 @@ def _count_group(drop: int, rows: list[tuple[list[int], list[int]]]) -> dict[int
 
 
 def _is_int_dict(value: object) -> bool:
-    """A dict whose values are ints: what a `multi` argument must be."""
-    return isinstance(value, dict) and all(map(_is_int, value.values()))
+    """A dict of ints to ints: what a `multi` argument must be."""
+    return isinstance(value, dict) and all(map(_is_int, chain(value, value.values())))
 
 
 def _multi_of(counts: dict[int, int]) -> dict[int, int]:
@@ -219,9 +221,11 @@ class CensusReport:
     grid whose key is not in `multi` is the only solution of its puzzle; the
     sweep keeps no other regime's buckets, and their `multi` is None (see
     `group_multi_buckets`). Every statistic is derived from `sizes`.
-    Construction raises RuntimeError unless the buckets hold all 362,880
-    grids and, where `multi` is given, it holds exactly the buckets that
-    `sizes` counts at k >= 2.
+    Construction raises ValueError unless every size k and count in
+    `sizes` is an int of at least 1 and `multi` is None or maps ints to
+    ints, and RuntimeError unless the buckets hold all 362,880 grids and,
+    where `multi` is given, it holds exactly the buckets that `sizes`
+    counts at k >= 2.
     `grids_by_solutions[k]` is the number of grids living in puzzles with
     exactly k solutions; `puzzles_by_solutions[k]` is the number of such
     puzzles. `solvable_puzzles` is the total number of distinct clue sets
@@ -235,8 +239,10 @@ class CensusReport:
     ) -> None:
         self.regime, self.sizes, self.multi = regime, sizes, multi
         _check_type(regime, PrescriptionRegime, "regime")
-        if not (isinstance(sizes, dict) and all(map(_is_int, [*sizes, *sizes.values()]))):
-            raise _bad("sizes", "a dict of ints to ints", sizes)
+        if not (isinstance(sizes, dict) and all(
+            _is_int(n) and n >= 1 for n in chain(sizes, sizes.values())
+        )):
+            raise _bad("sizes", "a dict of positive ints to positive ints", sizes)
         if not (multi is None or _is_int_dict(multi)):
             raise _bad("multi", "None or a dict of ints", multi)
         name = regime.value
@@ -363,68 +369,25 @@ def closed_form_puzzle_count() -> ClosedFormCount:
     return ClosedFormCount(total=sum(addends), addends=addends)
 
 
-def _is_bytes_list(pairs: object) -> bool:
-    # passes in C: a scan holds 22,896 pairs
-    return isinstance(pairs, list) and all(map(isinstance, pairs, repeat(bytes)))
-
-
-class CompanionScan:
-    """Every (grid, companion) pair of the shift structure, sorted, and the
-    full-diagonal statistics they give; a puzzle is counted at its smallest
-    solution.
-
-    Each pair is held as `bytes(grid + companion)`: 18 bytes, one per cell,
-    the grid's nine cells first. Bytes compare as the tuple pairs of their
-    cells do, so the list is in the order of those pairs. Construction
-    raises ValueError unless `pairs` is a list of 18-byte `bytes` values;
-    what they hold is the companion oracle's to check. A scan is mutable,
-    equal to another of equal pairs, unhashable, and its repr shows no pair.
-    """
-
-    def __init__(self, pairs: list[bytes]) -> None:
-        self.pairs = pairs
-        if not (_is_bytes_list(pairs) and set(map(len, pairs)) <= {18}):
-            raise _bad("pairs", "a list of 18-byte bytes values", pairs)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.pairs == other.pairs
-
-    __hash__ = None  # equal by fields that can change
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}()"
-
-    @property
-    def grids_with_companion(self) -> int:
-        return len({pair[:9] for pair in self.pairs})
-
-    @property
-    def single_solution_puzzles(self) -> int:
-        return TOTAL_GRIDS - self.grids_with_companion
-
-    @property
-    def solvable_puzzles(self) -> int:
-        return TOTAL_GRIDS - len({pair[:9] for pair in self.pairs if pair[9:] < pair[:9]})
-
-
 # cells of a grid from its diagonal, +cell and -cell values, in that order
 _SCATTER = itemgetter(*((DIAGONAL_FLAT + PLUS_FLAT + MINUS_FLAT).index(i) for i in range(9)))
 
 
-def companion_scan() -> CompanionScan:
-    """Find every grid's structural companions from the shift table.
+def companion_scan() -> list[bytes]:
+    """Every (grid, companion) pair of the shift structure, sorted.
 
-    A grid has a companion exactly when an entry (shift, required) of its
-    diagonal's row in `shift_match_table()` lists its sorted +cell values.
-    So each entry names its candidate grids: the diagonal's 6 orderings on
-    the diagonal, the 6 orderings of `required` on the +cells and the 6 of
-    the other three values on the -cells. The 106 entries give 22,896
-    candidates, each passed to `companion_cells`; a grid outside them has
-    no companion. No bucketing is involved, so this is a route to the
-    puzzle count that is independent of the signature census. Each pair is
-    stored as 18 bytes (see `CompanionScan`).
+    Each pair is `bytes(grid + companion)`: 18 bytes, one per cell, the
+    grid's nine cells first, so pairs sort as the tuple pairs of their
+    cells do. A grid has a companion exactly when an entry (shift,
+    required) of its diagonal's row in `shift_match_table()` lists its
+    sorted +cell values. So each entry names its candidate grids: the
+    diagonal's 6 orderings on the diagonal, the 6 orderings of `required`
+    on the +cells and the 6 of the other three values on the -cells. The
+    106 entries give 22,896 candidates, each passed to `companion_cells`; a
+    grid outside them has no companion. No bucketing is involved, so the
+    pairs give a route to the puzzle count that is independent of the
+    signature census: counting each puzzle at its smallest solution, it is
+    9! less the grids of the pairs whose companion is the smaller.
     """
     pairs: list[bytes] = []
     for diagonal, entries in shift_match_table().items():
@@ -440,36 +403,40 @@ def companion_scan() -> CompanionScan:
                 heads = chain.from_iterable(map(repeat, grids, map(len, companions)))
                 pairs += map(bytes, map(add, heads, chain.from_iterable(companions)))
     pairs.sort()
-    return CompanionScan(pairs)
+    return pairs
 
 
-def companion_oracle_mismatches(multi: dict[int, int], scan: CompanionScan) -> list[str]:
+def companion_oracle_mismatches(multi: dict[int, int], pairs: list[bytes]) -> list[str]:
     """Check the structural companions against the brute-force census.
 
     `multi` maps the full-diagonal signature key of every bucket of two or
     more grids to its size, so the census puts every other grid alone in
-    its bucket, and `scan` lists every (grid, companion) pair the shift
-    structure yields. Write B(p) for grid p's bucket, s(p) for its size in
-    the census and C(p) for p's companions. (1) Each pair (p, c) holds two
-    permutations of 1..9 with c != p and c in B(p). (2) Each pair is below
-    the next, so by transitivity below every later pair, and no pair
-    repeats; this also rejects an unsorted list. So C(p) is a subset of
-    B(p) - {p}, with one pair per companion. (3) A bucket in `multi` of s
-    grids has exactly s * (s - 1) pairs, and (4) no pair's key is missing
-    from `multi`, so a bucket of one grid has none, 1 * 0. So every bucket
-    gets s * (s - 1) pairs; each of its s grids has at most s - 1
-    companions, so each has exactly s - 1. Hence C(p) = B(p) - {p} for all
-    362,880 grids. Returns at most the first 5 violations; empty means the
-    routes agree.
+    its bucket, and `pairs` lists every (grid, companion) pair the shift
+    structure yields, as `companion_scan` returns them. Write B(p) for
+    grid p's bucket, s(p) for its size in the census and C(p) for p's
+    companions. (1) Each pair (p, c) holds two permutations of 1..9 with
+    c != p and c in B(p). (2) Each pair is below the next, so by
+    transitivity below every later pair, and no pair repeats; this also
+    rejects an unsorted list. So C(p) is a subset of B(p) - {p}, with one
+    pair per companion. (3) A bucket in `multi` of s grids has exactly
+    s * (s - 1) pairs, and (4) no pair's key is missing from `multi`, so a
+    bucket of one grid has none, 1 * 0. So every bucket gets s * (s - 1)
+    pairs; each of its s grids has at most s - 1 companions, so each has
+    exactly s - 1. Hence C(p) = B(p) - {p} for all 362,880 grids. Returns
+    at most the first 5 violations; empty means the routes agree. Raises
+    ValueError unless `multi` is a dict of ints to ints and `pairs` a list
+    of 18-byte `bytes` values.
     """
     if not _is_int_dict(multi):
         raise _bad("multi", "a dict of ints", multi)
-    _check_type(scan, CompanionScan, "scan")
-    # the pairs are checked again: a built scan's `pairs` can be rebound or
-    # changed; their lengths are the oracle's to report
-    if not _is_bytes_list(scan.pairs):
-        raise _bad("pairs", "a list of 18-byte bytes values", scan.pairs)
-    return list(islice(_oracle_violations(multi, scan), 5))
+    # passes in C: a scan holds 22,896 pairs
+    if not (
+        isinstance(pairs, list)
+        and all(map(isinstance, pairs, repeat(bytes)))
+        and set(map(len, pairs)) <= {18}
+    ):
+        raise _bad("pairs", "a list of 18-byte bytes values", pairs)
+    return list(islice(_oracle_violations(multi, pairs), 5))
 
 
 # the low and the high byte of 2**v for a cell v in 1..9, 0 for any other byte
@@ -501,16 +468,12 @@ def _chunk_lanes(blob: bytes, n: int) -> tuple[tuple[int, ...], list[int]]:
     return lanes(keys[0].to_bytes(8 * n, "little")), list(faulty)
 
 
-def _oracle_violations(multi: dict[int, int], scan: CompanionScan) -> Iterator[str]:
+def _oracle_violations(multi: dict[int, int], pairs: list[bytes]) -> Iterator[str]:
     # the full diagonal drops no bits, so its signature key is _pack itself
     pairs_per_key: Counter[int] = Counter()
-    for start in range(0, len(scan.pairs), _CHUNK):
-        chunk = scan.pairs[start : start + _CHUNK]
-        blob = b"".join(chunk)
-        if set(map(len, chunk)) != {18}:  # a half that is not 9 bytes is laid out as no grid
-            halves = (h for pair in chunk for h in (pair[:9], pair[9:]))
-            blob = b"".join(h if len(h) == 9 else bytes(9) for h in halves)
-        keys, faulty = _chunk_lanes(blob, len(chunk))
+    for start in range(0, len(pairs), _CHUNK):
+        chunk = pairs[start : start + _CHUNK]
+        keys, faulty = _chunk_lanes(b"".join(chunk), len(chunk))
         counted = bytearray(b"\1" * len(chunk))
         for j in faulty:
             # tuples of ints, as the messages show cells
@@ -525,11 +488,11 @@ def _oracle_violations(multi: dict[int, int], scan: CompanionScan) -> Iterator[s
             elif _pack(c) != _pack(p):
                 yield f"pair {p} -> {c}: companion outside the grid's bucket"
         pairs_per_key.update(compress(keys, counted))
-    if any(map(ge, scan.pairs, islice(scan.pairs, 1, None))):
+    if any(map(ge, pairs, islice(pairs, 1, None))):
         yield "the (grid, companion) pairs are not strictly increasing"
     for key, size in multi.items():
-        pairs = pairs_per_key.get(key, 0)
-        if pairs != size * (size - 1):
-            yield f"bucket {key:#x} of {size} grids has {pairs} companion pairs"
+        found = pairs_per_key.get(key, 0)
+        if found != size * (size - 1):
+            yield f"bucket {key:#x} of {size} grids has {found} companion pairs"
     for key in sorted(pairs_per_key.keys() - multi.keys()):
         yield f"bucket {key:#x} has companion pairs but one grid in the census"

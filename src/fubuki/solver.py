@@ -69,7 +69,8 @@ class SolveResult(NamedTuple):
     """Solutions are deduplicated by construction and lexicographically ordered.
 
     When `truncated` is true the enumeration stopped at `limit` with more
-    solutions confirmed to remain, and `count` equals the limit.
+    solutions confirmed to remain, and `count` equals the limit. Only
+    `solve` builds one; its fields are not checked.
     """
 
     solutions: list[Grid]

@@ -222,12 +222,12 @@ def parsed_options(argv):
     return vars(cli._build_parser().parse_args(argv))
 
 
-def reference_oracle(multi, scan):
+def reference_oracle(multi, pairs):
     """The companion oracle's messages, found one pair at a time: the check
     the bulk oracle replaced, which it is compared against. Not capped."""
     digits = list(range(1, 10))
     pairs_per_key = Counter()
-    for pair in scan.pairs:
+    for pair in pairs:
         cells = tuple(pair)
         p, c = cells[:9], cells[9:]
         # only a permutation of 1..9 packs; it is counted whatever its companion
@@ -241,12 +241,12 @@ def reference_oracle(multi, scan):
             yield f"pair {p} -> {c}: companion equals the grid"
         elif census._pack(c) != key:
             yield f"pair {p} -> {c}: companion outside the grid's bucket"
-    if any(map(ge, scan.pairs, islice(scan.pairs, 1, None))):
+    if any(map(ge, pairs, islice(pairs, 1, None))):
         yield "the (grid, companion) pairs are not strictly increasing"
     for key, size in multi.items():
-        pairs = pairs_per_key.get(key, 0)
-        if pairs != size * (size - 1):
-            yield f"bucket {key:#x} of {size} grids has {pairs} companion pairs"
+        found = pairs_per_key.get(key, 0)
+        if found != size * (size - 1):
+            yield f"bucket {key:#x} of {size} grids has {found} companion pairs"
     for key in sorted(pairs_per_key.keys() - multi.keys()):
         yield f"bucket {key:#x} has companion pairs but one grid in the census"
 

@@ -17,7 +17,6 @@ PUBLIC_API = [
     "CensusReport",
     "ClosedFormCount",
     "ClueSet",
-    "CompanionScan",
     "DiagonalClass",
     "EXPECTED_PUZZLE_COUNTS",
     "Grid",

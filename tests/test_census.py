@@ -14,7 +14,6 @@ from fubuki import (
     TOTAL_GRIDS,
     CensusReport,
     ClueSet,
-    CompanionScan,
     Grid,
     PrescriptionRegime,
     census,
@@ -206,6 +205,19 @@ class TestSweepMechanics:
             with pytest.raises(RuntimeError, match="362879.*362880"):
                 CensusReport(R.NONE, {1: TOTAL_GRIDS - 1}, multi)
 
+    @pytest.mark.parametrize(
+        "sizes",
+        [{1: TOTAL_GRIDS, 5: 0}, {1: TOTAL_GRIDS + 2, -1: 2}, {1: TOTAL_GRIDS, 0: 3}],
+        ids=["no-bucket", "negative-size", "no-grid"],
+    )
+    def test_report_rejects_a_size_or_count_below_one(self, sizes):
+        # each of these holds 9! grids: the total alone would accept it
+        with pytest.raises(ValueError) as error:
+            CensusReport(R.NONE, sizes, None)
+        assert str(error.value) == (
+            f"sizes must be a dict of positive ints to positive ints, got {sizes!r}"
+        )
+
     @pytest.mark.parametrize("regime", ["none", None, "full_diagonal", 3])
     def test_census_rejects_a_non_regime_before_sweeping(self, monkeypatch, regime):
         # "none" used to raise KeyError from the drop lookup
@@ -369,16 +381,17 @@ class TestClosedForm:
 
 class TestCompanionScan:
     def test_scan_totals(self, full_scan):
-        assert full_scan.grids_with_companion == 22896
-        assert full_scan.single_solution_puzzles == 339984
-        assert full_scan.solvable_puzzles == 351432
-        assert len(full_scan.pairs) == 22896
+        assert len(full_scan) == 22896
+        # every grid with a companion has exactly one
+        assert len({pair[:9] for pair in full_scan}) == 22896
+        smaller = {pair[:9] for pair in full_scan if pair[9:] < pair[:9]}
+        assert TOTAL_GRIDS - len(smaller) == 351432
 
     def test_pairs_equal_a_walk_over_all_grids(self, full_scan):
         # the scan lists only the grids the shift table names; walking all
         # 9! grids finds the same pairs in the same order
         walked = [bytes(p + c) for p in permutations(range(1, 10)) for c in companion_cells(p)]
-        assert full_scan.pairs == walked
+        assert full_scan == walked
 
 
 # the scan's ends and the edges of the oracle's first two chunks of 2,048 pairs
@@ -408,14 +421,6 @@ def corrupt(pairs, index, corruption):
     else:
         pair[9:] = pairs[args[0] if kind == "other" else index][:9]
     pairs[index] = bytes(pair)
-
-
-def built_scan(pairs):
-    """A scan holding `pairs`, put in after construction, which refuses a
-    pair that is not 18 bytes."""
-    scan = CompanionScan([])
-    scan.pairs = pairs
-    return scan
 
 
 class TestCompanionOracle:
@@ -459,7 +464,7 @@ class TestCompanionOracle:
         ],
     )
     def test_detects_a_wrong_pair(self, census_reports, full_scan, fault):
-        pairs = list(full_scan.pairs)
+        pairs = list(full_scan)
         p, c = tuple(pairs[0][:9]), tuple(pairs[0][9:])
         key = signature_key(p, R.FULL_DIAGONAL)
         if fault == "dropped":
@@ -470,11 +475,8 @@ class TestCompanionOracle:
             pairs[0] = bytes(p + shift_cells(p, 2))
             found = f"pair {p} -> {shift_cells(p, 2)}: not both permutations of 1..9"
         elif fault == "short":
-            # 8 cells and no companion: ahead of every pair, in no bucket. A
-            # scan refuses it when built, so it is put in the built scan below
-            with pytest.raises(ValueError, match="pairs must be a list of 18-byte"):
-                CompanionScan([bytes(range(1, 9)), *pairs])
-            found = "pair (1, 2, 3, 4, 5, 6, 7, 8) -> (): not both permutations of 1..9"
+            # 8 cells and no companion: refused before any pair is checked
+            pairs.insert(0, bytes(range(1, 9)))
         elif fault == "other-bucket":
             grids = (pair[:9] for pair in pairs)
             q = tuple(next(g for g in grids if signature_key(g, R.FULL_DIAGONAL) != key))
@@ -490,11 +492,12 @@ class TestCompanionOracle:
             pairs[0], pairs[1] = pairs[1], pairs[0]
             assert len(set(pairs)) == len(pairs)
             found = "the (grid, companion) pairs are not strictly increasing"
-        scan = CompanionScan(pairs)
-        if fault == "short":
-            scan.pairs.insert(0, bytes(range(1, 9)))
         multi = census_reports[R.FULL_DIAGONAL].multi
-        assert companion_oracle_mismatches(multi, scan) == [found]
+        if fault == "short":
+            with pytest.raises(ValueError, match="pairs must be a list of 18-byte bytes values"):
+                companion_oracle_mismatches(multi, pairs)
+        else:
+            assert companion_oracle_mismatches(multi, pairs) == [found]
 
     def test_report_is_capped(self, full_scan):
         # an empty multi puts every one of the 11,448 two-grid buckets wrong
@@ -505,7 +508,7 @@ class TestCompanionOracle:
         # diagonal cell of both halves of a pair of its own; the halves keep
         # equal keys, so the permutation test alone must flag those pairs,
         # and no other, uncapped
-        pairs = list(full_scan.pairs)
+        pairs = list(full_scan)
         # the pairs with each digit on the diagonal, in turn
         holding = {d: iter([i for i, p in enumerate(pairs) if d in p[:9:4]]) for d in range(1, 10)}
         wanted = set()
@@ -526,7 +529,7 @@ class TestCompanionOracle:
             pairs[index] = pairs[index][:half] + bytes(moved) + pairs[index][half + 9 :]
             wanted.add(index)
         assert internals.flagged_pairs(pairs) == sorted(wanted)
-        assert internals.flagged_pairs(full_scan.pairs) == []
+        assert internals.flagged_pairs(full_scan) == []
 
     @settings(derandomize=True, deadline=None, database=None, max_examples=12)
     @given(
@@ -536,26 +539,30 @@ class TestCompanionOracle:
             max_size=3,
         )
     )
-    # a short pair and a long one side by side join to 36 bytes, as two pairs do
+    # a short pair and a long one side by side join to 36 bytes, as two pairs
+    # do, and are still refused
     @example([(2046, ("cut", 17)), (2047, ("cut", 19))])
     @example([(0, ("byte", 17, 0)), (22895, ("grid",))])
     def test_agrees_with_the_pair_by_pair_check(self, census_reports, full_scan, faults):
-        pairs = list(full_scan.pairs)
+        pairs = list(full_scan)
         for index, corruption in faults:
             corrupt(pairs, index, corruption)
-        scan = built_scan(pairs)
         multi = census_reports[R.FULL_DIAGONAL].multi
-        wanted = list(islice(internals.reference_oracle(multi, scan), 5))
-        assert companion_oracle_mismatches(multi, scan) == wanted
+        if set(map(len, pairs)) != {18}:  # a cut that no later fault mended
+            with pytest.raises(ValueError, match="pairs must be a list of 18-byte bytes values"):
+                companion_oracle_mismatches(multi, pairs)
+            return
+        wanted = list(islice(internals.reference_oracle(multi, pairs), 5))
+        assert companion_oracle_mismatches(multi, pairs) == wanted
 
     @pytest.mark.parametrize("count", [0, 1])
     def test_a_scan_of_no_pair_or_one_agrees_with_the_pair_by_pair_check(
         self, census_reports, full_scan, count
     ):
-        scan = CompanionScan(full_scan.pairs[:count])
+        pairs = full_scan[:count]
         multi = census_reports[R.FULL_DIAGONAL].multi
-        wanted = list(islice(internals.reference_oracle(multi, scan), 5))
-        assert companion_oracle_mismatches(multi, scan) == wanted
+        wanted = list(islice(internals.reference_oracle(multi, pairs), 5))
+        assert companion_oracle_mismatches(multi, pairs) == wanted
 
 
 class TestVerifyMemory:

@@ -387,6 +387,22 @@ class TestVerify:
         assert "companion oracle: 362879/362880 grids match brute force FAIL" in captured.out
         assert f"mismatch: companion oracle: {detail}" in captured.err
 
+    def test_scan_count_skips_a_pair_of_a_grid_with_itself(
+        self, monkeypatch, capsys, census_reports, full_scan
+    ):
+        # the smallest grid paired with itself: not a second solution, so the
+        # scan's count is unchanged and only the oracle fails
+        import fubuki.cli as cli
+
+        grid = tuple(range(1, 10))
+        monkeypatch.setattr(cli, "census", lambda regime: census_reports[regime])
+        monkeypatch.setattr(cli, "companion_scan", lambda: [bytes(grid * 2), *full_scan])
+        code = cli.main(["verify", "--regime", "full-diagonal"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "companion scan: solvable puzzles: 351432 (expected 351432) PASS" in captured.out
+        assert f"pair {grid} -> {grid}: companion equals the grid" in captured.err
+
     def test_negative_threads_exit_1_with_usage(self):
         result = run_cli("verify", "--regime", "none", "--threads", "-1")
         assert result.returncode == 1

@@ -15,7 +15,7 @@ from itertools import product
 import pytest
 
 import fubuki
-from fubuki import CensusReport, ClueSet, CompanionScan, Grid, PrescriptionRegime, SplitMix64
+from fubuki import CensusReport, ClueSet, Grid, PrescriptionRegime, SplitMix64
 
 # argument-free sweeps: no argument to get wrong, and each takes seconds
 SWEEPS = {"census_all", "closed_form_puzzle_count", "companion_scan", "build_shift_table"}
@@ -50,8 +50,7 @@ VALID = {
     "generate_puzzles": (PrescriptionRegime.NONE, False, 7, 1),
     "ClueSet": ((), (6, 15, 24), (6, 15, 24)),
     "ClueSet.from_grid": (SHOWCASE, PrescriptionRegime.NONE),
-    "companion_oracle_mismatches": ({}, CompanionScan([])),
-    "CompanionScan": ([],),
+    "companion_oracle_mismatches": ({}, []),
 }
 
 
@@ -94,56 +93,40 @@ def test_junk_arguments_raise_only_value_error(name):
         assert set(inspect.signature(func).parameters) <= checked
 
 
-def test_a_scan_that_constructs_can_be_read():
-    # a junk scan is refused when built, so its statistics and the oracle
-    # never meet junk pairs; one 18-byte pair that is no grid is read
-    read = []
-    for pairs in [*junk(), [bytes(17)], [bytearray(18)], [(1,) * 18], [bytes(18)]]:
-        try:
-            scan = CompanionScan(pairs)
-        except ValueError:
-            continue
-        stats = (scan.grids_with_companion, scan.single_solution_puzzles, scan.solvable_puzzles)
-        read.append((pairs, stats, len(fubuki.companion_oracle_mismatches({}, scan))))
-    assert read == [([], (0, 362880, 362880), 0), ([bytes(18)], (1, 362879, 362880), 1)]
+def test_the_oracle_refuses_pairs_that_are_not_18_byte_bytes_values():
+    # checked once, on entry: junk as the list, a pair that is not bytes, or
+    # a bytes pair of another length; an 18-byte pair that is no grid is read
+    pair = bytes(range(1, 10)) * 2
+    refused = [value for value in junk() if value != []]
+    refused += [[pair, value] for value in [*junk(), (1,) * 18, bytearray(pair), memoryview(pair)]]
+    refused += [[pair, bytes(length)] for length in (0, 1, 8, 9, 17, 19, 40)]
+    for pairs in refused:
+        with pytest.raises(ValueError, match="^pairs must be a list of 18-byte bytes values, got "):
+            fubuki.companion_oracle_mismatches({}, pairs)
+    assert fubuki.companion_oracle_mismatches({}, []) == []
+    assert fubuki.companion_oracle_mismatches({}, [bytes(18)]) == [
+        f"pair {(0,) * 9} -> {(0,) * 9}: not both permutations of 1..9"
+    ]
 
 
-def test_a_value_put_in_a_built_scan_is_refused_as_at_construction():
-    # a built scan's pairs can be changed or rebound: a value that is not
-    # bytes, put in them or bound as them, raises what the constructor
-    # raises for the same list, and a bytes value of any length is
-    # reported, not raised
-    grid = tuple(range(1, 10))
-    pair = bytes(grid) * 2
-    scans = []
-    for value in [*junk(), (1,) * 18, bytearray(pair), memoryview(pair)]:
-        if not isinstance(value, bytes):
-            scans.append(CompanionScan([pair]))
-            scans[-1].pairs.append(value)
-        if value != []:
-            scans.append(CompanionScan([pair]))
-            scans[-1].pairs = value
-    for scan in scans:
-        with pytest.raises(ValueError) as error:
-            fubuki.companion_oracle_mismatches({}, scan)
-        wanted = f"pairs must be a list of 18-byte bytes values, got {scan.pairs!r}"
-        assert str(error.value) == wanted
-    for length in (0, 1, 8, 9, 17, 19, 40):
-        scan = CompanionScan([pair])
-        scan.pairs.append(bytes(length))
-        cells = (0,) * length
-        assert fubuki.companion_oracle_mismatches({}, scan)[:2] == [
-            f"pair {grid} -> {grid}: companion equals the grid",
-            f"pair {cells[:9]} -> {cells[9:]}: not both permutations of 1..9",
-        ]
+@pytest.mark.parametrize("key", [None, True, "a", 1.5, (1,)])
+def test_a_multi_key_that_is_not_an_int_is_refused(key):
+    # a multi of int values but a junk key; True would be read as key 1
+    multi = {key: 2}
+    with pytest.raises(ValueError) as oracle_error:
+        fubuki.companion_oracle_mismatches(multi, [])
+    with pytest.raises(ValueError) as report_error:
+        CensusReport(PrescriptionRegime.FULL_DIAGONAL, {1: 362878, 2: 1}, multi)
+    assert str(oracle_error.value) == f"multi must be a dict of ints, got {multi!r}"
+    assert str(report_error.value) == f"multi must be None or a dict of ints, got {multi!r}"
 
 
 def test_a_long_rejected_value_is_cut_in_the_message(full_scan):
     # shown whole, these two messages ran to 1,671,464 and 1,188,932 characters
-    pairs = [*full_scan.pairs, b"x"]
+    pairs = [*full_scan, b"x"]
     multi = {key: "x" for key in range(100_000)}
     with pytest.raises(ValueError) as scan_error:
-        CompanionScan(pairs)
+        fubuki.companion_oracle_mismatches({}, pairs)
     with pytest.raises(ValueError) as report_error:
         CensusReport(PrescriptionRegime.NONE, {1: 362880}, multi)
     assert str(scan_error.value) == (

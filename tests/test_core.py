@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from fubuki import (
     CensusReport,
     ClueSet,
-    CompanionScan,
     Grid,
     PrescriptionRegime,
     PuzzleFormatError,
@@ -253,7 +252,6 @@ def values() -> dict:
         "CensusReport": CensusReport(
             PrescriptionRegime.FULL_DIAGONAL, {1: 362878, 2: 1}, {5: 2}
         ),
-        "CompanionScan": CompanionScan([bytes(range(18))]),
         "ClosedFormCount": closed_form_puzzle_count(),
     }
 
@@ -300,9 +298,8 @@ class TestValueTypes:
                 CensusReport(PrescriptionRegime.NONE, {1: 362880}, None),
                 "CensusReport(regime=<PrescriptionRegime.NONE: 'none'>, sizes={1: 362880})",
             ),
-            (CompanionScan([bytes(range(18))]), "CompanionScan()"),
         ],
-        ids=["Grid", "ClueSet", "DiagonalClass", "CensusReport", "CompanionScan"],
+        ids=["Grid", "ClueSet", "DiagonalClass", "CensusReport"],
     )
     def test_repr(self, value, text):
         assert repr(value) == text
@@ -319,18 +316,15 @@ class TestValueTypes:
         assert SolveResult(solutions=result.solutions, truncated=result.truncated) == result
         report = built["CensusReport"]
         assert CensusReport(regime=report.regime, sizes=report.sizes, multi=report.multi) == report
-        assert CompanionScan(pairs=[bytes(range(18))]) == built["CompanionScan"]
 
     def test_equality_reads_every_field_and_the_type(self):
         report = values()["CensusReport"]
         assert report != CensusReport(report.regime, report.sizes, {6: 2})
-        assert CompanionScan([bytes(18)]) != CompanionScan([bytes(range(18))])
         # a value equals no tuple of its fields
         assert SHOWCASE != SHOWCASE.cells
         assert SHOWCASE_CLUE != (
             SHOWCASE_CLUE.prescribed, SHOWCASE_CLUE.row_sums, SHOWCASE_CLUE.col_sums
         )
-        assert CompanionScan([]) != []
 
     @pytest.mark.parametrize("compare", [operator.lt, operator.le, operator.gt, operator.ge])
     def test_a_grid_orders_only_against_a_grid(self, compare):
