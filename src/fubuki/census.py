@@ -51,19 +51,28 @@ stay in 32-byte blocks.
 The companion scan is a second route to the full-diagonal count that reads
 no bucket: it returns the 22,896 (grid, companion) pairs of the shift
 structure as a sorted list of 18-byte values, one byte per cell, and
-`verify` counts the puzzles from them. The companion oracle checks once
-that it was given such a list, then checks the pairs against the census's
-multi-grid buckets, 2,048 at a time, laid end to end. Each half of a pair
-is an 8-byte lane of two ints, as rng.py mixes its outputs: its cells
-times `_WEIGHTS`, its key if it is a permutation (the key is linear), and
-the sum of 2**v over its cells v, from byte tables giving 0 outside 1..9.
-That sum is 2**1 + ... + 2**9 only for a permutation of 1..9: k powers of
-two sum to k one-bits only if no two are equal. No lane carries: 255 in
-every cell keeps a key under 2**37, and a bit sum is at most 9 * 512. A
-byte per pair ORs the XORs of its halves' cells, 0 when they are equal.
-Python runs only for a pair these show faulty, to write its message.
-Chunks keep the ints small, so the oracle's peak stays near that of the
-scan it reads.
+`verify` counts the puzzles from them. Each entry (shift, required) of
+`shift_match_table()` names its candidate grids, and each candidate has
+exactly one companion, built from the entry alone: the grid with its
++cells raised by the shift and its -cells lowered by it. No other entry
+can give it a second one, since two entries of one diagonal with the same
+`required` would need minus = required + s1 = required + s2, so s1 = s2.
+The scan builds the 36 (+cell, -cell) orderings of an entry and their 36
+shifted twins once, and scatters both below each ordering of the diagonal,
+so it runs no Python per grid and calls no `companion_cells`.
+
+The companion oracle checks once that it was given such a list, then
+checks the pairs against the census's multi-grid buckets, 2,048 at a time,
+laid end to end. Each half of a pair is an 8-byte lane of two ints, as
+rng.py mixes its outputs: its cells times `_WEIGHTS`, its key if it is a
+permutation (the key is linear), and the sum of 2**v over its cells v,
+from byte tables giving 0 outside 1..9. That sum is 2**1 + ... + 2**9 only
+for a permutation of 1..9: k powers of two sum to k one-bits only if no
+two are equal. No lane carries: 255 in every cell keeps a key under 2**37,
+and a bit sum is at most 9 * 512. A byte per pair ORs the XORs of its
+halves' cells, 0 when they are equal. Python runs only for a pair these
+show faulty, to write its message. Chunks keep the ints small, so the
+oracle's peak stays near that of the scan it reads.
 """
 
 from __future__ import annotations
@@ -78,13 +87,10 @@ from typing import Iterator, NamedTuple
 
 from .core import DIAGONAL_FLAT, MAX_LINE_SUM, MIN_LINE_SUM, PrescriptionRegime
 from .core import _bad, _check_type, _is_int
-from .theory import (
-    MINUS_FLAT,
-    PLUS_FLAT,
-    build_shift_table,
-    companion_cells,
-    shift_match_table,
-)
+from . import theory
+from .theory import MINUS_FLAT, PLUS_FLAT, build_shift_table, shift_match_table
+
+companion_cells = theory.companion_cells  # unused here: only perfbench's tracer reads it
 
 TOTAL_GRIDS = factorial(9)
 
@@ -383,25 +389,28 @@ def companion_scan() -> list[bytes]:
     sorted +cell values. So each entry names its candidate grids: the
     diagonal's 6 orderings on the diagonal, the 6 orderings of `required`
     on the +cells and the 6 of the other three values on the -cells. The
-    106 entries give 22,896 candidates, each passed to `companion_cells`; a
-    grid outside them has no companion. No bucketing is involved, so the
+    106 entries give 22,896 candidates; a grid outside them has no
+    companion. A candidate's one companion comes from its own entry: the
+    grid with its +cells raised by `shift` and its -cells lowered by it.
+    A second entry of the diagonal with the same `required` would need the
+    same -cell values, so the same shift. No bucketing is involved, so the
     pairs give a route to the puzzle count that is independent of the
     signature census: counting each puzzle at its smallest solution, it is
     9! less the grids of the pairs whose companion is the smaller.
     """
     pairs: list[bytes] = []
     for diagonal, entries in shift_match_table().items():
-        for _, required in entries:
+        for shift, required in entries:
             minus = set(range(1, 10)).difference(diagonal, required)
-            # the 36 (+cell, -cell) orderings below each diagonal ordering
+            # the 36 (+cell, -cell) orderings below each diagonal ordering,
+            # and each one's companion: its +cells raised by the shift, its -cells lowered
             lowers = [p + m for p in permutations(required) for m in permutations(minus)]
+            step = (shift,) * 3 + (-shift,) * 3
+            moved = [tuple(map(add, low, step)) for low in lowers]
             for d in permutations(diagonal):
-                grids = list(map(_SCATTER, map(add, repeat(d), lowers)))
-                # read at each ordering: a wrapper on this module's name sees every call
-                companions = list(map(companion_cells, grids))
-                # each grid repeated once per companion, joined to it in order
-                heads = chain.from_iterable(map(repeat, grids, map(len, companions)))
-                pairs += map(bytes, map(add, heads, chain.from_iterable(companions)))
+                grids = map(_SCATTER, map(add, repeat(d), lowers))
+                companions = map(_SCATTER, map(add, repeat(d), moved))
+                pairs += map(bytes, map(add, grids, companions))
     pairs.sort()
     return pairs
 

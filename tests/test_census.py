@@ -20,6 +20,7 @@ from fubuki import (
     census_all,
     closed_form_puzzle_count,
     companion_oracle_mismatches,
+    companion_scan,
     count_solutions,
 )
 from fubuki.census import group_multi_buckets, signature_key
@@ -388,10 +389,19 @@ class TestCompanionScan:
         assert TOTAL_GRIDS - len(smaller) == 351432
 
     def test_pairs_equal_a_walk_over_all_grids(self, full_scan):
-        # the scan lists only the grids the shift table names; walking all
-        # 9! grids finds the same pairs in the same order
+        # two constructions that share only the shift table: the scan shifts
+        # the grids its entries name, and this walk asks `companion_cells`
+        # about every one of the 9! grids; they find the same pairs in order
         walked = [bytes(p + c) for p in permutations(range(1, 10)) for c in companion_cells(p)]
         assert full_scan == walked
+
+    def test_scan_calls_no_companion_cells(self, full_scan, monkeypatch):
+        # the routes stay independent: the walk above is the scan's check
+        def refuse(cells):
+            raise AssertionError("the scan called companion_cells")
+
+        monkeypatch.setattr(internals.census, "companion_cells", refuse)
+        assert companion_scan() == full_scan
 
 
 # the scan's ends and the edges of the oracle's first two chunks of 2,048 pairs

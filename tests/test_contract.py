@@ -51,7 +51,12 @@ VALID = {
     "ClueSet": ((), (6, 15, 24), (6, 15, 24)),
     "ClueSet.from_grid": (SHOWCASE, PrescriptionRegime.NONE),
     "companion_oracle_mismatches": ({}, []),
+    "CensusReport": (PrescriptionRegime.NONE, {1: 362880}, None),
 }
+
+# documented errors besides ValueError: a report refuses a well-typed
+# histogram that does not hold 9! grids, as junk {} for `sizes` is
+ALSO_RAISES = {"CensusReport": RuntimeError}
 
 
 def required_parameters(func) -> int:
@@ -85,6 +90,8 @@ def test_junk_arguments_raise_only_value_error(name):
             func(*args)
         except ValueError as exc:
             checked.add(str(exc).split()[0])
+        except ALSO_RAISES.get(name, ()):
+            pass
         except Exception as exc:
             leaks.append(f"{name}{tuple(args)!r}: {type(exc).__name__}: {exc}")
     assert not leaks, f"{len(leaks)} leaks, the first: {leaks[:3]}"
