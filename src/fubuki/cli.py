@@ -3,7 +3,7 @@
 Commands: solve, classify, table, verify, generate. JSON goes to stdout,
 diagnostics to stderr. Exit codes: 0 success, 1 usage or parse error or
 stdout closed early (as by `| head`), 2 no solution, 3 verification
-mismatch.
+mismatch, including a verify route that raises.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from typing import Callable, NoReturn
+from typing import Callable, NamedTuple, NoReturn
 
 from .census import (
     EXPECTED_PUZZLE_COUNTS,
@@ -166,56 +166,71 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
+class Route(NamedTuple):
+    """A `verify` route's `line`, with slots for `value` and `expected`, and its mismatches."""
+
+    line: str
+    value: object
+    expected: object
+    mismatches: list[str]
+
+
+def _attempt(compute: Callable, *inputs: object) -> object:
+    """`compute(*inputs)`, or the Exception that it raised or that an input is."""
+    for failed in (x for x in inputs if isinstance(x, Exception)):
+        return failed
+    try:
+        return compute(*inputs)
+    except Exception as exc:
+        return exc
+
+
+def _route(label: str, value: object, expected: object, line: str = "", details=None) -> Route:
+    """The record of a route that got `value`, or raised it if it is an Exception."""
+    if isinstance(value, Exception):
+        value, details = "error", [f"{type(value).__name__}: {value}"]
+    elif details is None:
+        details = [f"got {value}, expected {expected}"] if value != expected else []
+    mismatches = [f"{label}: {d}" for d in details]
+    return Route(line or label + ": {} (expected {})", value, expected, mismatches)
+
+
+def verify_routes(regimes: list[PrescriptionRegime]) -> list[Route]:
+    """The routes `verify` checks for `regimes`, in print order: each regime's
+    count from one sweep and, with the full diagonal, the closed form, the
+    companion scan's count and the oracle, each called through this module's
+    globals. A route fails with an Exception it raises or an input it reads raised."""
+    full, first = PrescriptionRegime.FULL_DIAGONAL, regimes[0]
+    reports = _attempt(census_all if len(regimes) > 1 else lambda: {first: census(first)})
+    routes = [_route(f"regime {_regime_name(r)}: solvable puzzles",
+                     _attempt(lambda s: s[r].solvable_puzzles, reports),
+                     EXPECTED_PUZZLE_COUNTS[r]) for r in regimes]
+    if full not in regimes:
+        return routes
+    expected = EXPECTED_PUZZLE_COUNTS[full]
+    cf = _attempt(closed_form_puzzle_count)
+    addends = "" if isinstance(cf, Exception) else " {} + {} + {}".format(*cf.addends)
+    routes.append(_route("closed form" + addends, _attempt(lambda c: c.total, cf), expected))
+    pairs = _attempt(companion_scan)
+    # each puzzle counted at its smallest solution
+    solvable = _attempt(lambda ps: TOTAL_GRIDS - len({p[:9] for p in ps if p[9:] < p[:9]}), pairs)
+    routes.append(_route("companion scan: solvable puzzles", solvable, expected))
+    found = _attempt(lambda r, ps: companion_oracle_mismatches(r[full].multi, ps), reports, pairs)
+    line = "companion oracle: {}/{} grids match brute force"
+    oracle = _attempt(lambda f: TOTAL_GRIDS - len(f), found)
+    return routes + [_route("companion oracle", oracle, TOTAL_GRIDS, line, found)]
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
-    regimes = list(PrescriptionRegime) if args.all else [args.regime]
     if not args.threads:
         _check_threads_env()
-    if len(regimes) > 1:
-        reports = census_all()
-    else:
-        reports = {regimes[0]: census(regimes[0])}
-
-    failures: list[str] = []
-
-    def line(label: str, got: int, expected: int) -> None:
-        status = "PASS" if got == expected else "FAIL"
-        if got != expected:
-            failures.append(f"{label}: got {got}, expected {expected}")
-        print(f"{label}: {got} (expected {expected}) {status}")
-
-    for regime in regimes:
-        expected = EXPECTED_PUZZLE_COUNTS[regime]
-        line(
-            f"regime {_regime_name(regime)}: solvable puzzles",
-            reports[regime].solvable_puzzles,
-            expected,
-        )
-
-    if PrescriptionRegime.FULL_DIAGONAL in regimes:
-        expected = EXPECTED_PUZZLE_COUNTS[PrescriptionRegime.FULL_DIAGONAL]
-        cf = closed_form_puzzle_count()
-        a, b, c = cf.addends
-        line(f"closed form {a} + {b} + {c}", cf.total, expected)
-        pairs = companion_scan()
-        # each puzzle counted at its smallest solution
-        solvable = TOTAL_GRIDS - len({p[:9] for p in pairs if p[9:] < p[:9]})
-        line("companion scan: solvable puzzles", solvable, expected)
-        mismatches = companion_oracle_mismatches(
-            reports[PrescriptionRegime.FULL_DIAGONAL].multi, pairs
-        )
-        status = "PASS" if not mismatches else "FAIL"
-        print(
-            f"companion oracle: {TOTAL_GRIDS - len(mismatches)}/{TOTAL_GRIDS} "
-            f"grids match brute force {status}"
-        )
-        for m in mismatches:
-            failures.append(f"companion oracle: {m}")
-
-    if failures:
-        for f in failures:
-            print(f"mismatch: {f}", file=sys.stderr)
-        return 3
-    return 0
+    routes = verify_routes(list(PrescriptionRegime) if args.all else [args.regime])
+    for r in routes:
+        print(r.line.format(r.value, r.expected), "FAIL" if r.mismatches else "PASS")
+    failures = [m for r in routes for m in r.mismatches]
+    for f in failures:
+        print(f"mismatch: {f}", file=sys.stderr)
+    return 3 if failures else 0
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:

@@ -11,7 +11,7 @@ applies it to each of the 84 diagonals on first use and is the only check of
 the bound of at most two shifts. `build_shift_table()` projects it to each
 diagonal's positive shifts, which `classify_diagonal` reads;
 `companion_cells` derives companion solutions from it, instead of searching
-for them. `shift_cells` is the one place a shift is applied.
+for them, by `shift_cells`; `census.companion_scan` shifts independently.
 """
 
 from __future__ import annotations

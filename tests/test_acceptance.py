@@ -6,27 +6,22 @@ asserts hold with two orders of magnitude to spare on commodity hardware.
 """
 
 import json
-import subprocess
-import sys
 import time
 from contextlib import contextmanager
 from itertools import combinations, permutations
 
+import pytest
+
 from fubuki import (
-    TOTAL_GRIDS,
     ClueSet,
     Grid,
     PrescriptionRegime,
     build_shift_table,
-    census,
-    census_all,
-    closed_form_puzzle_count,
-    companion_oracle_mismatches,
-    companion_scan,
     count_solutions,
     generate_puzzles,
     solve,
 )
+from fubuki.cli import verify_routes
 from fubuki.theory import shift_match_table
 
 R = PrescriptionRegime
@@ -78,52 +73,46 @@ KNOWN_RIGID_DIAGONALS = (
     (4, 7, 8), (4, 7, 9), (5, 7, 8), (6, 7, 8), (6, 7, 9),
 )
 
-FULL_COUNT = 351432
 
-
-def run_verify(*args: str) -> tuple[float, subprocess.CompletedProcess]:
+def timed_routes(regimes: list[PrescriptionRegime]) -> tuple[float, list[str], list[str]]:
+    """`verify_routes(regimes)`'s seconds, lines without their verdicts, and mismatches."""
     start = time.monotonic()
-    result = subprocess.run(
-        [sys.executable, "-m", "fubuki", "verify", *args, "--threads", "1"],
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    return time.monotonic() - start, result
+    routes = verify_routes(regimes)
+    elapsed = time.monotonic() - start
+    return elapsed, [r.line.format(r.value, r.expected) for r in routes], [
+        m for r in routes for m in r.mismatches
+    ]
+
+
+@pytest.fixture(scope="module")
+def all_routes():
+    """What the routes of `verify --all` give, as `timed_routes` says."""
+    return timed_routes(list(R))
 
 
 def test_criterion_1_full_diagonal_count_three_routes():
     with criterion(1, "full-diagonal count, three independent routes, <60s"):
-        elapsed, result = run_verify("--regime", "full-diagonal")
-        assert result.returncode == 0
-        out = result.stdout
-        assert "regime full-diagonal: solvable puzzles: 351432 (expected 351432) PASS" in out
-        assert "closed form 151200 + 184680 + 15552: 351432 (expected 351432) PASS" in out
-        assert "companion scan: solvable puzzles: 351432 (expected 351432) PASS" in out
+        elapsed, lines, mismatches = timed_routes([R.FULL_DIAGONAL])
+        assert mismatches == []
+        assert lines[:3] == [
+            "regime full-diagonal: solvable puzzles: 351432 (expected 351432)",
+            "closed form 151200 + 184680 + 15552: 351432 (expected 351432)",
+            "companion scan: solvable puzzles: 351432 (expected 351432)",
+        ]
         assert elapsed < 60.0, f"verify took {elapsed:.1f}s"
-        # the same three routes through the library, value for value
-        assert census(R.FULL_DIAGONAL).solvable_puzzles == FULL_COUNT
-        pairs = companion_scan()
-        assert TOTAL_GRIDS - len({p[:9] for p in pairs if p[9:] < p[:9]}) == FULL_COUNT
-        closed = closed_form_puzzle_count()
-        assert closed.addends == (151200, 184680, 15552)
-        assert closed.total == FULL_COUNT
 
 
-def test_criterion_2_weak_regime_counts():
+def test_criterion_2_weak_regime_counts(all_routes):
     with criterion(2, "weak-regime counts from one combined sweep, <120s"):
-        elapsed, result = run_verify("--all")
-        assert result.returncode == 0
-        out = result.stdout
-        assert "regime first-two-diagonal: solvable puzzles: 281304 (expected 281304) PASS" in out
-        assert "regime top-left: solvable puzzles: 163387 (expected 163387) PASS" in out
-        assert "regime none: solvable puzzles: 46147 (expected 46147) PASS" in out
+        elapsed, lines, mismatches = all_routes
+        assert mismatches == []
+        assert lines[:4] == [
+            "regime full-diagonal: solvable puzzles: 351432 (expected 351432)",
+            "regime first-two-diagonal: solvable puzzles: 281304 (expected 281304)",
+            "regime top-left: solvable puzzles: 163387 (expected 163387)",
+            "regime none: solvable puzzles: 46147 (expected 46147)",
+        ]
         assert elapsed < 120.0, f"verify --all took {elapsed:.1f}s"
-        reports = census_all()
-        assert reports[R.FIRST_TWO_DIAGONAL].solvable_puzzles == 281304
-        assert reports[R.TOP_LEFT].solvable_puzzles == 163387
-        assert reports[R.NONE].solvable_puzzles == 46147
-        assert reports[R.FULL_DIAGONAL].solvable_puzzles == FULL_COUNT
 
 
 def test_criterion_3_shift_table_fidelity():
@@ -145,10 +134,11 @@ def test_criterion_4_at_most_two_solutions(census_reports):
         assert set(report.grids_by_solutions) == {1, 2}
 
 
-def test_criterion_5_companion_oracle_equivalence(census_reports):
+def test_criterion_5_companion_oracle_equivalence(all_routes):
     with criterion(5, "structural companions equal brute-force buckets, all grids"):
-        multi = census_reports[R.FULL_DIAGONAL].multi
-        assert companion_oracle_mismatches(multi, companion_scan()) == []
+        _, lines, mismatches = all_routes
+        assert mismatches == []
+        assert lines[-1] == "companion oracle: 362880/362880 grids match brute force"
         # and the solver proper agrees at the solution-set level on a
         # seeded sample, tying the bucket grouping back to solve()
         from fubuki import companion_solutions

@@ -332,6 +332,24 @@ companion scan: solvable puzzles: 351432 (expected 351432) PASS
 companion oracle: 362880/362880 grids match brute force PASS
 """
 
+# the same report's lines as a route that raises prints them
+VERIFY_ALL_RAISED = """\
+regime full-diagonal: solvable puzzles: error (expected 351432) FAIL
+regime first-two-diagonal: solvable puzzles: error (expected 281304) FAIL
+regime top-left: solvable puzzles: error (expected 163387) FAIL
+regime none: solvable puzzles: error (expected 46147) FAIL
+closed form: error (expected 351432) FAIL
+companion scan: solvable puzzles: error (expected 351432) FAIL
+companion oracle: error/362880 grids match brute force FAIL
+"""
+
+# the route functions that verify calls through fubuki.cli's globals, where
+# perfbench's tracer wraps them
+ROUTE_NAMES = (
+    "census", "census_all", "closed_form_puzzle_count", "companion_scan",
+    "companion_oracle_mismatches",
+)
+
 
 class TestVerify:
     def test_all_prints_the_golden_report(self):
@@ -402,6 +420,64 @@ class TestVerify:
         assert code == 3
         assert "companion scan: solvable puzzles: 351432 (expected 351432) PASS" in captured.out
         assert f"pair {grid} -> {grid}: companion equals the grid" in captured.err
+
+    @pytest.mark.parametrize("name, failed", [
+        # the oracle reads the sweep's buckets and the scan's pairs, so it
+        # fails with either
+        ("census_all", ("regime ", "companion oracle")),
+        ("closed_form_puzzle_count", ("closed form",)),
+        ("companion_scan", ("companion scan", "companion oracle")),
+        ("companion_oracle_mismatches", ("companion oracle",)),
+    ])
+    def test_a_route_that_raises_fails_as_that_route(
+        self, monkeypatch, capsys, census_reports, full_scan, name, failed
+    ):
+        import fubuki.cli as cli
+
+        def broken(*args):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(cli, "census_all", lambda: census_reports)
+        monkeypatch.setattr(cli, "companion_scan", lambda: full_scan)
+        monkeypatch.setattr(cli, name, broken)
+        code = cli.main(["verify", "--all"])
+        captured = capsys.readouterr()
+        lines = [
+            raised if raised.startswith(failed) else passed
+            for passed, raised in zip(
+                VERIFY_ALL_STDOUT.splitlines(), VERIFY_ALL_RAISED.splitlines()
+            )
+        ]
+        labels = [line.partition(": error")[0] for line in lines if line.endswith("FAIL")]
+        assert (code, captured.out.splitlines()) == (3, lines)
+        assert captured.err == "".join(
+            f"mismatch: {label}: RuntimeError: injected\n" for label in labels
+        )
+
+    @pytest.mark.parametrize("argv, calls", [
+        (["--all"], ["census_all", "closed_form_puzzle_count", "companion_scan",
+                     "companion_oracle_mismatches"]),
+        (["--regime", "none"], ["census"]),
+    ])
+    def test_routes_are_called_once_through_the_cli_names(self, monkeypatch, capsys, argv, calls):
+        # as perfbench's tracer wraps them: a route called from elsewhere
+        # would escape its timing
+        import fubuki.cli as cli
+
+        called = []
+
+        def counted(name, route):
+            def call(*args):
+                called.append(name)
+                return route(*args)
+
+            return call
+
+        for name in ROUTE_NAMES:
+            monkeypatch.setattr(cli, name, counted(name, cli.__dict__[name]))
+        assert cli.main(["verify", *argv]) == 0
+        assert called == calls
+        assert capsys.readouterr().err == ""
 
     def test_negative_threads_exit_1_with_usage(self):
         result = run_cli("verify", "--regime", "none", "--threads", "-1")
