@@ -10,7 +10,6 @@ from .census import (
     closed_form_puzzle_count,
     companion_oracle_mismatches,
     companion_scan,
-    group_multi_buckets,
 )
 from .core import ClueSet, Grid, PrescriptionRegime, PuzzleFormatError
 from .generate import generate_puzzles
@@ -48,7 +47,6 @@ __all__ = [
     "companion_solutions",
     "count_solutions",
     "generate_puzzles",
-    "group_multi_buckets",
     "shift_table_to_csv",
     "solve",
 ]

@@ -26,11 +26,9 @@ alive at a time. The whole sweep runs in the calling process. A report is
 that histogram plus, for the full diagonal only, those multi-grid buckets,
 which the companion oracle reads: every statistic is a function of the
 histogram, and a key missing from the multi-grid buckets belongs to a single
-grid. A weaker regime's multi-grid buckets have one source,
-`group_multi_buckets`, which counts one regime's group of one first row sum
-alone. The generator sweeps no census: it counts a group the same way, with
-`_group_counts`, only when a draw first lands there, so a run counts only
-the groups its draws need.
+grid. The generator sweeps no census: it counts one regime's group of one
+first row sum the same way, with `_group_counts`, only when a draw first
+lands there, so a run counts only the groups its draws need.
 
 No field of the packing ever carries into the next (a line sum is at most
 24 < 32, a cell at most 9 < 16), so the key is linear in the cells: it is
@@ -79,14 +77,16 @@ from __future__ import annotations
 
 import struct
 from collections import Counter, _count_elements
+from collections.abc import Mapping
 from functools import cache
 from itertools import chain, combinations, compress, islice, permutations, repeat
 from math import factorial
 from operator import add, ge, itemgetter, mul, not_, or_, sub
+from types import MappingProxyType
 from typing import Iterator, NamedTuple
 
 from .core import DIAGONAL_FLAT, MAX_LINE_SUM, MIN_LINE_SUM, PrescriptionRegime
-from .core import _bad, _check_type, _is_int
+from .core import _Value, _bad, _check_type, _is_int
 from . import theory
 from .theory import MINUS_FLAT, PLUS_FLAT, build_shift_table, shift_match_table
 
@@ -181,8 +181,8 @@ def _count_group(drop: int, rows: list[tuple[list[int], list[int]]]) -> dict[int
 
 
 def _is_int_dict(value: object) -> bool:
-    """A dict of ints to ints: what a `multi` argument must be."""
-    return isinstance(value, dict) and all(map(_is_int, chain(value, value.values())))
+    """A mapping of ints to ints: what a `multi` argument must be."""
+    return isinstance(value, Mapping) and all(map(_is_int, chain(value, value.values())))
 
 
 def _multi_of(counts: dict[int, int]) -> dict[int, int]:
@@ -191,7 +191,13 @@ def _multi_of(counts: dict[int, int]) -> dict[int, int]:
 
 
 def _group_counts(regime: PrescriptionRegime, r1: int) -> dict[int, int]:
-    """`regime`'s signature counts of first row sum `r1`, checked as `group_multi_buckets` says."""
+    """`regime`'s signature counts of the grids of first row sum `r1`. r1
+    leads every key, so these are the whole sweep's counts of their keys.
+
+    Raises ValueError, before counting, for a non-regime or unless `r1` is an
+    int in MIN_LINE_SUM..MAX_LINE_SUM, and RuntimeError unless the group was
+    counted over all of its grids, 4,320 per first-row digit set summing to `r1`.
+    """
     _check_type(regime, PrescriptionRegime, "regime")
     if not (_is_int(r1) and MIN_LINE_SUM <= r1 <= MAX_LINE_SUM):
         raise _bad("r1", f"an integer in {MIN_LINE_SUM}..{MAX_LINE_SUM}", r1)
@@ -206,90 +212,70 @@ def _group_counts(regime: PrescriptionRegime, r1: int) -> dict[int, int]:
     return counts
 
 
-def group_multi_buckets(regime: PrescriptionRegime, r1: int) -> dict[int, int]:
-    """The multi-grid buckets of `regime` among grids of first row sum `r1`.
-
-    r1 leads every key, so this group's buckets are the whole sweep's buckets
-    of its keys. Raises ValueError, before counting, for a non-regime or
-    unless `r1` is an int in MIN_LINE_SUM..MAX_LINE_SUM, and RuntimeError
-    unless the group was counted over all of its grids, 4,320 per first-row
-    digit set summing to `r1`.
-    """
-    return _multi_of(_group_counts(regime, r1))
-
-
-class CensusReport:
-    """Bucket-size statistics of one regime's sweep.
+class CensusReport(_Value):
+    """The histogram of one regime's sweep: a frozen value.
 
     `sizes[k]` is the number of buckets of exactly k grids, that is of
-    puzzles with exactly k solutions. For the full diagonal, `multi` maps
-    the signature key of every bucket of two or more grids to its size, so a
-    grid whose key is not in `multi` is the only solution of its puzzle; the
-    sweep keeps no other regime's buckets, and their `multi` is None (see
-    `group_multi_buckets`). Every statistic is derived from `sizes`.
+    puzzles with exactly k solutions, in increasing k. For the full
+    diagonal, `multi` maps the signature key of every bucket of two or more
+    grids to its size, so a grid whose key is not in `multi` is the only
+    solution of its puzzle; the sweep keeps no other regime's buckets, and
+    their `multi` is None. Both are read-only views of copies the report
+    alone holds, so the checks made at construction hold for its life.
+    Every statistic is derived from `sizes`; `solvable_puzzles`, the number
+    of distinct clue sets answered by at least one grid, is the quantity the
+    published counts refer to.
     Construction raises ValueError unless every size k and count in
     `sizes` is an int of at least 1 and `multi` is None or maps ints to
     ints, and RuntimeError unless the buckets hold all 362,880 grids and,
     where `multi` is given, it holds exactly the buckets that `sizes`
-    counts at k >= 2.
-    `grids_by_solutions[k]` is the number of grids living in puzzles with
-    exactly k solutions; `puzzles_by_solutions[k]` is the number of such
-    puzzles. `solvable_puzzles` is the total number of distinct clue sets
-    answered by at least one grid, the quantity the published counts refer
-    to. A report is mutable, equal to another of equal fields, unhashable,
-    and its repr leaves `multi` out.
+    counts at k >= 2. A report is unhashable, and its repr leaves `multi` out.
     """
 
+    __slots__ = ("regime", "sizes", "multi")
+    __hash__ = None  # unhashable, as the dicts its fields view are
+
     def __init__(
-        self, regime: PrescriptionRegime, sizes: dict[int, int], multi: dict[int, int] | None
+        self,
+        regime: PrescriptionRegime,
+        sizes: Mapping[int, int],
+        multi: Mapping[int, int] | None,
     ) -> None:
-        self.regime, self.sizes, self.multi = regime, sizes, multi
         _check_type(regime, PrescriptionRegime, "regime")
-        if not (isinstance(sizes, dict) and all(
+        if not (isinstance(sizes, Mapping) and all(
             _is_int(n) and n >= 1 for n in chain(sizes, sizes.values())
         )):
             raise _bad("sizes", "a dict of positive ints to positive ints", sizes)
         if not (multi is None or _is_int_dict(multi)):
             raise _bad("multi", "None or a dict of ints", multi)
-        name = regime.value
-        if self.total_grids != TOTAL_GRIDS:
-            raise RuntimeError(
-                f"{name} census buckets hold {self.total_grids} grids, expected {TOTAL_GRIDS}"
-            )
-        if multi is None:
-            return
-        if min(multi.values(), default=2) < 2:
-            raise RuntimeError(
-                f"{name} census multi-grid buckets include one of {min(multi.values())} grids"
-            )
-        multi_sizes = dict(sorted(Counter(multi.values()).items()))
-        wanted = {k: n for k, n in self.puzzles_by_solutions.items() if k >= 2}
-        if multi_sizes != wanted:
-            raise RuntimeError(
-                f"{name} census multi-grid buckets by size are {multi_sizes}, expected {wanted}"
-            )
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.regime, self.sizes, self.multi) == (other.regime, other.sizes, other.multi)
-
-    __hash__ = None  # equal by fields that can change
+        sizes = dict(sorted(sizes.items()))
+        name, grids = regime.value, sum(k * n for k, n in sizes.items())
+        if grids != TOTAL_GRIDS:
+            raise RuntimeError(f"{name} census buckets hold {grids} grids, expected {TOTAL_GRIDS}")
+        if multi is not None:
+            multi = dict(multi)
+            if min(multi.values(), default=2) < 2:
+                raise RuntimeError(
+                    f"{name} census multi-grid buckets include one of {min(multi.values())} grids"
+                )
+            multi_sizes = dict(sorted(Counter(multi.values()).items()))
+            wanted = {k: n for k, n in sizes.items() if k >= 2}
+            if multi_sizes != wanted:
+                raise RuntimeError(
+                    f"{name} census multi-grid buckets by size are {multi_sizes}, expected {wanted}"
+                )
+            multi = MappingProxyType(multi)
+        object.__setattr__(self, "regime", regime)
+        object.__setattr__(self, "sizes", MappingProxyType(sizes))
+        object.__setattr__(self, "multi", multi)
 
     def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(regime={self.regime!r}, sizes={self.sizes!r})"
+        return f"{type(self).__qualname__}(regime={self.regime!r}, sizes={dict(self.sizes)!r})"
 
-    @property
-    def total_grids(self) -> int:
-        return sum(k * n for k, n in self.sizes.items())
-
-    @property
-    def puzzles_by_solutions(self) -> dict[int, int]:
-        return dict(sorted(self.sizes.items()))
-
-    @property
-    def grids_by_solutions(self) -> dict[int, int]:
-        return {k: k * n for k, n in self.puzzles_by_solutions.items()}
+    def __reduce__(self) -> tuple:
+        # a mappingproxy does not pickle: pass the dicts it views
+        multi = None if self.multi is None else dict(self.multi)
+        return (type(self), (self.regime, dict(self.sizes), multi))
 
     @property
     def solvable_puzzles(self) -> int:
@@ -302,16 +288,6 @@ class CensusReport:
     @property
     def max_solutions(self) -> int:
         return max(self.sizes)
-
-    def to_dict(self) -> dict:
-        return {
-            "regime": self.regime.value,
-            "total_grids": self.total_grids,
-            "solvable_puzzles": self.solvable_puzzles,
-            "single_solution_puzzles": self.single_solution_puzzles,
-            "grids_by_solutions": {str(k): v for k, v in self.grids_by_solutions.items()},
-            "puzzles_by_solutions": {str(k): v for k, v in self.puzzles_by_solutions.items()},
-        }
 
 
 def _reports(regimes: tuple[PrescriptionRegime, ...]) -> dict[PrescriptionRegime, CensusReport]:
@@ -334,8 +310,7 @@ def _reports(regimes: tuple[PrescriptionRegime, ...]) -> dict[PrescriptionRegime
 
 def census(regime: PrescriptionRegime) -> CensusReport:
     """Sweep all grids once and report bucket statistics for one regime.
-    Only the full diagonal's report keeps its multi-grid buckets; a weaker
-    regime's are read per first row sum from `group_multi_buckets`."""
+    Only the full diagonal's report keeps its multi-grid buckets."""
     _check_type(regime, PrescriptionRegime, "regime")
     return _reports((regime,))[regime]
 

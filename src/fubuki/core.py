@@ -239,21 +239,13 @@ class ClueSet(_Value):
         row_sums: tuple[int, int, int],
         col_sums: tuple[int, int, int],
     ) -> None:
-        object.__setattr__(self, "prescribed", prescribed)
-        object.__setattr__(self, "row_sums", row_sums)
-        object.__setattr__(self, "col_sums", col_sums)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        for name in ("row_sums", "col_sums"):
-            sums = getattr(self, name)
+        for name, sums in (("row_sums", row_sums), ("col_sums", col_sums)):
             try:
                 sums = tuple(sums)
             except TypeError:
                 pass  # not iterable; fails the length check below
             if not isinstance(sums, tuple) or len(sums) != 3:
                 raise _bad(name, "a tuple of 3 integers", sums)
-            object.__setattr__(self, name, sums)
             for s in sums:
                 if not _is_int(s):
                     raise ValueError(f"{name} must contain integers, got {s!r}")
@@ -261,15 +253,14 @@ class ClueSet(_Value):
                     raise ValueError(
                         f"{name} entry {s} out of range {MIN_LINE_SUM}..{MAX_LINE_SUM}"
                     )
+            object.__setattr__(self, name, sums)
         try:
-            object.__setattr__(
-                self, "prescribed", tuple(tuple(e) for e in self.prescribed)
-            )
+            entries = tuple(tuple(e) for e in prescribed)
         except TypeError:
-            raise _bad("prescribed", "(row, col, value) triples", self.prescribed) from None
+            raise _bad("prescribed", "(row, col, value) triples", prescribed) from None
         seen_pos: set[tuple[int, int]] = set()
         seen_val = 0
-        for entry in self.prescribed:
+        for entry in entries:
             if len(entry) != 3:
                 raise _bad("prescribed entry", "(row, col, value)", entry)
             r, c, v = entry
@@ -283,13 +274,13 @@ class ClueSet(_Value):
             if seen_val & (1 << v):
                 raise ValueError(f"value {v} prescribed twice")
             seen_val |= 1 << v
-        object.__setattr__(self, "prescribed", tuple(sorted(self.prescribed)))
+        object.__setattr__(self, "prescribed", tuple(sorted(entries)))
 
     @classmethod
     def from_grid(cls, grid: Grid, regime: PrescriptionRegime) -> "ClueSet":
         """The puzzle this grid answers under the given regime.
 
-        Built without running `__post_init__`, because every invariant it
+        Built without running `__init__`, because every invariant it
         checks already holds for a `Grid`: the entries (i, i, cells[4i-4])
         are sorted by position, their values are distinct digits, and every
         sum of three distinct digits lies in MIN_LINE_SUM..MAX_LINE_SUM.

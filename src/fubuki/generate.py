@@ -4,8 +4,8 @@ Every puzzle but a full-diagonal unique one comes from one draw loop. The
 loop reads its draws, each a shuffle of 1..9, from `SplitMix64._shuffles`,
 the stream of repeated `shuffle` calls mixed eight draws at a time (see
 `rng.py`). It rejects a weaker regime's draw when the draw's key is among
-the multi-grid buckets of the draw's first row sum, the keys of
-`census.group_multi_buckets`.
+the multi-grid buckets of the draw's first row sum, counted by
+`census._group_counts`.
 The loop asks only whether a key is there, never a bucket's size, so
 `_GROUPS` holds each counted group as bitmasks: a dict from `key >> _LOW`
 to an int whose bit `key & _LOW_MASK` is set for each multi-grid key. A

@@ -4,8 +4,8 @@ import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from fubuki import ClueSet, Grid, PrescriptionRegime, census, companion_scan
-from fubuki.census import group_multi_buckets
 from fubuki.core import MAX_LINE_SUM, MIN_LINE_SUM
+import internals
 
 # Hypothesis caches the constants it finds in local sources under its home
 # directory, ./.hypothesis by default, even with no example database
@@ -60,13 +60,13 @@ def census_reports():
 @pytest.fixture(scope="session")
 def group_buckets():
     """Each weaker regime's multi-grid buckets, whose keys the generator
-    holds as bitmasks: the union of `group_multi_buckets(regime, r1)` over
-    every first row sum."""
+    holds as bitmasks: the union of `internals.group_multi_buckets(regime,
+    r1)` over every first row sum."""
     return {
         regime: {
             key: n
             for r1 in range(MIN_LINE_SUM, MAX_LINE_SUM + 1)
-            for key, n in group_multi_buckets(regime, r1).items()
+            for key, n in internals.group_multi_buckets(regime, r1).items()
         }
         for regime in PrescriptionRegime
         if regime is not PrescriptionRegime.FULL_DIAGONAL

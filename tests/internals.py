@@ -159,6 +159,14 @@ def group_counts(regime, r1):
     return census._count_group(census._DROP[regime], census._group_rows(r1))
 
 
+def group_multi_buckets(regime, r1):
+    """The multi-grid buckets of `regime` among the grids of first row sum
+    `r1`, counted and checked as the generator counts a group: a ValueError
+    for a bad `regime` or `r1` before counting, a RuntimeError for a group
+    short of grids."""
+    return census._multi_of(census._group_counts(regime, r1))
+
+
 # the names of the functions that build and count a group, for a profile
 # hook in a fresh process
 GROUP_STEPS = (census._group_rows.__name__, census._count_group.__name__)

@@ -131,7 +131,7 @@ def test_criterion_4_at_most_two_solutions(census_reports):
     with criterion(4, "full-diagonal buckets never exceed 2 grids"):
         report = census_reports[R.FULL_DIAGONAL]
         assert report.max_solutions == 2
-        assert set(report.grids_by_solutions) == {1, 2}
+        assert set(report.sizes) == {1, 2}
 
 
 def test_criterion_5_companion_oracle_equivalence(all_routes):

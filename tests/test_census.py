@@ -23,7 +23,7 @@ from fubuki import (
     companion_scan,
     count_solutions,
 )
-from fubuki.census import group_multi_buckets, signature_key
+from fubuki.census import signature_key
 from fubuki.core import MAX_LINE_SUM, MIN_LINE_SUM
 from fubuki.rng import SplitMix64
 from fubuki.theory import companion_cells, shift_cells
@@ -65,19 +65,16 @@ class TestCensusReports:
 
     def test_grand_totals(self, census_reports):
         for report in census_reports.values():
-            assert report.total_grids == TOTAL_GRIDS
-            assert sum(report.grids_by_solutions.values()) == TOTAL_GRIDS
-            assert all(
-                report.grids_by_solutions[k] == k * report.puzzles_by_solutions[k]
-                for k in report.grids_by_solutions
-            )
+            assert sum(k * n for k, n in report.sizes.items()) == TOTAL_GRIDS
+            # the histogram is kept in increasing number of solutions
+            assert list(report.sizes) == sorted(report.sizes)
 
     def test_full_diagonal_histograms(self, census_reports):
         report = census_reports[R.FULL_DIAGONAL]
-        assert report.grids_by_solutions == {1: 339984, 2: 22896}
-        assert report.puzzles_by_solutions == {1: 339984, 2: 11448}
+        assert report.sizes == {1: 339984, 2: 11448}
+        assert {k: k * n for k, n in report.sizes.items()} == {1: 339984, 2: 22896}
         # exactly as many two-solution puzzles as grids lost to sharing
-        assert report.puzzles_by_solutions[2] == TOTAL_GRIDS - report.solvable_puzzles
+        assert report.sizes[2] == TOTAL_GRIDS - report.solvable_puzzles
 
     def test_max_solutions_pins(self, census_reports):
         for regime, report in census_reports.items():
@@ -109,21 +106,12 @@ class TestCensusReports:
             assert all_reports[regime].sizes == census_reports[regime].sizes
 
     def test_census_all_keeps_only_the_full_diagonal_buckets(self, census_reports, all_reports):
-        # the companion oracle reads the full diagonal's; the generator reads
-        # the others' from group_multi_buckets, so no sweep keeps them
+        # the companion oracle reads the full diagonal's; the generator counts
+        # the others' one group at a time, so no sweep keeps them
         assert all_reports[R.FULL_DIAGONAL].multi == census_reports[R.FULL_DIAGONAL].multi
         for regime in (R.FIRST_TWO_DIAGONAL, R.TOP_LEFT, R.NONE):
             assert all_reports[regime].multi is None
             assert census_reports[regime].multi is None
-
-    def test_to_dict_shape(self, census_reports):
-        data = census_reports[R.FULL_DIAGONAL].to_dict()
-        assert data["regime"] == "full_diagonal"
-        assert data["total_grids"] == 362880
-        assert data["solvable_puzzles"] == 351432
-        assert data["single_solution_puzzles"] == 339984
-        assert data["grids_by_solutions"] == {"1": 339984, "2": 22896}
-        assert data["puzzles_by_solutions"] == {"1": 339984, "2": 11448}
 
 
 class TestMaxSolutionsObserved:
@@ -137,9 +125,7 @@ class TestSweepMechanics:
         perms = list(permutations(range(1, 10)))
         for p in reversed(perms):
             counts[signature_key(p, R.TOP_LEFT)] += 1
-        sizes = Counter(counts.values())
-        report = census_reports[R.TOP_LEFT]
-        assert {k: v * k for k, v in sizes.items()} == report.grids_by_solutions
+        assert census_reports[R.TOP_LEFT].sizes == dict(Counter(counts.values()))
 
     def test_signature_separates_regimes(self, grid_two_a, grid_two_b, grid_unique):
         # the two-solution pair shares every signature; the unique grid none
@@ -323,7 +309,7 @@ class TestGroupMultiBuckets:
     def test_groups_make_up_the_sweeps_buckets(self, census_reports, group_buckets, regime):
         union: dict[int, int] = {}
         for r1 in FIRST_ROW_SUMS:
-            group = group_multi_buckets(regime, r1)
+            group = internals.group_multi_buckets(regime, r1)
             assert union.keys().isdisjoint(group)
             union.update(group)
         assert union == group_buckets[regime]
@@ -337,7 +323,7 @@ class TestGroupMultiBuckets:
         # "none" used to raise KeyError from the drop lookup
         internals.before_each_group(monkeypatch, no_group)
         with pytest.raises(ValueError, match="regime must be a PrescriptionRegime"):
-            group_multi_buckets(regime, 15)
+            internals.group_multi_buckets(regime, 15)
 
     @pytest.mark.parametrize("r1", [5, 25, "6", True, 6.0, None], ids=repr)
     def test_rejects_a_non_line_sum_before_counting(self, monkeypatch, r1):
@@ -345,7 +331,7 @@ class TestGroupMultiBuckets:
         # sum 6's buckets
         internals.before_each_group(monkeypatch, no_group)
         with pytest.raises(ValueError, match="r1 must be an integer in 6..24"):
-            group_multi_buckets(R.NONE, r1)
+            internals.group_multi_buckets(R.NONE, r1)
 
     def test_rejects_a_group_short_of_grids_under_optimize(self):
         # a real raise, not an assert that -O strips; first row sum 6 has one
@@ -354,11 +340,10 @@ class TestGroupMultiBuckets:
             "import sys\n"
             f"sys.path.insert(0, {internals.HERE!r})\n"
             "import pytest, internals\n"
-            "from fubuki.census import group_multi_buckets\n"
             "from fubuki.core import PrescriptionRegime as R\n"
             "internals.short_groups(pytest.MonkeyPatch())\n"
             "try:\n"
-            "    group_multi_buckets(R.NONE, 6)\n"
+            "    internals.group_multi_buckets(R.NONE, 6)\n"
             "except RuntimeError as error:\n"
             "    print(error)\n"
             "else:\n"

@@ -112,7 +112,7 @@ class TestClueSet:
     @settings(derandomize=True, deadline=None, database=None, max_examples=300)
     @given(st.permutations(range(1, 10)).map(Grid))
     def test_from_grid_is_the_validated_clue_set(self, grid):
-        # from_grid skips __post_init__, so it must build what the validating
+        # from_grid skips __init__, so it must build what the validating
         # constructor builds, down to the types of its fields
         for regime in PrescriptionRegime:
             n = len(regime.cells)
@@ -259,6 +259,15 @@ def values() -> dict:
 HASHABLE = ["ClosedFormCount", "ClueSet", "DiagonalClass", "Grid"]
 
 
+def copies(value) -> list:
+    """`value` pickled under every protocol, copied and deep-copied."""
+    return [
+        *(pickle.loads(pickle.dumps(value, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)),
+        copy.copy(value),
+        copy.deepcopy(value),
+    ]
+
+
 class TestValueTypes:
     """What each value type promises beyond its fields: equality, hashing,
     repr, pickling and copying, and which of them can change."""
@@ -266,17 +275,13 @@ class TestValueTypes:
     @pytest.mark.parametrize("name", sorted(values()))
     def test_pickle_and_copy_give_an_equal_value_of_the_same_type(self, name):
         value = values()[name]
-        copies = [
-            *(pickle.loads(pickle.dumps(value, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)),
-            copy.copy(value),
-            copy.deepcopy(value),
-        ]
-        for other in copies:
+        others = copies(value)
+        for other in others:
             assert type(other) is type(value)
             assert other == value
         if name in HASHABLE:
             # equal values built apart hash alike
-            assert {hash(other) for other in copies} == {hash(value)}
+            assert {hash(other) for other in others} == {hash(value)}
         else:
             with pytest.raises(TypeError):
                 hash(value)
@@ -334,7 +339,14 @@ class TestValueTypes:
                 compare(left, right)
 
     @pytest.mark.parametrize(
-        "name, field", [("Grid", "cells"), ("ClueSet", "row_sums"), ("DiagonalClass", "shifts")]
+        "name, field",
+        [
+            ("Grid", "cells"),
+            ("ClueSet", "row_sums"),
+            ("DiagonalClass", "shifts"),
+            ("CensusReport", "sizes"),
+            ("CensusReport", "multi"),
+        ],
     )
     def test_frozen_fields_can_be_neither_set_nor_deleted(self, name, field):
         value = values()[name]
@@ -344,3 +356,22 @@ class TestValueTypes:
         with pytest.raises(AttributeError):
             delattr(value, field)
         assert getattr(value, field) is before
+
+    def test_a_census_report_holds_read_only_copies_of_its_buckets(self):
+        # the checks made at construction hold for the report's life
+        sizes, multi = {2: 1, 1: 362878}, {5: 2}
+        report = CensusReport(PrescriptionRegime.FULL_DIAGONAL, sizes, multi)
+        equal = values()["CensusReport"]
+        sizes[1] = 0
+        del sizes[2]
+        multi[6] = 2
+        assert report.sizes == {1: 362878, 2: 1} and report.multi == {5: 2}
+        assert report == equal
+        assert list(report.sizes) == [1, 2]  # kept in increasing k
+        for value in [report, *copies(report)]:
+            for field in (value.sizes, value.multi):
+                with pytest.raises(TypeError):
+                    field[1] = 0
+                with pytest.raises(TypeError):
+                    del field[next(iter(field))]
+            assert value == equal
