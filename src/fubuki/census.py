@@ -17,9 +17,9 @@ key with 4 bits dropped per unprescribed diagonal cell. The first row sum r1
 leads every regime's key, so two first row sums never share a key.
 
 The sweep counts one first row sum at a time (19 groups of at most 8 of the
-84 first-row digit sets). It builds a group's row keys once, then counts the
-group one regime at a time. Because no key spans two groups, each count is
-final: it is folded into its regime's histogram of bucket sizes, the full
+84 first-row digit sets), and within a group one regime at a time, by one
+of two counts chosen by regime. Because no key spans two groups, each count
+is final: it is folded into its regime's histogram of bucket sizes, the full
 diagonal's buckets of two or more grids are kept, and the rest is dropped
 before the next regime is counted, so one regime's counts of one group are
 alive at a time. The whole sweep runs in the calling process. A report is
@@ -27,24 +27,45 @@ that histogram plus, for the full diagonal only, those multi-grid buckets,
 which the companion oracle reads: every statistic is a function of the
 histogram, and a key missing from the multi-grid buckets belongs to a single
 grid. The generator sweeps no census: it counts one regime's group of one
-first row sum the same way, with `_group_counts`, only when a draw first
+first row sum with the dict count, `_group_counts`, only when a draw first
 lands there, so a run counts only the groups its draws need.
 
-No field of the packing ever carries into the next (a line sum is at most
-24 < 32, a cell at most 9 < 16), so the key is linear in the cells: it is
-the sum of each cell times the key of its unit grid. Adding two partial keys
-adds their fields in place, so dropping low fields distributes over the sum:
-a regime's key of first row plus lower rows is (head >> drop) + (tail >>
+The dict count serves the full diagonal and the first two diagonal cells,
+and is the reference the other count is tested against. No field of the
+packing ever carries into the next (a line sum is at most 24 < 32, a cell
+at most 9 < 16), so the key is linear in the cells: it is the sum of each
+cell times the key of its unit grid. Adding two partial keys adds their
+fields in place, so dropping low fields distributes over the sum: a
+regime's key of first row plus lower rows is (head >> drop) + (tail >>
 drop). The sweep uses this to count without running Python per grid. For
-each of the 84 digit sets of the first row it builds the 720 keys of the
-rows below once, each a row-2 key plus a row-3 key read from two tables of
-the 504 ordered triples (built on first use), then, per regime and for
-each of the set's 6 row orderings, counts head + tail over all 720 tails
-in C (`collections._count_elements`). Each key is built as (cap + head) -
-(cap - tail), cap being above every key: CPython gives the result of int +
-int a spare digit, which a stored two-digit full-diagonal key would keep,
-while int - int sizes it to its larger operand, so the 351,432 stored keys
-stay in 32-byte blocks.
+each digit set of the group's first row it builds the 720 keys of the rows
+below once, each a row-2 key plus a row-3 key read from two tables of the
+504 ordered triples (built on first use), then, per regime and for each of
+the set's 6 row orderings, counts head + tail over all 720 tails in C
+(`collections._count_elements`). Each key is built as (cap + head) - (cap -
+tail), cap being above every key: CPython gives the result of int + int a
+spare digit, which a stored two-digit full-diagonal key would keep, while
+int - int sizes it to its larger operand, so the 351,432 stored keys stay
+in 32-byte blocks.
+
+The dense count serves `top-left` and `none`, whose keys within a group are
+few: it holds a group's counts as 8-bit lanes of Python ints, one lane per
+key. A grid (a, b, c / d, e, f / g, h, k) lies in lane r2*361 + c1*19 + c2
+(row 2's sum, then columns 1 and 2); every sum is 6..24, so each field
+spans 19 values and none reaches the next. `none` holds one int per group
+and `top-left` one per top-left digit a. The lane is a sum of one term per
+row, so a count is a product of row polynomials: an ordering (d, e, f) of
+a row-2 or row-3 digit set adds 2**(8*(19*d + e)), so the product of a
+row-2 set's and a row-3 set's polynomials, moved up 361 lanes per unit of
+row 2's sum, counts their 36 fillings. The 20 splits of a first-row set's
+other six digits add up to its tail, built once per group for both
+regimes, and each ordering (a, b, c) of the set adds the tail moved up
+19*a + b lanes. The nonzero bytes of each int are then its keys' bucket
+sizes, counted in C. No lane of a true count passes 255 (`none`'s buckets
+hold at most 80 grids), and a lane that did would carry into the next one
+and take 255 off the sum of the lanes, so the fold checks that a group's
+lanes hold 4,320 grids per first-row digit set and raises RuntimeError
+otherwise. The 84 row polynomials are built once per sweep.
 
 The companion scan is a second route to the full-diagonal count that reads
 no bucket: it returns the 22,896 (grid, companion) pairs of the shift
@@ -180,6 +201,76 @@ def _count_group(drop: int, rows: list[tuple[list[int], list[int]]]) -> dict[int
     return counts
 
 
+# the regimes the sweep counts as lane-packed ints (see the module docstring)
+_DENSE = (PrescriptionRegime.TOP_LEFT, PrescriptionRegime.NONE)
+_Tails = list[tuple[tuple[int, ...], int]]  # per first-row digit set, the set and its tail
+
+
+def _row_polynomials() -> dict[tuple[int, ...], int]:
+    """Per digit set of a row below the first, its 6 orderings (d, e, f)
+    as one lane-packed int: the sum of 2**(8*(19*d + e)), the lane of d in
+    column 1 and e in column 2."""
+    return {
+        row: sum(1 << 8 * (19 * d + e) for d, e, _ in permutations(row))
+        for row in combinations(range(1, 10), 3)
+    }
+
+
+def _group_tails(r1: int, rows: dict[tuple[int, ...], int]) -> _Tails:
+    """Per first-row digit set summing to `r1`: the set and the lane-packed
+    count of the 720 fillings of the rows below, a filling (d, e, f / g, h,
+    k) in lane 361*(d+e+f) + 19*(d+g) + e+h. `rows` is `_row_polynomials()`."""
+    digits = range(1, 10)
+    tails = []
+    for first in combinations(digits, 3):
+        if sum(first) != r1:
+            continue
+        low, *others = rest = [d for d in digits if d not in first]
+        # one block of 361 lanes per row-2 sum; each product serves both
+        # splits of its two digit sets, as row 2 over row 3 and the reverse
+        blocks = [0] * (MAX_LINE_SUM + 1)
+        for pair in combinations(others, 2):
+            second = (low, *pair)
+            third = tuple(d for d in rest if d not in second)
+            both = rows[second] * rows[third]
+            blocks[sum(second)] += both
+            blocks[sum(third)] += both
+        tail = b"".join(block.to_bytes(361, "little") for block in blocks)
+        tails.append((first, int.from_bytes(tail, "little")))
+    return tails
+
+
+def _dense_lanes(regime: PrescriptionRegime, tails: _Tails) -> list[int]:
+    """`top-left`'s or `none`'s signature counts of a group, from its
+    `_group_tails`, one lane per key: `none`'s in one int, `top-left`'s in
+    one int per top-left digit. A first row (a, b, c) adds its set's tail
+    moved up 19*a + b lanes."""
+    top_left = regime is PrescriptionRegime.TOP_LEFT
+    lanes: dict[int, int] = {}
+    for first, tail in tails:
+        for a, b, _ in permutations(first):
+            slot = a if top_left else 0
+            lanes[slot] = lanes.get(slot, 0) + (tail << 8 * (19 * a + b))
+    return list(lanes.values())
+
+
+def _count_dense(sizes: dict[int, int], regime: PrescriptionRegime, r1: int, tails: _Tails) -> None:
+    """Fold `regime`'s counts of the group of first row sum `r1`, from its
+    `_group_tails`, into the histogram `sizes`. Raises RuntimeError unless
+    its lanes hold 4,320 grids per first-row digit set: a lane that passed
+    255 carried, and took 255 off that total."""
+    grids = sum(map(mul, sizes.keys(), sizes.values()))
+    for packed in _dense_lanes(regime, tails):
+        lanes = packed.to_bytes((packed.bit_length() + 7) // 8, "little")
+        _count_elements(sizes, lanes.translate(None, b"\0"))
+    got = sum(map(mul, sizes.keys(), sizes.values())) - grids
+    wanted = factorial(3) * factorial(6) * len(tails)
+    if got != wanted:
+        raise RuntimeError(
+            f"{regime.value} group of first row sum {r1} holds {got} grids, expected {wanted}"
+        )
+
+
 def _is_int_dict(value: object) -> bool:
     """A mapping of ints to ints: what a `multi` argument must be."""
     return isinstance(value, Mapping) and all(map(_is_int, chain(value, value.values())))
@@ -292,19 +383,28 @@ class CensusReport(_Value):
 
 def _reports(regimes: tuple[PrescriptionRegime, ...]) -> dict[PrescriptionRegime, CensusReport]:
     """One sweep over all grids, counted one first row sum and, within it,
-    one regime at a time, folded into each regime's report. Only the full
+    one regime at a time, folded into each regime's report: the dict count
+    first, then the dense count of `top-left` and `none`. Only the full
     diagonal's report keeps its multi-grid buckets."""
     full = PrescriptionRegime.FULL_DIAGONAL
     sizes: dict[PrescriptionRegime, dict[int, int]] = {r: {} for r in regimes}
     multi: dict[int, int] = {}
+    keyed = [r for r in regimes if r not in _DENSE]
+    dense = [r for r in regimes if r in _DENSE]
+    polynomials = _row_polynomials() if dense else None
     for r1 in range(MIN_LINE_SUM, MAX_LINE_SUM + 1):
-        rows = _group_rows(r1)
-        for regime in regimes:
-            counts = _count_group(_DROP[regime], rows)
-            _count_elements(sizes[regime], counts.values())
-            if regime is full:
-                multi.update(_multi_of(counts))
-            del counts  # freed before the next regime's dict grows
+        if keyed:
+            rows = _group_rows(r1)
+            for regime in keyed:
+                counts = _count_group(_DROP[regime], rows)
+                _count_elements(sizes[regime], counts.values())
+                if regime is full:
+                    multi.update(_multi_of(counts))
+                del counts  # freed before the next regime's dict grows
+        if dense:
+            tails = _group_tails(r1, polynomials)
+            for regime in dense:
+                _count_dense(sizes[regime], regime, r1, tails)
     return {r: CensusReport(r, sizes[r], multi if r is full else None) for r in regimes}
 
 

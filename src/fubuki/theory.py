@@ -116,19 +116,27 @@ def classify_diagonal(diagonal: Iterable[int]) -> DiagonalClass:
 
 
 def shift_table_to_csv(table: Mapping[tuple[int, int, int], frozenset[int]]) -> str:
-    """CSV with header `diagonal,shifts`, rows ordered lexicographically."""
+    """CSV with header `diagonal,shifts`, rows ordered lexicographically.
+
+    Raises ValueError unless each key of `table` is 3 distinct digits and
+    each of its shifts an int.
+    """
     import csv
     import io
 
+    try:
+        rows = [(diag, sorted(table[diag])) for diag in sorted(table)]
+        for diag, shifts in rows:
+            _check_diagonal(diag)
+            if not all(map(_is_int, shifts)):
+                raise TypeError
+    except (TypeError, LookupError, ValueError):
+        raise _bad("table", "a mapping of diagonals to shifts", table) from None
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["diagonal", "shifts"])
-    try:
-        for diag in sorted(table):
-            shifts = ",".join(str(c) for c in sorted(table[diag]))
-            writer.writerow([",".join(str(v) for v in diag), shifts])
-    except (TypeError, LookupError):
-        raise _bad("table", "a mapping of diagonals to shifts", table) from None
+    for diag, shifts in rows:
+        writer.writerow([",".join(map(str, diag)), ",".join(map(str, shifts))])
     return out.getvalue()
 
 

@@ -159,6 +159,16 @@ def group_counts(regime, r1):
     return census._count_group(census._DROP[regime], census._group_rows(r1))
 
 
+def dense_sizes(regime, r1):
+    """The histogram of bucket sizes that the sweep's dense count, which
+    serves `top-left` and `none`, folds from `regime`'s group of first row
+    sum `r1`: {k: buckets of k grids}."""
+    sizes = {}
+    tails = census._group_tails(r1, census._row_polynomials())
+    census._count_dense(sizes, regime, r1, tails)
+    return sizes
+
+
 def group_multi_buckets(regime, r1):
     """The multi-grid buckets of `regime` among the grids of first row sum
     `r1`, counted and checked as the generator counts a group: a ValueError
@@ -167,20 +177,28 @@ def group_multi_buckets(regime, r1):
     return census._multi_of(census._group_counts(regime, r1))
 
 
-# the names of the functions that build and count a group, for a profile
-# hook in a fresh process
-GROUP_STEPS = (census._group_rows.__name__, census._count_group.__name__)
+# the names of the functions that build and count a group, by either count,
+# for a profile hook in a fresh process
+GROUP_STEPS = tuple(
+    step.__name__
+    for step in (census._group_rows, census._count_group, census._group_tails, census._dense_lanes)
+)
 
 
 def before_each_group(monkeypatch, hook):
-    """Call `hook(r1)` before the rows of each group are built."""
-    rows = census._group_rows
+    """Call `hook(r1)` before the rows of each group are built, for either count."""
+    rows, tails = census._group_rows, census._group_tails
 
-    def hooked(r1):
+    def hooked_rows(r1):
         hook(r1)
         return rows(r1)
 
-    monkeypatch.setattr(census, "_group_rows", hooked)
+    def hooked_tails(r1, polynomials):
+        hook(r1)
+        return tails(r1, polynomials)
+
+    monkeypatch.setattr(census, "_group_rows", hooked_rows)
+    monkeypatch.setattr(census, "_group_tails", hooked_tails)
 
 
 def short_groups(monkeypatch):
@@ -195,12 +213,51 @@ def short_groups(monkeypatch):
     monkeypatch.setattr(census, "_count_group", short)
 
 
+def drop_row_orderings(monkeypatch):
+    """Drop the lowest term, one ordering, of every row polynomial of the
+    dense count, so each of its groups misses grids."""
+    polynomials = census._row_polynomials
+    monkeypatch.setattr(
+        census, "_row_polynomials", lambda: {row: p & (p - 1) for row, p in polynomials().items()}
+    )
+
+
+def carry_dense_lanes(monkeypatch):
+    """Move 256 grids of each int of the dense count onto one new lane
+    above its top: the int still holds every grid, but that lane carries
+    into the next. Each int must hold at least 256 grids."""
+    lanes = census._dense_lanes
+
+    def carried(regime, tails):
+        moved = []
+        for packed in lanes(regime, tails):
+            held = bytearray(packed.to_bytes((packed.bit_length() + 7) // 8, "little"))
+            left = 256
+            for i, n in enumerate(held):
+                taken = min(n, left)
+                held[i] -= taken
+                left -= taken
+            moved.append(int.from_bytes(held, "little") + (256 << 8 * len(held)))
+        return moved
+
+    monkeypatch.setattr(census, "_dense_lanes", carried)
+
+
 def stub_groups(monkeypatch, rows, counts):
-    """Make the sweep build the rows of each group as `rows(r1)` and count
-    them under a regime as `counts(regime, group)`, given what `rows` returned."""
+    """Make the sweep build the rows of each group as `rows(r1)`, for each
+    of its two counts, and count them under a regime as `counts(regime,
+    group)`, given what `rows` returned: a dict of keys to sizes. The dense
+    count gets the sizes as the lanes of one int, so each is at most 255,
+    and checks that they hold 4,320 grids per item of `rows(r1)`."""
     by_drop = {census._DROP[r]: r for r in PrescriptionRegime}
+
+    def lanes(regime, group):
+        return [int.from_bytes(bytes(counts(regime, group).values()), "little")]
+
     monkeypatch.setattr(census, "_group_rows", rows)
+    monkeypatch.setattr(census, "_group_tails", lambda r1, polynomials: rows(r1))
     monkeypatch.setattr(census, "_count_group", lambda drop, group: counts(by_drop[drop], group))
+    monkeypatch.setattr(census, "_dense_lanes", lanes)
 
 
 def forget_groups():

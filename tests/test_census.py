@@ -2,7 +2,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
-from itertools import islice, permutations
+from itertools import combinations, islice, permutations
 from operator import mul
 
 import pytest
@@ -46,6 +46,11 @@ MULTI_GRID_BUCKETS = {
     R.TOP_LEFT: 97683,
     R.NONE: 43411,
 }
+
+
+def digit_sets(r1):
+    """The first-row digit sets of the group of first row sum `r1`."""
+    return [first for first in combinations(range(1, 10), 3) if sum(first) == r1]
 
 
 def no_group(r1):
@@ -266,32 +271,39 @@ class TestSweepMechanics:
             assert {key: n for key, n in merged.items() if n >= 2} == multi
 
     def test_reports_fold_exactly_the_group_counts(self, monkeypatch):
-        # stand-in counts per (regime, first row sum): a single-grid bucket,
-        # a bucket of r1 grids (r1 + 1 under `none`) and, in the last group,
-        # one bucket of the grids that make up 9!
+        # stand-in counts per (regime, first row sum) that hold the group's
+        # grids: a single-grid bucket, a bucket of r1 grids (r1 + 1 under
+        # `none`) and the rest in buckets of at most 255, as a lane holds
         regimes = tuple(R)
-        stub = {
-            (regime, r1): {r1 << 4: 1, r1 << 4 | 1: r1 + (regime is R.NONE)}
-            for regime in regimes
-            for r1 in FIRST_ROW_SUMS
-        }
-        for regime in regimes:
-            grids = sum(sum(stub[regime, r1].values()) for r1 in FIRST_ROW_SUMS)
-            stub[regime, MAX_LINE_SUM][MAX_LINE_SUM << 4 | 2] = TOTAL_GRIDS - grids
+        stub = {}
+        for r1 in FIRST_ROW_SUMS:
+            grids = 4320 * len(digit_sets(r1))
+            for regime in regimes:
+                sizes = [1, r1 + (regime is R.NONE)]
+                full, rest = divmod(grids - sum(sizes), 255)
+                sizes += [255] * full + [rest] * (rest > 0)
+                stub[regime, r1] = {r1 << 12 | i: n for i, n in enumerate(sizes)}
         calls = []
 
         def group_rows(r1):
             calls.append(r1)
-            return r1  # a group's rows stand in as its first row sum
+            return digit_sets(r1)  # a group's rows stand in as its first-row digit sets
 
-        def count_group(regime, r1):
+        def count_group(regime, group):
+            r1 = sum(group[0])
             calls.append((regime, r1))
             return dict(stub[regime, r1])
 
         internals.stub_groups(monkeypatch, group_rows, count_group)
         reports = census_all()
-        # per first row sum, its rows once, then one regime at a time
-        assert calls == [c for r1 in FIRST_ROW_SUMS for c in (r1, *((r, r1) for r in regimes))]
+        # per first row sum, the dict count's rows and regimes, then the
+        # dense count's rows and regimes
+        dict_counted, dense = regimes[:2], regimes[2:]
+        assert calls == [
+            c
+            for r1 in FIRST_ROW_SUMS
+            for c in (r1, *((r, r1) for r in dict_counted), r1, *((r, r1) for r in dense))
+        ]
         for regime in regimes:
             counts = [n for r1 in FIRST_ROW_SUMS for n in stub[regime, r1].values()]
             assert reports[regime].sizes == dict(Counter(counts))
@@ -300,6 +312,52 @@ class TestSweepMechanics:
         assert reports[R.FULL_DIAGONAL].multi == {
             key: n for counts in full for key, n in counts.items() if n >= 2
         }
+        # one regime's census builds only the rows of its own count
+        for regime in regimes:
+            calls.clear()
+            assert census(regime).sizes == reports[regime].sizes
+            assert calls == [c for r1 in FIRST_ROW_SUMS for c in (r1, (regime, r1))]
+
+
+class TestDenseCount:
+    @pytest.mark.parametrize("regime", [R.TOP_LEFT, R.NONE], ids=lambda r: r.name)
+    def test_matches_the_dict_count(self, regime):
+        for r1 in FIRST_ROW_SUMS:
+            want = Counter(internals.group_counts(regime, r1).values())
+            assert internals.dense_sizes(regime, r1) == want, r1
+
+    @pytest.mark.parametrize(
+        "fault, grids",
+        [("drop_row_orderings", {"top_left": 3000, "none": 3000}),
+         ("carry_dense_lanes", {"top_left": 3555, "none": 4065})],
+    )
+    def test_rejects_a_faulty_group_under_optimize(self, fault, grids):
+        # a real raise, not an assert that -O strips. Dropping row orderings
+        # loses grids; a carried lane keeps them all, but takes 255 off the
+        # lanes' total per carry, once per top-left digit 1, 2, 3 under
+        # `top-left`. First row sum 6 has one digit set, {1, 2, 3}
+        code = (
+            "import sys\n"
+            f"sys.path.insert(0, {internals.HERE!r})\n"
+            "import pytest, internals\n"
+            "from fubuki.core import PrescriptionRegime as R\n"
+            f"internals.{fault}(pytest.MonkeyPatch())\n"
+            "for regime in (R.TOP_LEFT, R.NONE):\n"
+            "    try:\n"
+            "        internals.dense_sizes(regime, 6)\n"
+            "    except RuntimeError as error:\n"
+            "        print(error)\n"
+            "    else:\n"
+            "        raise SystemExit(f'accepted a faulty {regime.value} group')\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "".join(
+            f"{name} group of first row sum 6 holds {n} grids, expected 4320\n"
+            for name, n in grids.items()
+        )
 
 
 class TestGroupMultiBuckets:

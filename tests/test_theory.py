@@ -220,6 +220,18 @@ class TestShiftTable:
         }
         assert parsed == table
 
+    @pytest.mark.parametrize(
+        "table",
+        [{"abc": frozenset()}, {(1, 2, 3): frozenset({"x"})}, {(1, 1, 2): frozenset()},
+         {(0, 1, 2): frozenset()}, {(1, 2, 3): frozenset({True})}, {(1, 2, 3): "13"}],
+        ids=["str-key", "str-shift", "repeated-digit", "not-a-digit", "bool-shift", "str-shifts"],
+    )
+    def test_csv_rejects_a_malformed_table(self, table):
+        # the first two were written as rows '"a,b,c",' and '"1,2,3",x'
+        with pytest.raises(ValueError) as error:
+            shift_table_to_csv(table)
+        assert str(error.value) == f"table must be a mapping of diagonals to shifts, got {table!r}"
+
     @pytest.mark.parametrize("reader", sorted(READERS))
     def test_more_than_two_shifts_raises(self, fresh_table, monkeypatch, reader):
         def three_shifts(real, rest):
