@@ -19,16 +19,19 @@ leads every regime's key, so two first row sums never share a key.
 The sweep counts one first row sum at a time (19 groups of at most 8 of the
 84 first-row digit sets), and within a group one regime at a time, by one
 of two counts chosen by regime. Because no key spans two groups, each count
-is final: it is folded into its regime's histogram of bucket sizes, the full
-diagonal's buckets of two or more grids are kept, and the rest is dropped
-before the next regime is counted, so one regime's counts of one group are
-alive at a time. The whole sweep runs in the calling process. A report is
-that histogram plus, for the full diagonal only, those multi-grid buckets,
-which the companion oracle reads: every statistic is a function of the
-histogram, and a key missing from the multi-grid buckets belongs to a single
-grid. The generator sweeps no census: it counts one regime's group of one
-first row sum with the dict count, `_group_counts`, only when a draw first
-lands there, so a run counts only the groups its draws need.
+is final: its bucket sizes, one byte per bucket, are folded into its
+regime's histogram by `_fold`, one C pass of `bytes.count` per size up to
+the largest (a bucket of 256 grids or more raises RuntimeError), the full
+diagonal's buckets of two or more grids are picked from the same bytes by a
+mask and kept, and the rest is dropped before the next regime is counted,
+so one regime's counts of one group are alive at a time. The whole sweep
+runs in the calling process. A report is that histogram plus, for the full
+diagonal only, those multi-grid buckets, which the companion oracle reads:
+every statistic is a function of the histogram, and a key missing from the
+multi-grid buckets belongs to a single grid. The generator sweeps no
+census: it counts one regime's group of one first row sum with the dict
+count, `_group_counts`, only when a draw first lands there, so a run counts
+only the groups its draws need.
 
 The dict count serves the full diagonal and the first two diagonal cells,
 and is the reference the other count is tested against. No field of the
@@ -39,14 +42,12 @@ fields in place, so dropping low fields distributes over the sum: a
 regime's key of first row plus lower rows is (head >> drop) + (tail >>
 drop). The sweep uses this to count without running Python per grid. For
 each digit set of the group's first row it builds the 720 keys of the rows
-below once, each a row-2 key plus a row-3 key read from two tables of the
-504 ordered triples (built on first use), then, per regime and for each of
-the set's 6 row orderings, counts head + tail over all 720 tails in C
-(`collections._count_elements`). Each key is built as (cap + head) - (cap -
-tail), cap being above every key: CPython gives the result of int + int a
-spare digit, which a stored two-digit full-diagonal key would keep, while
-int - int sizes it to its larger operand, so the 351,432 stored keys stay
-in 32-byte blocks.
+below once, per split of the other six digits into rows 2 and 3: 6 row-2
+keys plus 6 row-3 keys, read from two tables of the 504 ordered triples
+(built on first use) and added in C. Then, per regime and for each of the
+set's 6 row orderings, it counts head + tail over all 720 tails in C
+(`collections._count_elements`), each key built as (cap + head) - (cap -
+tail), cap being above every key, for the reason `_count_group` gives.
 
 The dense count serves `top-left` and `none`, whose keys within a group are
 few: it holds a group's counts as 8-bit lanes of Python ints, one lane per
@@ -54,31 +55,28 @@ key. A grid (a, b, c / d, e, f / g, h, k) lies in lane r2*361 + c1*19 + c2
 (row 2's sum, then columns 1 and 2); every sum is 6..24, so each field
 spans 19 values and none reaches the next. `none` holds one int per group
 and `top-left` one per top-left digit a. The lane is a sum of one term per
-row, so a count is a product of row polynomials: an ordering (d, e, f) of
-a row-2 or row-3 digit set adds 2**(8*(19*d + e)), so the product of a
-row-2 set's and a row-3 set's polynomials, moved up 361 lanes per unit of
-row 2's sum, counts their 36 fillings. The 20 splits of a first-row set's
-other six digits add up to its tail, built once per group for both
-regimes, and each ordering (a, b, c) of the set adds the tail moved up
-19*a + b lanes. The nonzero bytes of each int are then its keys' bucket
-sizes, counted in C. No lane of a true count passes 255 (`none`'s buckets
-hold at most 80 grids), and a lane that did would carry into the next one
-and take 255 off the sum of the lanes, so the fold checks that a group's
-lanes hold 4,320 grids per first-row digit set and raises RuntimeError
-otherwise. The 84 row polynomials are built once per sweep.
+row, so a count is a product of row polynomials: an ordering (d, e, f) of a
+row-2 or row-3 digit set adds 2**(8*(19*d + e)), so the product of a row-2
+set's and a row-3 set's polynomials, moved up 361 lanes per unit of row 2's
+sum, counts their 36 fillings. The 20 splits of a first-row set's other six
+digits add up to its tail, built once per group for both regimes, and each
+ordering (a, b, c) of the set adds the tail moved up 19*a + b lanes. The
+nonzero bytes of each int are then its keys' bucket sizes. No lane of a
+true count passes 255 (`none`'s buckets hold at most 80 grids), and a lane
+that did would carry into the next one and take 255 off the sum of the
+lanes, so the dense count checks that a group's lanes hold 4,320 grids per
+first-row digit set and raises RuntimeError otherwise. The 84 row
+polynomials are built once per sweep.
 
 The companion scan is a second route to the full-diagonal count that reads
 no bucket: it returns the 22,896 (grid, companion) pairs of the shift
 structure as a sorted list of 18-byte values, one byte per cell, and
 `verify` counts the puzzles from them. Each entry (shift, required) of
 `shift_match_table()` names its candidate grids, and each candidate has
-exactly one companion, built from the entry alone: the grid with its
-+cells raised by the shift and its -cells lowered by it. No other entry
-can give it a second one, since two entries of one diagonal with the same
-`required` would need minus = required + s1 = required + s2, so s1 = s2.
-The scan builds the 36 (+cell, -cell) orderings of an entry and their 36
-shifted twins once, and scatters both below each ordering of the diagonal,
-so it runs no Python per grid and calls no `companion_cells`.
+exactly one companion, built from the entry alone (`companion_scan` says
+why). The scan builds the 36 (+cell, -cell) orderings of an entry and their
+36 shifted twins once, and scatters both below each ordering of the
+diagonal, so it runs no Python per grid and calls no `companion_cells`.
 
 The companion oracle checks once that it was given such a list, then
 checks the pairs against the census's multi-grid buckets, 2,048 at a time,
@@ -100,7 +98,7 @@ import struct
 from collections import Counter, _count_elements
 from collections.abc import Mapping
 from functools import cache
-from itertools import chain, combinations, compress, islice, permutations, repeat
+from itertools import chain, combinations, compress, islice, permutations, product, repeat, starmap
 from math import factorial
 from operator import add, ge, itemgetter, mul, not_, or_, sub
 from types import MappingProxyType
@@ -165,23 +163,27 @@ def _row_keys() -> tuple[dict[tuple[int, ...], int], dict[tuple[int, ...], int]]
     )
 
 
+def _group_fault(regime: PrescriptionRegime, r1: int, fault: str) -> RuntimeError:
+    """The error for a fault found in `regime`'s group of first row sum `r1`."""
+    return RuntimeError(f"{regime.value} group of first row sum {r1} {fault}")
+
+
 def _group_rows(r1: int) -> list[tuple[list[int], list[int]]]:
     """Full-diagonal keys of the first rows and of the rows below, per
     first-row digit set summing to `r1`: the 6 orderings of the set as heads
-    and the 720 fillings of the other six digits as tails. A tail's key is
-    its row 2's key plus its row 3's (the key is linear in the cells)."""
-    head_weights = _WEIGHTS[:3]
+    and the 720 fillings of the other six digits as tails, in order of their
+    split into rows 2 and 3. A tail's key is its row 2's key plus its row 3's."""
     second, third = _row_keys()
-    digits = range(1, 10)
     rows = []
-    for first in combinations(digits, 3):
+    for first in combinations(range(1, 10), 3):
         if sum(first) != r1:
             continue
-        rest = [d for d in digits if d not in first]
-        rows.append((
-            [sum(map(mul, row, head_weights)) for row in permutations(first)],
-            [second[lower[:3]] + third[lower[3:]] for lower in permutations(rest)],
-        ))
+        rest = [d for d in range(1, 10) if d not in first]
+        tails: list[int] = []
+        for pick in combinations(rest, 3):
+            row3 = list(map(third.__getitem__, permutations(d for d in rest if d not in pick)))
+            tails += starmap(add, product(map(second.__getitem__, permutations(pick)), row3))
+        rows.append(([sum(map(mul, row, _WEIGHTS[:3])) for row in permutations(first)], tails))
     return rows
 
 
@@ -204,6 +206,7 @@ def _count_group(drop: int, rows: list[tuple[list[int], list[int]]]) -> dict[int
 # the regimes the sweep counts as lane-packed ints (see the module docstring)
 _DENSE = (PrescriptionRegime.TOP_LEFT, PrescriptionRegime.NONE)
 _Tails = list[tuple[tuple[int, ...], int]]  # per first-row digit set, the set and its tail
+_MULTI = bytes(n >= 2 for n in range(256))  # 1 for a bucket size of two or more
 
 
 def _row_polynomials() -> dict[tuple[int, ...], int]:
@@ -254,21 +257,33 @@ def _dense_lanes(regime: PrescriptionRegime, tails: _Tails) -> list[int]:
     return list(lanes.values())
 
 
+def _fold(sizes: dict[int, int], vals: bytes) -> dict[int, int]:
+    """Add the bucket sizes `vals`, one byte per bucket, to the histogram
+    `sizes` and return it: one C pass of `bytes.count` per size up to the
+    largest. Raises RuntimeError for a zero byte, a bucket of no grids."""
+    if 0 in vals:
+        raise RuntimeError("bucket sizes include an empty bucket")
+    left, k = len(vals), 0
+    while left:
+        k += 1
+        if n := vals.count(k):
+            sizes[k] = sizes.get(k, 0) + n
+            left -= n
+    return sizes
+
+
 def _count_dense(sizes: dict[int, int], regime: PrescriptionRegime, r1: int, tails: _Tails) -> None:
     """Fold `regime`'s counts of the group of first row sum `r1`, from its
     `_group_tails`, into the histogram `sizes`. Raises RuntimeError unless
     its lanes hold 4,320 grids per first-row digit set: a lane that passed
     255 carried, and took 255 off that total."""
     grids = sum(map(mul, sizes.keys(), sizes.values()))
-    for packed in _dense_lanes(regime, tails):
-        lanes = packed.to_bytes((packed.bit_length() + 7) // 8, "little")
-        _count_elements(sizes, lanes.translate(None, b"\0"))
+    for lanes in _dense_lanes(regime, tails):
+        _fold(sizes, lanes.to_bytes((lanes.bit_length() + 7) // 8, "little").translate(None, b"\0"))
     got = sum(map(mul, sizes.keys(), sizes.values())) - grids
     wanted = factorial(3) * factorial(6) * len(tails)
     if got != wanted:
-        raise RuntimeError(
-            f"{regime.value} group of first row sum {r1} holds {got} grids, expected {wanted}"
-        )
+        raise _group_fault(regime, r1, f"holds {got} grids, expected {wanted}")
 
 
 def _is_int_dict(value: object) -> bool:
@@ -276,9 +291,11 @@ def _is_int_dict(value: object) -> bool:
     return isinstance(value, Mapping) and all(map(_is_int, chain(value, value.values())))
 
 
-def _multi_of(counts: dict[int, int]) -> dict[int, int]:
-    """The buckets of two or more grids among one group's final counts."""
-    return {key: n for key, n in counts.items() if n >= 2}
+def _multi_of(counts: dict[int, int], vals: bytes) -> dict[int, int]:
+    """The buckets of two or more grids among one group's final counts,
+    whose sizes are `vals`, one byte per key in the order of `counts`. In
+    order, those buckets' sizes are `vals` less its bytes 0 and 1."""
+    return dict(zip(compress(counts, vals.translate(_MULTI)), vals.translate(None, b"\0\1")))
 
 
 def _group_counts(regime: PrescriptionRegime, r1: int) -> dict[int, int]:
@@ -297,9 +314,7 @@ def _group_counts(regime: PrescriptionRegime, r1: int) -> dict[int, int]:
     # each digit set gives 3! first rows, each over the 6! fillings below
     grids, wanted = sum(counts.values()), factorial(3) * factorial(6) * digit_sets
     if grids != wanted:
-        raise RuntimeError(
-            f"{regime.value} group of first row sum {r1} holds {grids} grids, expected {wanted}"
-        )
+        raise _group_fault(regime, r1, f"holds {grids} grids, expected {wanted}")
     return counts
 
 
@@ -397,9 +412,13 @@ def _reports(regimes: tuple[PrescriptionRegime, ...]) -> dict[PrescriptionRegime
             rows = _group_rows(r1)
             for regime in keyed:
                 counts = _count_group(_DROP[regime], rows)
-                _count_elements(sizes[regime], counts.values())
+                try:
+                    vals = bytes(counts.values())
+                except ValueError:
+                    raise _group_fault(regime, r1, "has a bucket of 256 grids or more") from None
+                _fold(sizes[regime], vals)
                 if regime is full:
-                    multi.update(_multi_of(counts))
+                    multi.update(_multi_of(counts, vals))
                 del counts  # freed before the next regime's dict grows
         if dense:
             tails = _group_tails(r1, polynomials)

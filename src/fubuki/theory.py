@@ -118,8 +118,8 @@ def classify_diagonal(diagonal: Iterable[int]) -> DiagonalClass:
 def shift_table_to_csv(table: Mapping[tuple[int, int, int], frozenset[int]]) -> str:
     """CSV with header `diagonal,shifts`, rows ordered lexicographically.
 
-    Raises ValueError unless each key of `table` is 3 distinct digits and
-    each of its shifts an int.
+    Raises ValueError unless each key of `table` is a diagonal, 3 distinct
+    digits in increasing order, and each of its shifts an int in 1..8.
     """
     import csv
     import io
@@ -127,8 +127,8 @@ def shift_table_to_csv(table: Mapping[tuple[int, int, int], frozenset[int]]) -> 
     try:
         rows = [(diag, sorted(table[diag])) for diag in sorted(table)]
         for diag, shifts in rows:
-            _check_diagonal(diag)
-            if not all(map(_is_int, shifts)):
+            shifts_ok = all(_is_int(s) and 1 <= s <= 8 for s in shifts)
+            if _check_diagonal(diag) != diag or not shifts_ok:
                 raise TypeError
     except (TypeError, LookupError, ValueError):
         raise _bad("table", "a mapping of diagonals to shifts", table) from None

@@ -12,7 +12,7 @@ import json
 import subprocess
 import sys
 from collections import Counter
-from itertools import islice
+from itertools import combinations, islice, permutations
 from operator import ge
 from pathlib import Path
 
@@ -159,6 +159,33 @@ def group_counts(regime, r1):
     return census._count_group(census._DROP[regime], census._group_rows(r1))
 
 
+def group_rows(r1):
+    """The sweep's dict-count rows of first row sum `r1`: per first-row
+    digit set, the full-diagonal keys of its 6 orderings (heads) and of the
+    720 fillings of the rows below (tails)."""
+    return census._group_rows(r1)
+
+
+def tails_by_filling(r1):
+    """Per first-row digit set summing to `r1`, the full-diagonal keys of
+    the 720 fillings of the rows below, built one filling at a time in the
+    order of `permutations`: the reference for the sweep's tails, which it
+    builds per split of the six digits into rows 2 and 3."""
+    second, third = census._row_keys()
+    digits = range(1, 10)
+    return [
+        [second[p[:3]] + third[p[3:]] for p in permutations(d for d in digits if d not in first)]
+        for first in combinations(digits, 3)
+        if sum(first) == r1
+    ]
+
+
+def fold(sizes, vals):
+    """The sweep's fold of the bucket sizes `vals`, one byte per bucket,
+    into the histogram `sizes`, which it returns."""
+    return census._fold(sizes, vals)
+
+
 def dense_sizes(regime, r1):
     """The histogram of bucket sizes that the sweep's dense count, which
     serves `top-left` and `none`, folds from `regime`'s group of first row
@@ -174,7 +201,8 @@ def group_multi_buckets(regime, r1):
     `r1`, counted and checked as the generator counts a group: a ValueError
     for a bad `regime` or `r1` before counting, a RuntimeError for a group
     short of grids."""
-    return census._multi_of(census._group_counts(regime, r1))
+    counts = census._group_counts(regime, r1)
+    return census._multi_of(counts, bytes(counts.values()))
 
 
 # the names of the functions that build and count a group, by either count,
@@ -211,6 +239,26 @@ def short_groups(monkeypatch):
         return counts
 
     monkeypatch.setattr(census, "_count_group", short)
+
+
+def oversize_buckets(monkeypatch):
+    """Move grids from the later buckets of every group the dict count
+    counts into its first bucket, until that holds 256 grids: the group
+    still holds every grid, but the bucket no longer fits a byte."""
+    count = census._count_group
+
+    def oversized(drop, rows):
+        counts = count(drop, rows)
+        first, *others = counts
+        for key in others:
+            taken = min(256 - counts[first], counts[key])
+            counts[first] += taken
+            counts[key] -= taken
+            if not counts[key]:
+                del counts[key]
+        return counts
+
+    monkeypatch.setattr(census, "_count_group", oversized)
 
 
 def drop_row_orderings(monkeypatch):

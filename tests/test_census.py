@@ -270,6 +270,18 @@ class TestSweepMechanics:
                 multi = group_buckets[regime]
             assert {key: n for key, n in merged.items() if n >= 2} == multi
 
+    def test_group_rows_hold_every_filling(self):
+        # the tails are built per split of the six digits into rows 2 and 3:
+        # the same keys as one filling at a time, in another order
+        for r1 in FIRST_ROW_SUMS:
+            rows = internals.group_rows(r1)
+            reference = internals.tails_by_filling(r1)
+            assert len(rows) == len(reference) == len(digit_sets(r1))
+            for (heads, tails), by_filling, first in zip(rows, reference, digit_sets(r1)):
+                assert heads == [signature_key(p + (0,) * 6, R.FULL_DIAGONAL)
+                                 for p in permutations(first)]
+                assert sorted(tails) == sorted(by_filling)
+
     def test_reports_fold_exactly_the_group_counts(self, monkeypatch):
         # stand-in counts per (regime, first row sum) that hold the group's
         # grids: a single-grid bucket, a bucket of r1 grids (r1 + 1 under
@@ -357,6 +369,61 @@ class TestDenseCount:
         assert result.stdout == "".join(
             f"{name} group of first row sum 6 holds {n} grids, expected 4320\n"
             for name, n in grids.items()
+        )
+
+
+class TestFold:
+    @settings(deadline=None, database=None)
+    @given(st.binary().map(lambda b: b.translate(None, b"\0")), st.binary(min_size=1, max_size=64))
+    def test_matches_a_counter(self, vals, before):
+        assert internals.fold({}, vals) == Counter(vals)
+        # folding into a histogram adds to it, in place
+        held = dict(Counter(before.translate(None, b"\0")))
+        sizes = dict(held)
+        assert internals.fold(sizes, vals) is sizes
+        assert Counter(sizes) == Counter(held) + Counter(vals)
+
+    @pytest.mark.parametrize("vals", [b"\0", b"\1\0\2", b"\2" * 9 + b"\0"], ids=repr)
+    def test_rejects_an_empty_bucket(self, vals):
+        sizes = {1: 3}
+        with pytest.raises(RuntimeError, match="empty bucket"):
+            internals.fold(sizes, vals)
+        assert sizes == {1: 3}
+
+    def test_rejects_an_oversized_bucket_under_optimize(self):
+        # a real raise, not an assert that -O strips; bytes() alone would
+        # raise a bare ValueError for a size of 256. First row sum 6 is the
+        # first group counted
+        code = (
+            "import sys\n"
+            f"sys.path.insert(0, {internals.HERE!r})\n"
+            "import pytest, internals\n"
+            "from fubuki import census, cli\n"
+            "from fubuki.core import PrescriptionRegime as R\n"
+            "internals.oversize_buckets(pytest.MonkeyPatch())\n"
+            "try:\n"
+            "    census(R.FULL_DIAGONAL)\n"
+            "except RuntimeError as error:\n"
+            "    print(error)\n"
+            "else:\n"
+            "    raise SystemExit('accepted an oversized bucket')\n"
+            "print('exit', cli.main(['verify', '--all']))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        error = "full_diagonal group of first row sum 6 has a bucket of 256 grids or more"
+        lines = result.stdout.splitlines()
+        assert lines[0] == error
+        assert lines[-1] == "exit 3"
+        regimes = [line for line in lines[1:-1] if line.startswith("regime ")]
+        assert regimes == [
+            f"regime {name}: solvable puzzles: error (expected {EXPECTED_PUZZLE_COUNTS[r]}) FAIL"
+            for r, name in zip(R, ("full-diagonal", "first-two-diagonal", "top-left", "none"))
+        ]
+        assert f"mismatch: regime full-diagonal: solvable puzzles: RuntimeError: {error}" in (
+            result.stderr.splitlines()
         )
 
 

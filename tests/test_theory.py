@@ -223,11 +223,14 @@ class TestShiftTable:
     @pytest.mark.parametrize(
         "table",
         [{"abc": frozenset()}, {(1, 2, 3): frozenset({"x"})}, {(1, 1, 2): frozenset()},
-         {(0, 1, 2): frozenset()}, {(1, 2, 3): frozenset({True})}, {(1, 2, 3): "13"}],
-        ids=["str-key", "str-shift", "repeated-digit", "not-a-digit", "bool-shift", "str-shifts"],
+         {(0, 1, 2): frozenset()}, {(1, 2, 3): frozenset({True})}, {(1, 2, 3): "13"},
+         {(3, 2, 1): frozenset({1}), (1, 2, 3): frozenset()}, {(1, 2, 3): frozenset({-5, 0, 99})}],
+        ids=["str-key", "str-shift", "repeated-digit", "not-a-digit", "bool-shift", "str-shifts",
+             "unsorted-key", "shift-out-of-range"],
     )
     def test_csv_rejects_a_malformed_table(self, table):
-        # the first two were written as rows '"a,b,c",' and '"1,2,3",x'
+        # these were written as rows '"a,b,c",' and '"1,2,3",x', as two rows
+        # '"1,2,3",' and '"3,2,1",1' for one diagonal, and as '"1,2,3","-5,0,99"'
         with pytest.raises(ValueError) as error:
             shift_table_to_csv(table)
         assert str(error.value) == f"table must be a mapping of diagonals to shifts, got {table!r}"
