@@ -16,57 +16,64 @@ prescribes a prefix of the diagonal, so a regime's key is the full-diagonal
 key with 4 bits dropped per unprescribed diagonal cell. The first row sum r1
 leads every regime's key, so two first row sums never share a key.
 
-The sweep counts one first row sum at a time (19 groups of at most 8 of the
-84 first-row digit sets), and within a group one regime at a time, by one
-of two counts chosen by regime. Because no key spans two groups, each count
-is final: its bucket sizes, one byte per bucket, are folded into its
-regime's histogram by `_fold`, one C pass of `bytes.count` per size up to
-the largest (a bucket of 256 grids or more raises RuntimeError), the full
-diagonal's buckets of two or more grids are picked from the same bytes by a
-mask and kept, and the rest is dropped before the next regime is counted,
-so one regime's counts of one group are alive at a time. The whole sweep
-runs in the calling process. A report is that histogram plus, for the full
-diagonal only, those multi-grid buckets, which the companion oracle reads:
-every statistic is a function of the histogram, and a key missing from the
-multi-grid buckets belongs to a single grid. The generator sweeps no
-census: it counts one regime's group of one first row sum with the dict
-count, `_group_counts`, only when a draw first lands there, so a run counts
-only the groups its draws need.
+The sweep counts each regime's grids in groups that share no key, so each
+group's count is final once it is made: the full diagonal per diagonal
+ordering (a, e, k) and the first two cells per ordering (a, e), which their
+keys hold, by the diagonal count; `top-left` and `none` per first row sum,
+by the dense count. Both hold a group's counts in 8-bit lanes of Python
+ints, and the nonzero bytes are its buckets' sizes, which `_fold` adds to
+the regime's histogram, one C pass of `bytes.count` per size up to the
+largest, before the next group is counted. No lane of a true count passes
+255 (a bucket holds at most 2, 6, 18 and 80 grids by regime), and one that
+did would carry into the next and take 255 off the lanes' total, so each
+count checks that total and raises RuntimeError naming the regime and the
+group. The full diagonal's buckets of two or more grids are picked from the
+same bytes by the mask `_MULTI` and kept. The whole sweep runs in the
+calling process. A report is that histogram plus, for the full diagonal
+only, those multi-grid buckets, which the companion oracle reads: every
+statistic is a function of the histogram, and a key missing from the
+multi-grid buckets belongs to a single grid. No field of the packing ever
+carries into the next (a line sum is at most 24 < 32, a cell at most 9 <
+16), so the key is linear in the cells: it is the sum of each cell times
+the key of its unit grid, and dropping low fields distributes over a sum of
+partial keys.
 
-The dict count serves the full diagonal and the first two diagonal cells,
-and is the reference the other count is tested against. No field of the
-packing ever carries into the next (a line sum is at most 24 < 32, a cell
-at most 9 < 16), so the key is linear in the cells: it is the sum of each
-cell times the key of its unit grid. Adding two partial keys adds their
-fields in place, so dropping low fields distributes over the sum: a
-regime's key of first row plus lower rows is (head >> drop) + (tail >>
-drop). The sweep uses this to count without running Python per grid. For
-each digit set of the group's first row it builds the 720 keys of the rows
-below once, per split of the other six digits into rows 2 and 3: 6 row-2
-keys plus 6 row-3 keys, read from two tables of the 504 ordered triples
-(built on first use) and added in C. Then, per regime and for each of the
-set's 6 row orderings, it counts head + tail over all 720 tails in C
-(`collections._count_elements`), each key built as (cap + head) - (cap -
-tail), cap being above every key, for the reason `_count_group` gives.
+The diagonal count: with the diagonal ordering (a, e, k) fixed, a grid (a,
+b, c / d, e, f / g, h, k) has r1 = a + (b+c), r2 = e + (d+f), c1 = a +
+(d+g) and c2 = e + (b+h), so four sums of two distinct digits, each in
+3..17, fix its bucket. Per diagonal digit set, `_diagonal_lanes` keeps a
+dict from the key of (b, c, h), fixed by b+c and b+h, to an int of 15 x 15
+lanes, one per (d+f, d+g): for each of the 20 splits of the other six
+digits into {b, c, h} and {d, f, g}, each ordering of the first adds the
+second's row polynomial, the sum of its 6 orderings' lanes. A bucket's key
+is its diagonal ordering's key plus its dict key plus its lane's key. Each
+of a set's 6 orderings folds the set's lanes, 720 grids, and takes its
+multi-grid buckets from the lanes of two or more, found by `bytes.find` on
+the mask. A pair {a, e} of the first two cells sums the dicts of its 7 sets
+{a, e, k}, 5,040 grids, and (a, e) and (e, a) each fold that sum. Reusing a
+set's or a pair's lanes across its orderings is not canonicalisation: no
+grid stands for another. The orderings differ in the key fields of a, e
+and k, outside the lanes, so each one's buckets are exactly those lanes,
+and each runs its own fold, so each histogram still totals 9! through
+`CensusReport`'s check.
 
-The dense count serves `top-left` and `none`, whose keys within a group are
-few: it holds a group's counts as 8-bit lanes of Python ints, one lane per
-key. A grid (a, b, c / d, e, f / g, h, k) lies in lane r2*361 + c1*19 + c2
-(row 2's sum, then columns 1 and 2); every sum is 6..24, so each field
-spans 19 values and none reaches the next. `none` holds one int per group
-and `top-left` one per top-left digit a. The lane is a sum of one term per
-row, so a count is a product of row polynomials: an ordering (d, e, f) of a
-row-2 or row-3 digit set adds 2**(8*(19*d + e)), so the product of a row-2
-set's and a row-3 set's polynomials, moved up 361 lanes per unit of row 2's
-sum, counts their 36 fillings. The 20 splits of a first-row set's other six
-digits add up to its tail, built once per group for both regimes, and each
-ordering (a, b, c) of the set adds the tail moved up 19*a + b lanes. The
-nonzero bytes of each int are then its keys' bucket sizes. No lane of a
-true count passes 255 (`none`'s buckets hold at most 80 grids), and a lane
-that did would carry into the next one and take 255 off the sum of the
-lanes, so the dense count checks that a group's lanes hold 4,320 grids per
-first-row digit set and raises RuntimeError otherwise. The 84 row
+The dense count: a grid (a, b, c / d, e, f / g, h, k) lies in lane
+r2*361 + c1*19 + c2 (row 2's sum, then columns 1 and 2); every sum is
+6..24, so each field spans 19 values and none reaches the next. `none`
+holds one int per group and `top-left` one per top-left digit a. The lane
+is a sum of one term per row, so a count is a product of row polynomials:
+an ordering (d, e, f) of a row-2 or row-3 digit set adds 2**(8*(19*d + e)),
+so the product of a row-2 set's and a row-3 set's polynomials, moved up 361
+lanes per unit of row 2's sum, counts their 36 fillings. The 20 splits of a
+first-row set's other six digits add up to its tail, built once per group
+for both regimes, and each ordering (a, b, c) of the set adds the tail
+moved up 19*a + b lanes: 4,320 grids per first-row digit set. The 84 row
 polynomials are built once per sweep.
+
+The generator sweeps no census: it counts one regime's group of one first
+row sum with its own count, the dict count (`generate._group_counts`), only
+when a draw first lands there. That count is also the reference the lane
+counts are tested against.
 
 The companion scan is a second route to the full-diagonal count that reads
 no bucket: it returns the 22,896 (grid, companion) pairs of the shift
@@ -95,12 +102,11 @@ oracle's peak stays near that of the scan it reads.
 from __future__ import annotations
 
 import struct
-from collections import Counter, _count_elements
+from collections import Counter
 from collections.abc import Mapping
-from functools import cache
-from itertools import chain, combinations, compress, islice, permutations, product, repeat, starmap
+from itertools import chain, combinations, compress, islice, permutations, repeat
 from math import factorial
-from operator import add, ge, itemgetter, mul, not_, or_, sub
+from operator import add, ge, itemgetter, mul, not_, or_
 from types import MappingProxyType
 from typing import Iterator, NamedTuple
 
@@ -131,7 +137,6 @@ def _pack(cells: tuple[int, ...]) -> int:
 
 # keys are linear in the cells (see the module docstring): the key of each unit grid
 _WEIGHTS = tuple(_pack(tuple(int(i == j) for j in range(9))) for i in range(9))
-_TOP = 9 * sum(_WEIGHTS)  # at least every key
 
 
 # bits each regime's key drops off the full-diagonal key
@@ -152,55 +157,9 @@ def signature_key(cells: tuple[int, ...], regime: PrescriptionRegime) -> int:
     return _pack(cells) >> drop
 
 
-@cache
-def _row_keys() -> tuple[dict[tuple[int, ...], int], dict[tuple[int, ...], int]]:
-    """The full-diagonal keys of rows 2 and 3 alone, by their cells: one
-    table each over the 504 ordered triples of distinct digits."""
-    triples = list(permutations(range(1, 10), 3))
-    return tuple(
-        {row: sum(map(mul, row, weights)) for row in triples}
-        for weights in (_WEIGHTS[3:6], _WEIGHTS[6:])
-    )
-
-
-def _group_fault(regime: PrescriptionRegime, r1: int, fault: str) -> RuntimeError:
-    """The error for a fault found in `regime`'s group of first row sum `r1`."""
-    return RuntimeError(f"{regime.value} group of first row sum {r1} {fault}")
-
-
-def _group_rows(r1: int) -> list[tuple[list[int], list[int]]]:
-    """Full-diagonal keys of the first rows and of the rows below, per
-    first-row digit set summing to `r1`: the 6 orderings of the set as heads
-    and the 720 fillings of the other six digits as tails, in order of their
-    split into rows 2 and 3. A tail's key is its row 2's key plus its row 3's."""
-    second, third = _row_keys()
-    rows = []
-    for first in combinations(range(1, 10), 3):
-        if sum(first) != r1:
-            continue
-        rest = [d for d in range(1, 10) if d not in first]
-        tails: list[int] = []
-        for pick in combinations(rest, 3):
-            row3 = list(map(third.__getitem__, permutations(d for d in rest if d not in pick)))
-            tails += starmap(add, product(map(second.__getitem__, permutations(pick)), row3))
-        rows.append(([sum(map(mul, row, _WEIGHTS[:3])) for row in permutations(first)], tails))
-    return rows
-
-
-def _count_group(drop: int, rows: list[tuple[list[int], list[int]]]) -> dict[int, int]:
-    """Signature counts under one key drop over the grids of a group's rows."""
-    counts: dict[int, int] = {}
-    cap = _TOP >> drop
-    # refilled in place: a new 720-slot list per digit set, alive while the dict
-    # grows, would sit in the holes it frees and keep those from coalescing
-    lowers = [0] * factorial(6)
-    for heads, tails in rows:
-        # key = (cap + head) - (cap - tail): CPython's int + int allocates a
-        # spare digit that a two-digit key keeps, int - int does not
-        lowers[:] = [cap - (tail >> drop) for tail in tails]
-        for head in heads:
-            _count_elements(counts, map(sub, repeat(cap + (head >> drop)), lowers))
-    return counts
+def _fault(regime: PrescriptionRegime, where: str, fault: str) -> RuntimeError:
+    """The error for a fault found in `regime`'s count of the grids `where` names."""
+    return RuntimeError(f"{regime.value} {where} {fault}")
 
 
 # the regimes the sweep counts as lane-packed ints (see the module docstring)
@@ -283,39 +242,67 @@ def _count_dense(sizes: dict[int, int], regime: PrescriptionRegime, r1: int, tai
     got = sum(map(mul, sizes.keys(), sizes.values())) - grids
     wanted = factorial(3) * factorial(6) * len(tails)
     if got != wanted:
-        raise _group_fault(regime, r1, f"holds {got} grids, expected {wanted}")
+        group = f"group of first row sum {r1}"
+        raise _fault(regime, group, f"holds {got} grids, expected {wanted}")
+
+
+# the diagonal count's 15 x 15 lanes (d+f, d+g), each sum in 3..17, and each
+# lane's full-diagonal key: d+f and d+g weigh as cells f and g do
+_SUMS = 15
+_LANES = _SUMS * _SUMS
+_LANE_KEYS = [(i // _SUMS + 3) * _WEIGHTS[5] + (i % _SUMS + 3) * _WEIGHTS[6] for i in range(_LANES)]
+_Lanes = dict[int, int]  # a group's ints of _LANES lanes, by the key of (b, c, h)
+
+
+def _sum_polynomials() -> dict[tuple[int, ...], int]:
+    """Per digit set of the cells d, f, g, its 6 orderings as one lane-packed
+    int: the sum of 2**(8*(15*(d+f-3) + d+g-3)), the lane of (d+f, d+g)."""
+    return {
+        row: sum(1 << 8 * (_SUMS * (d + f - 3) + d + g - 3) for d, f, g in permutations(row))
+        for row in combinations(range(1, 10), 3)
+    }
+
+
+def _diagonal_lanes(diagonal: tuple[int, ...], polynomials: dict[tuple[int, ...], int]) -> _Lanes:
+    """The 720 fillings of the off-diagonal cells around any ordering of
+    the digit set `diagonal`, in lanes. `polynomials` is `_sum_polynomials()`."""
+    rest = [d for d in range(1, 10) if d not in diagonal]
+    lanes: _Lanes = {}
+    for x in combinations(rest, 3):
+        y = polynomials[tuple(d for d in rest if d not in x)]
+        for b, c, h in permutations(x):
+            key = (b + c) * _WEIGHTS[2] + (b + h) * _WEIGHTS[7]
+            lanes[key] = lanes.get(key, 0) + y
+    return lanes
+
+
+def _pair_lanes(pair: tuple[int, ...], sets: dict[tuple[int, ...], _Lanes]) -> _Lanes:
+    """The lanes of the first two diagonal cells' digits `pair`: the sum of
+    the `_diagonal_lanes` in `sets` of each set holding both."""
+    summed: _Lanes = {}
+    for diagonal, lanes in sets.items():
+        if pair[0] in diagonal and pair[1] in diagonal:
+            for key, packed in lanes.items():
+                summed[key] = summed.get(key, 0) + packed
+    return summed
+
+
+def _lane_bytes(
+    lanes: _Lanes, regime: PrescriptionRegime, where: str, wanted: int
+) -> tuple[bytes, bytes]:
+    """`lanes`' ints as bytes end to end, _LANES per int, and their nonzero
+    bytes, the bucket sizes. Raises RuntimeError unless those hold `wanted`
+    grids: a lane that passed 255 carried, and took 255 off that total."""
+    blob = b"".join(map(int.to_bytes, lanes.values(), repeat(_LANES), repeat("little")))
+    vals = blob.translate(None, b"\0")
+    if (held := sum(vals)) != wanted:
+        raise _fault(regime, where, f"holds {held} grids, expected {wanted}")
+    return blob, vals
 
 
 def _is_int_dict(value: object) -> bool:
     """A mapping of ints to ints: what a `multi` argument must be."""
     return isinstance(value, Mapping) and all(map(_is_int, chain(value, value.values())))
-
-
-def _multi_of(counts: dict[int, int], vals: bytes) -> dict[int, int]:
-    """The buckets of two or more grids among one group's final counts,
-    whose sizes are `vals`, one byte per key in the order of `counts`. In
-    order, those buckets' sizes are `vals` less its bytes 0 and 1."""
-    return dict(zip(compress(counts, vals.translate(_MULTI)), vals.translate(None, b"\0\1")))
-
-
-def _group_counts(regime: PrescriptionRegime, r1: int) -> dict[int, int]:
-    """`regime`'s signature counts of the grids of first row sum `r1`. r1
-    leads every key, so these are the whole sweep's counts of their keys.
-
-    Raises ValueError, before counting, for a non-regime or unless `r1` is an
-    int in MIN_LINE_SUM..MAX_LINE_SUM, and RuntimeError unless the group was
-    counted over all of its grids, 4,320 per first-row digit set summing to `r1`.
-    """
-    _check_type(regime, PrescriptionRegime, "regime")
-    if not (_is_int(r1) and MIN_LINE_SUM <= r1 <= MAX_LINE_SUM):
-        raise _bad("r1", f"an integer in {MIN_LINE_SUM}..{MAX_LINE_SUM}", r1)
-    counts = _count_group(_DROP[regime], _group_rows(r1))
-    digit_sets = sum(sum(first) == r1 for first in combinations(range(1, 10), 3))
-    # each digit set gives 3! first rows, each over the 6! fillings below
-    grids, wanted = sum(counts.values()), factorial(3) * factorial(6) * digit_sets
-    if grids != wanted:
-        raise _group_fault(regime, r1, f"holds {grids} grids, expected {wanted}")
-    return counts
 
 
 class CensusReport(_Value):
@@ -396,34 +383,48 @@ class CensusReport(_Value):
         return max(self.sizes)
 
 
+def _count_diagonals(
+    sizes: dict[PrescriptionRegime, dict[int, int]], multi: dict[int, int]
+) -> None:
+    """Fold the diagonal count of the full diagonal, with its multi-grid
+    buckets, and of the first two cells, each if `sizes` holds it."""
+    full, two = PrescriptionRegime.FULL_DIAGONAL, PrescriptionRegime.FIRST_TWO_DIAGONAL
+    polynomials = _sum_polynomials()
+    sets = {d: _diagonal_lanes(d, polynomials) for d in combinations(range(1, 10), 3)}
+    for diagonal, lanes in sets.items() if full in sizes else ():
+        blob, vals = _lane_bytes(lanes, full, f"diagonal set {diagonal}", factorial(6))
+        keys, found, mask = list(lanes), [], blob.translate(_MULTI)
+        i = mask.find(1)
+        while i >= 0:
+            slot, lane = divmod(i, _LANES)
+            found.append((keys[slot] + _LANE_KEYS[lane], blob[i]))
+            i = mask.find(1, i + 1)
+        for a, e, k in permutations(diagonal):
+            _fold(sizes[full], vals)
+            head = a * _WEIGHTS[0] + e * _WEIGHTS[4] + k * _WEIGHTS[8]
+            multi.update((head + key, n) for key, n in found)
+    for pair in combinations(range(1, 10), 2) if two in sizes else ():
+        lanes = _pair_lanes(pair, sets)
+        _, vals = _lane_bytes(lanes, two, f"diagonal pair {pair}", 7 * factorial(6))
+        _fold(_fold(sizes[two], vals), vals)  # (a, e) and (e, a)
+
+
 def _reports(regimes: tuple[PrescriptionRegime, ...]) -> dict[PrescriptionRegime, CensusReport]:
-    """One sweep over all grids, counted one first row sum and, within it,
-    one regime at a time, folded into each regime's report: the dict count
-    first, then the dense count of `top-left` and `none`. Only the full
-    diagonal's report keeps its multi-grid buckets."""
+    """One sweep over all grids, folded into each regime's report: the full
+    diagonal and the first two cells by diagonal digit set, then `top-left`
+    and `none` one first row sum and, within it, one regime at a time. Only
+    the full diagonal's report keeps its multi-grid buckets."""
     full = PrescriptionRegime.FULL_DIAGONAL
     sizes: dict[PrescriptionRegime, dict[int, int]] = {r: {} for r in regimes}
     multi: dict[int, int] = {}
-    keyed = [r for r in regimes if r not in _DENSE]
+    if full in sizes or PrescriptionRegime.FIRST_TWO_DIAGONAL in sizes:
+        _count_diagonals(sizes, multi)
     dense = [r for r in regimes if r in _DENSE]
     polynomials = _row_polynomials() if dense else None
-    for r1 in range(MIN_LINE_SUM, MAX_LINE_SUM + 1):
-        if keyed:
-            rows = _group_rows(r1)
-            for regime in keyed:
-                counts = _count_group(_DROP[regime], rows)
-                try:
-                    vals = bytes(counts.values())
-                except ValueError:
-                    raise _group_fault(regime, r1, "has a bucket of 256 grids or more") from None
-                _fold(sizes[regime], vals)
-                if regime is full:
-                    multi.update(_multi_of(counts, vals))
-                del counts  # freed before the next regime's dict grows
-        if dense:
-            tails = _group_tails(r1, polynomials)
-            for regime in dense:
-                _count_dense(sizes[regime], regime, r1, tails)
+    for r1 in range(MIN_LINE_SUM, MAX_LINE_SUM + 1) if dense else ():
+        tails = _group_tails(r1, polynomials)
+        for regime in dense:
+            _count_dense(sizes[regime], regime, r1, tails)
     return {r: CensusReport(r, sizes[r], multi if r is full else None) for r in regimes}
 
 

@@ -12,7 +12,7 @@ import json
 import subprocess
 import sys
 from collections import Counter
-from itertools import combinations, islice, permutations
+from itertools import combinations, compress, islice, permutations
 from operator import ge
 from pathlib import Path
 
@@ -155,23 +155,24 @@ def wrap_pairings(monkeypatch, wrapper):
 
 
 def group_counts(regime, r1):
-    """The sweep's signature counts of `regime` over the grids of first row sum `r1`."""
-    return census._count_group(census._DROP[regime], census._group_rows(r1))
+    """The dict count's signature counts of `regime` over the grids of first
+    row sum `r1`: the generator's count, and the reference for the sweep's."""
+    return generate._count_group(census._DROP[regime], generate._group_rows(r1))
 
 
 def group_rows(r1):
-    """The sweep's dict-count rows of first row sum `r1`: per first-row
+    """The dict count's rows of first row sum `r1`: per first-row
     digit set, the full-diagonal keys of its 6 orderings (heads) and of the
     720 fillings of the rows below (tails)."""
-    return census._group_rows(r1)
+    return generate._group_rows(r1)
 
 
 def tails_by_filling(r1):
     """Per first-row digit set summing to `r1`, the full-diagonal keys of
     the 720 fillings of the rows below, built one filling at a time in the
-    order of `permutations`: the reference for the sweep's tails, which it
-    builds per split of the six digits into rows 2 and 3."""
-    second, third = census._row_keys()
+    order of `permutations`: the reference for the dict count's tails,
+    which it builds per split of the six digits into rows 2 and 3."""
+    second, third = generate._row_keys()
     digits = range(1, 10)
     return [
         [second[p[:3]] + third[p[3:]] for p in permutations(d for d in digits if d not in first)]
@@ -200,22 +201,25 @@ def group_multi_buckets(regime, r1):
     """The multi-grid buckets of `regime` among the grids of first row sum
     `r1`, counted and checked as the generator counts a group: a ValueError
     for a bad `regime` or `r1` before counting, a RuntimeError for a group
-    short of grids."""
-    counts = census._group_counts(regime, r1)
-    return census._multi_of(counts, bytes(counts.values()))
+    short of grids or with a bucket of 256 grids or more."""
+    counts, vals = generate._group_counts(regime, r1)
+    return dict(zip(compress(counts, vals.translate(census._MULTI)), vals.translate(None, b"\0\1")))
 
 
-# the names of the functions that build and count a group, by either count,
-# for a profile hook in a fresh process
+# the names of the functions that build and count a group, by any of the
+# three counts, for a profile hook in a fresh process
 GROUP_STEPS = tuple(
     step.__name__
-    for step in (census._group_rows, census._count_group, census._group_tails, census._dense_lanes)
+    for step in (generate._group_rows, generate._count_group, census._group_tails,
+                 census._dense_lanes, census._diagonal_lanes)
 )
 
 
 def before_each_group(monkeypatch, hook):
-    """Call `hook(r1)` before the rows of each group are built, for either count."""
-    rows, tails = census._group_rows, census._group_tails
+    """Call `hook(group)` before each group of grids is built, by any of the
+    three counts: `group` is the first row sum for the dict and the dense
+    counts, the diagonal digit set for the diagonal count."""
+    rows, tails, diagonal_lanes = generate._group_rows, census._group_tails, census._diagonal_lanes
 
     def hooked_rows(r1):
         hook(r1)
@@ -225,27 +229,33 @@ def before_each_group(monkeypatch, hook):
         hook(r1)
         return tails(r1, polynomials)
 
-    monkeypatch.setattr(census, "_group_rows", hooked_rows)
+    def hooked_lanes(diagonal, polynomials):
+        hook(diagonal)
+        return diagonal_lanes(diagonal, polynomials)
+
+    monkeypatch.setattr(generate, "_group_rows", hooked_rows)
     monkeypatch.setattr(census, "_group_tails", hooked_tails)
+    monkeypatch.setattr(census, "_diagonal_lanes", hooked_lanes)
 
 
 def short_groups(monkeypatch):
     """Drop one key from the counts of every group, so each misses grids."""
-    count = census._count_group
+    count = generate._count_group
 
     def short(drop, rows):
         counts = count(drop, rows)
         del counts[next(iter(counts))]
         return counts
 
-    monkeypatch.setattr(census, "_count_group", short)
+    monkeypatch.setattr(generate, "_count_group", short)
 
 
 def oversize_buckets(monkeypatch):
     """Move grids from the later buckets of every group the dict count
-    counts into its first bucket, until that holds 256 grids: the group
-    still holds every grid, but the bucket no longer fits a byte."""
-    count = census._count_group
+    counts, for the generator, into its first bucket, until that holds 256
+    grids: the group still holds every grid, but the bucket no longer fits
+    a byte."""
+    count = generate._count_group
 
     def oversized(drop, rows):
         counts = count(drop, rows)
@@ -258,7 +268,7 @@ def oversize_buckets(monkeypatch):
                 del counts[key]
         return counts
 
-    monkeypatch.setattr(census, "_count_group", oversized)
+    monkeypatch.setattr(generate, "_count_group", oversized)
 
 
 def drop_row_orderings(monkeypatch):
@@ -291,21 +301,106 @@ def carry_dense_lanes(monkeypatch):
     monkeypatch.setattr(census, "_dense_lanes", carried)
 
 
-def stub_groups(monkeypatch, rows, counts):
-    """Make the sweep build the rows of each group as `rows(r1)`, for each
-    of its two counts, and count them under a regime as `counts(regime,
-    group)`, given what `rows` returned: a dict of keys to sizes. The dense
-    count gets the sizes as the lanes of one int, so each is at most 255,
-    and checks that they hold 4,320 grids per item of `rows(r1)`."""
-    by_drop = {census._DROP[r]: r for r in PrescriptionRegime}
+def stub_groups(monkeypatch, lanes, rows, counts):
+    """Make the sweep take the lanes of each diagonal digit set as
+    `lanes(diagonal)`, a dict of keys to lane-packed ints, and for the dense
+    count, build the rows of each first row sum as `rows(r1)` and count them
+    under a regime as `counts(regime, group)`, given what `rows` returned: a
+    dict of keys to sizes, which it gets as the lanes of one int, so each is
+    at most 255. The dense count checks that those hold 4,320 grids per item
+    of `rows(r1)`."""
 
-    def lanes(regime, group):
+    def dense_lanes(regime, group):
         return [int.from_bytes(bytes(counts(regime, group).values()), "little")]
 
-    monkeypatch.setattr(census, "_group_rows", rows)
+    monkeypatch.setattr(census, "_diagonal_lanes", lambda diagonal, polynomials: lanes(diagonal))
     monkeypatch.setattr(census, "_group_tails", lambda r1, polynomials: rows(r1))
-    monkeypatch.setattr(census, "_count_group", lambda drop, group: counts(by_drop[drop], group))
-    monkeypatch.setattr(census, "_dense_lanes", lanes)
+    monkeypatch.setattr(census, "_dense_lanes", dense_lanes)
+
+
+# the diagonal count's lanes per int, one per (d+f, d+g), each sum in 3..17
+LANES = census._LANES
+
+
+def diagonal_lanes(diagonal):
+    """The diagonal count's lanes of the digit set `diagonal` (sorted): a
+    dict from the key of cells b, c, h to an int with one byte lane per
+    (d+f, d+g), lane 15*(d+f-3) + d+g-3, holding its grids' count."""
+    return census._diagonal_lanes(diagonal, census._sum_polynomials())
+
+
+def pair_lanes(pair):
+    """The diagonal count's lanes of the first two diagonal cells' digit
+    set `pair` (sorted), summed over the third, as `diagonal_lanes`."""
+    polynomials = census._sum_polynomials()
+    sets = {d: census._diagonal_lanes(d, polynomials) for d in combinations(range(1, 10), 3)}
+    return census._pair_lanes(pair, sets)
+
+
+def lane_counts(lanes, heads, regime):
+    """{signature key under `regime`: grids} that `lanes`, as
+    `diagonal_lanes` gives them, hold below each ordering of the diagonal
+    cells in `heads`, (a, e, k), read lane by lane: the key is the head's
+    plus the dict key plus the lane's, as signature keys are linear."""
+    counts, heads = {}, list(heads)
+    for key, packed in lanes.items():
+        for i, n in enumerate(packed.to_bytes(LANES, "little")):
+            if n:
+                df, dg = divmod(i, 15)
+                lane = census._pack((0, 0, 0, 0, 0, df + 3, dg + 3, 0, 0))
+                for a, e, k in heads:
+                    head = census._pack((a, 0, 0, 0, e, 0, 0, 0, k))
+                    slot = head + key + lane >> census._DROP[regime]
+                    assert slot not in counts
+                    counts[slot] = n
+    return counts
+
+
+def naive_diagonal_counts():
+    """The signature counts of all 9! grids, one grid at a time, grouped by
+    their diagonal digit set under the full diagonal and by the digit set
+    of their first two diagonal cells under the first two:
+    {regime: {sorted digits: {key: grids}}}."""
+    full, two = PrescriptionRegime.FULL_DIAGONAL, PrescriptionRegime.FIRST_TWO_DIAGONAL
+    counts = {full: {}, two: {}}
+    for cells in permutations(range(1, 10)):
+        key = census._pack(cells)
+        a, e, k = cells[0], cells[4], cells[8]
+        by_set = counts[full].setdefault(tuple(sorted((a, e, k))), Counter())
+        by_set[key] += 1
+        counts[two].setdefault(tuple(sorted((a, e))), Counter())[key >> 4] += 1
+    return counts
+
+
+def drop_sum_orderings(monkeypatch):
+    """Drop the lowest term, one ordering, of every row polynomial of the
+    diagonal count, so each diagonal set's lanes miss grids."""
+    polynomials = census._sum_polynomials
+    monkeypatch.setattr(
+        census, "_sum_polynomials", lambda: {row: p & (p - 1) for row, p in polynomials().items()}
+    )
+
+
+def carry_diagonal_lanes(monkeypatch):
+    """Move 256 grids of each diagonal set's lanes onto lane 0 of its first
+    int, (d+f, d+g) = (3, 3), which no grid fills: the set still holds its
+    grids, but that lane carries into lane 1."""
+    diagonal_lanes = census._diagonal_lanes
+
+    def carried(diagonal, polynomials):
+        lanes = diagonal_lanes(diagonal, polynomials)
+        left = 256
+        for key, packed in lanes.items():
+            held = bytearray(packed.to_bytes(LANES, "little"))
+            for i, n in enumerate(held):
+                taken = min(n, left)
+                held[i] -= taken
+                left -= taken
+            lanes[key] = int.from_bytes(held, "little")
+        lanes[next(iter(lanes))] += 256
+        return lanes
+
+    monkeypatch.setattr(census, "_diagonal_lanes", carried)
 
 
 def forget_groups():

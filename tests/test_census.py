@@ -53,8 +53,8 @@ def digit_sets(r1):
     return [first for first in combinations(range(1, 10), 3) if sum(first) == r1]
 
 
-def no_group(r1):
-    raise AssertionError(f"counted the group of first row sum {r1} for a bad argument")
+def no_group(group):
+    raise AssertionError(f"counted the group {group} for a bad argument")
 
 
 @pytest.fixture(scope="module")
@@ -167,6 +167,8 @@ class TestSweepMechanics:
                 assert signature_key(cells, regime) == reference_key(cells, regime)
 
     def test_sweep_matches_naive_count(self):
+        # the dict count, group by group: the reference both lane counts are
+        # checked against (TestDenseCount, TestDiagonalCount)
         naive: dict[R, Counter[int]] = {r: Counter() for r in R}
         for cells in permutations(range(1, 10)):
             for regime, counts in naive.items():
@@ -189,7 +191,8 @@ class TestSweepMechanics:
             assert signature_key(cells, R.FULL_DIAGONAL) == sum(map(mul, cells, weights))
 
     def test_row_tables_are_built_on_first_use(self):
-        assert internals.memos_at_import("census") == {"census._row_keys": 0}
+        assert internals.memos_at_import("census") == {}
+        assert internals.memos_at_import("generate") == {"generate._row_keys": 0}
 
     def test_report_rejects_a_short_sweep(self):
         # also when the multi-grid buckets were not kept
@@ -283,19 +286,39 @@ class TestSweepMechanics:
                 assert sorted(tails) == sorted(by_filling)
 
     def test_reports_fold_exactly_the_group_counts(self, monkeypatch):
-        # stand-in counts per (regime, first row sum) that hold the group's
-        # grids: a single-grid bucket, a bucket of r1 grids (r1 + 1 under
-        # `none`) and the rest in buckets of at most 255, as a lane holds
+        # stand-in lanes per diagonal digit set that hold its 720 grids, in
+        # two ints of a pool of three dict keys: sizes 1, 2 and 3 + s % 4,
+        # the rest in lanes of at most 30, so a pair's 7 sets sum to at most
+        # 210 a lane; and stand-in dense counts per (regime, first row sum)
+        # that hold the group's grids: a single-grid bucket, a bucket of r1
+        # grids (r1 + 1 under `none`) and the rest in buckets of at most 255
         regimes = tuple(R)
+        sets = list(combinations(range(1, 10), 3))
+        pool = [signature_key((0, 0, 3 + i, 0, 0, 0, 0, 5 + i, 0), R.FULL_DIAGONAL)
+                for i in range(3)]
+        stub_lanes = {}
+        for s, diagonal in enumerate(sets):
+            sizes = [1, 2, 3 + s % 4]
+            full, rest = divmod(720 - sum(sizes), 30)
+            sizes += [30] * full + [rest] * (rest > 0)
+            halves = [0] * (s % 5) + sizes[::2], [0] * (s % 3) + sizes[1::2]
+            stub_lanes[diagonal] = {
+                pool[(s + i) % 3]: int.from_bytes(bytes(half), "little")
+                for i, half in enumerate(halves)
+            }
         stub = {}
         for r1 in FIRST_ROW_SUMS:
             grids = 4320 * len(digit_sets(r1))
-            for regime in regimes:
+            for regime in regimes[2:]:
                 sizes = [1, r1 + (regime is R.NONE)]
                 full, rest = divmod(grids - sum(sizes), 255)
                 sizes += [255] * full + [rest] * (rest > 0)
                 stub[regime, r1] = {r1 << 12 | i: n for i, n in enumerate(sizes)}
         calls = []
+
+        def lanes(diagonal):
+            calls.append(diagonal)
+            return dict(stub_lanes[diagonal])
 
         def group_rows(r1):
             calls.append(r1)
@@ -306,29 +329,64 @@ class TestSweepMechanics:
             calls.append((regime, r1))
             return dict(stub[regime, r1])
 
-        internals.stub_groups(monkeypatch, group_rows, count_group)
+        internals.stub_groups(monkeypatch, lanes, group_rows, count_group)
         reports = census_all()
-        # per first row sum, the dict count's rows and regimes, then the
-        # dense count's rows and regimes
-        dict_counted, dense = regimes[:2], regimes[2:]
-        assert calls == [
-            c
-            for r1 in FIRST_ROW_SUMS
-            for c in (r1, *((r, r1) for r in dict_counted), r1, *((r, r1) for r in dense))
+        # the diagonal count's sets, then per first row sum the dense
+        # count's rows and regimes
+        dense = regimes[2:]
+        assert calls == sets + [
+            c for r1 in FIRST_ROW_SUMS for c in (r1, *((r, r1) for r in dense))
         ]
+
+        def lane_sizes(held):
+            # {(dict key, lane): grids} of one set's or pair's lanes
+            return {
+                (key, i): n
+                for key, packed in held.items()
+                for i, n in enumerate(packed.to_bytes(internals.LANES, "little"))
+                if n
+            }
+
+        # every ordering of a set folds its lanes, and every ordering of a
+        # pair the sum of its 7 sets' lanes
+        by_set = {diagonal: lane_sizes(held) for diagonal, held in stub_lanes.items()}
+        by_pair = {}
+        for pair in combinations(range(1, 10), 2):
+            summed = Counter()
+            for diagonal, held in by_set.items():
+                if set(pair) <= set(diagonal):
+                    summed.update(held)
+            by_pair[pair] = summed
+        want = {}
+        for regime, held, orderings in (
+            (R.FULL_DIAGONAL, by_set, 6), (R.FIRST_TWO_DIAGONAL, by_pair, 2)
+        ):
+            sizes = Counter(n for lanes_of in held.values() for n in lanes_of.values())
+            want[regime] = {k: orderings * n for k, n in sizes.items()}
+        for regime in dense:
+            want[regime] = Counter(n for r1 in FIRST_ROW_SUMS for n in stub[regime, r1].values())
         for regime in regimes:
-            counts = [n for r1 in FIRST_ROW_SUMS for n in stub[regime, r1].values()]
-            assert reports[regime].sizes == dict(Counter(counts))
+            assert reports[regime].sizes == want[regime], regime
         assert reports[R.NONE].multi is None
-        full = [stub[R.FULL_DIAGONAL, r1] for r1 in FIRST_ROW_SUMS]
-        assert reports[R.FULL_DIAGONAL].multi == {
-            key: n for counts in full for key, n in counts.items() if n >= 2
-        }
-        # one regime's census builds only the rows of its own count
+        # a multi-grid bucket's key is its ordering's, its dict key's and its lane's
+        multi = {}
+        for diagonal, held in by_set.items():
+            for (key, i), n in held.items():
+                df, dg = divmod(i, 15)
+                lane = signature_key((0, 0, 0, 0, 0, df + 3, dg + 3, 0, 0), R.FULL_DIAGONAL)
+                for a, e, k in permutations(diagonal):
+                    head = signature_key((a, 0, 0, 0, e, 0, 0, 0, k), R.FULL_DIAGONAL)
+                    if n >= 2:
+                        multi[head + key + lane] = n
+        assert reports[R.FULL_DIAGONAL].multi == multi
+        # one regime's census builds only the groups of its own count
         for regime in regimes:
             calls.clear()
             assert census(regime).sizes == reports[regime].sizes
-            assert calls == [c for r1 in FIRST_ROW_SUMS for c in (r1, (regime, r1))]
+            if regime in dense:
+                assert calls == [c for r1 in FIRST_ROW_SUMS for c in (r1, (regime, r1))]
+            else:
+                assert calls == sets
 
 
 class TestDenseCount:
@@ -392,32 +450,110 @@ class TestFold:
 
     def test_rejects_an_oversized_bucket_under_optimize(self):
         # a real raise, not an assert that -O strips; bytes() alone would
-        # raise a bare ValueError for a size of 256. First row sum 6 is the
-        # first group counted
+        # raise a bare ValueError for a size of 256. Only the generator's
+        # dict count can meet it: the sweep counts no group by dict, so
+        # `verify` still passes
         code = (
             "import sys\n"
             f"sys.path.insert(0, {internals.HERE!r})\n"
             "import pytest, internals\n"
-            "from fubuki import census, cli\n"
+            "from fubuki import cli, generate_puzzles\n"
             "from fubuki.core import PrescriptionRegime as R\n"
             "internals.oversize_buckets(pytest.MonkeyPatch())\n"
-            "try:\n"
-            "    census(R.FULL_DIAGONAL)\n"
-            "except RuntimeError as error:\n"
-            "    print(error)\n"
-            "else:\n"
-            "    raise SystemExit('accepted an oversized bucket')\n"
+            "for call in (lambda: internals.group_multi_buckets(R.FULL_DIAGONAL, 6),\n"
+            "             lambda: generate_puzzles(R.NONE, True, 7, 1)):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except RuntimeError as error:\n"
+            "        print(error)\n"
+            "    else:\n"
+            "        raise SystemExit('accepted an oversized bucket')\n"
             "print('exit', cli.main(['verify', '--all']))\n"
         )
         result = subprocess.run(
             [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=120
         )
         assert result.returncode == 0, result.stderr
-        error = "full_diagonal group of first row sum 6 has a bucket of 256 grids or more"
         lines = result.stdout.splitlines()
-        assert lines[0] == error
+        oversized = "group of first row sum {} has a bucket of 256 grids or more"
+        assert lines[0] == "full_diagonal " + oversized.format(6)
+        assert re.fullmatch("none " + oversized.format(r"\d+"), lines[1])
+        assert lines[-1] == "exit 0"
+
+
+class TestDiagonalCount:
+    @pytest.fixture(scope="class")
+    def naive(self):
+        return internals.naive_diagonal_counts()
+
+    def test_set_lanes_match_a_naive_count(self, naive):
+        want = naive[R.FULL_DIAGONAL]
+        assert len(want) == 84
+        for diagonal, counts in want.items():
+            lanes = internals.diagonal_lanes(diagonal)
+            got = internals.lane_counts(lanes, permutations(diagonal), R.FULL_DIAGONAL)
+            assert got == counts, diagonal
+
+    def test_pair_lanes_match_a_naive_count(self, naive):
+        want = naive[R.FIRST_TWO_DIAGONAL]
+        assert len(want) == 36
+        for (a, e), counts in want.items():
+            lanes = internals.pair_lanes((a, e))
+            got = internals.lane_counts(lanes, [(a, e, 0), (e, a, 0)], R.FIRST_TWO_DIAGONAL)
+            assert got == counts, (a, e)
+
+    @pytest.mark.parametrize(
+        "fault, grids",
+        [("drop_sum_orderings", (600, 4200)), ("carry_diagonal_lanes", (465, 3255))],
+    )
+    def test_rejects_a_faulty_set_or_pair_under_optimize(self, fault, grids):
+        # a real raise, not an assert that -O strips. Dropping an ordering
+        # of every row polynomial loses one grid in 6; a carried lane keeps
+        # every grid, but takes 255 off the lanes' total. The set (1, 2, 3)
+        # is checked first, and the pair (1, 2) sums 7 sets
+        code = (
+            "import sys\n"
+            f"sys.path.insert(0, {internals.HERE!r})\n"
+            "import pytest, internals\n"
+            "from fubuki import census\n"
+            "from fubuki.core import PrescriptionRegime as R\n"
+            f"internals.{fault}(pytest.MonkeyPatch())\n"
+            "for regime in (R.FULL_DIAGONAL, R.FIRST_TWO_DIAGONAL):\n"
+            "    try:\n"
+            "        census(regime)\n"
+            "    except RuntimeError as error:\n"
+            "        print(error)\n"
+            "    else:\n"
+            "        raise SystemExit(f'accepted a faulty {regime.value} count')\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == (
+            f"full_diagonal diagonal set (1, 2, 3) holds {grids[0]} grids, expected 720\n"
+            f"first_two_diagonal diagonal pair (1, 2) holds {grids[1]} grids, expected 5040\n"
+        )
+
+    def test_a_carried_lane_fails_verify_under_optimize(self):
+        # the sweep's fault is a route's: every regime line of `verify --all`
+        # reads error, and it exits 3
+        code = (
+            "import sys\n"
+            f"sys.path.insert(0, {internals.HERE!r})\n"
+            "import pytest, internals\n"
+            "from fubuki import cli\n"
+            "internals.carry_diagonal_lanes(pytest.MonkeyPatch())\n"
+            "print('exit', cli.main(['verify', '--all']))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        error = "full_diagonal diagonal set (1, 2, 3) holds 465 grids, expected 720"
+        lines = result.stdout.splitlines()
         assert lines[-1] == "exit 3"
-        regimes = [line for line in lines[1:-1] if line.startswith("regime ")]
+        regimes = [line for line in lines if line.startswith("regime ")]
         assert regimes == [
             f"regime {name}: solvable puzzles: error (expected {EXPECTED_PUZZLE_COUNTS[r]}) FAIL"
             for r, name in zip(R, ("full-diagonal", "first-two-diagonal", "top-left", "none"))
