@@ -70,10 +70,11 @@ for both regimes, and each ordering (a, b, c) of the set adds the tail
 moved up 19*a + b lanes: 4,320 grids per first-row digit set. The 84 row
 polynomials are built once per sweep.
 
-The generator sweeps no census: it counts one regime's group of one first
-row sum with its own count, the dict count (`generate._group_counts`), only
-when a draw first lands there. That count is also the reference the lane
-counts are tested against.
+The generator sweeps no census: it reads the same lanes, one group at a
+time, when a draw first lands there, the dense count's per first row sum and
+the diagonal count's per pair {a, e}, and keeps each lane's `_MULTI` flag
+(see `generate.py`). `_lane_bytes` checks those groups' totals as it checks
+the sweep's.
 
 The companion scan is a second route to the full-diagonal count that reads
 no bucket: it returns the 22,896 (grid, companion) pairs of the shift
@@ -106,9 +107,9 @@ from collections import Counter
 from collections.abc import Mapping
 from itertools import chain, combinations, compress, islice, permutations, repeat
 from math import factorial
-from operator import add, ge, itemgetter, mul, not_, or_
+from operator import add, ge, itemgetter, not_, or_
 from types import MappingProxyType
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .core import DIAGONAL_FLAT, MAX_LINE_SUM, MIN_LINE_SUM, PrescriptionRegime
 from .core import _Value, _bad, _check_type, _is_int
@@ -166,6 +167,7 @@ def _fault(regime: PrescriptionRegime, where: str, fault: str) -> RuntimeError:
 _DENSE = (PrescriptionRegime.TOP_LEFT, PrescriptionRegime.NONE)
 _Tails = list[tuple[tuple[int, ...], int]]  # per first-row digit set, the set and its tail
 _MULTI = bytes(n >= 2 for n in range(256))  # 1 for a bucket size of two or more
+_DENSE_LANES = 24 * 361 + 24 * 19 + 24 + 1  # the dense count's lanes per int
 
 
 def _row_polynomials() -> dict[tuple[int, ...], int]:
@@ -202,18 +204,18 @@ def _group_tails(r1: int, rows: dict[tuple[int, ...], int]) -> _Tails:
     return tails
 
 
-def _dense_lanes(regime: PrescriptionRegime, tails: _Tails) -> list[int]:
+def _dense_lanes(regime: PrescriptionRegime, tails: _Tails) -> dict[int, int]:
     """`top-left`'s or `none`'s signature counts of a group, from its
-    `_group_tails`, one lane per key: `none`'s in one int, `top-left`'s in
-    one int per top-left digit. A first row (a, b, c) adds its set's tail
-    moved up 19*a + b lanes."""
+    `_group_tails`, one lane per key, by slot: `none`'s in one int, slot 0,
+    `top-left`'s in one int per top-left digit a, slot a. A first row (a, b,
+    c) adds its set's tail moved up 19*a + b lanes."""
     top_left = regime is PrescriptionRegime.TOP_LEFT
     lanes: dict[int, int] = {}
     for first, tail in tails:
         for a, b, _ in permutations(first):
             slot = a if top_left else 0
             lanes[slot] = lanes.get(slot, 0) + (tail << 8 * (19 * a + b))
-    return list(lanes.values())
+    return lanes
 
 
 def _fold(sizes: dict[int, int], vals: bytes) -> dict[int, int]:
@@ -234,16 +236,10 @@ def _fold(sizes: dict[int, int], vals: bytes) -> dict[int, int]:
 def _count_dense(sizes: dict[int, int], regime: PrescriptionRegime, r1: int, tails: _Tails) -> None:
     """Fold `regime`'s counts of the group of first row sum `r1`, from its
     `_group_tails`, into the histogram `sizes`. Raises RuntimeError unless
-    its lanes hold 4,320 grids per first-row digit set: a lane that passed
-    255 carried, and took 255 off that total."""
-    grids = sum(map(mul, sizes.keys(), sizes.values()))
-    for lanes in _dense_lanes(regime, tails):
-        _fold(sizes, lanes.to_bytes((lanes.bit_length() + 7) // 8, "little").translate(None, b"\0"))
-    got = sum(map(mul, sizes.keys(), sizes.values())) - grids
-    wanted = factorial(3) * factorial(6) * len(tails)
-    if got != wanted:
-        group = f"group of first row sum {r1}"
-        raise _fault(regime, group, f"holds {got} grids, expected {wanted}")
+    its lanes hold 4,320 grids per first-row digit set (see `_lane_bytes`)."""
+    lanes, wanted = _dense_lanes(regime, tails).values(), factorial(3) * factorial(6) * len(tails)
+    group = f"group of first row sum {r1}"
+    _fold(sizes, _lane_bytes(lanes, regime, group, wanted, _DENSE_LANES)[1])
 
 
 # the diagonal count's 15 x 15 lanes (d+f, d+g), each sum in 3..17, and each
@@ -288,12 +284,16 @@ def _pair_lanes(pair: tuple[int, ...], sets: dict[tuple[int, ...], _Lanes]) -> _
 
 
 def _lane_bytes(
-    lanes: _Lanes, regime: PrescriptionRegime, where: str, wanted: int
+    lanes: Iterable[int], regime: PrescriptionRegime, where: str, wanted: int, width: int = _LANES
 ) -> tuple[bytes, bytes]:
-    """`lanes`' ints as bytes end to end, _LANES per int, and their nonzero
-    bytes, the bucket sizes. Raises RuntimeError unless those hold `wanted`
-    grids: a lane that passed 255 carried, and took 255 off that total."""
-    blob = b"".join(map(int.to_bytes, lanes.values(), repeat(_LANES), repeat("little")))
+    """The ints `lanes` as bytes end to end, `width` lanes per int, and their
+    nonzero bytes, the bucket sizes. Raises RuntimeError unless those hold
+    `wanted` grids: a lane that passed 255 carried, and took 255 off that
+    total, or carried out of its int's top lane."""
+    try:
+        blob = b"".join(map(int.to_bytes, lanes, repeat(width), repeat("little")))
+    except OverflowError:
+        raise _fault(regime, where, "carried out of its top lane") from None
     vals = blob.translate(None, b"\0")
     if (held := sum(vals)) != wanted:
         raise _fault(regime, where, f"holds {held} grids, expected {wanted}")
@@ -392,7 +392,7 @@ def _count_diagonals(
     polynomials = _sum_polynomials()
     sets = {d: _diagonal_lanes(d, polynomials) for d in combinations(range(1, 10), 3)}
     for diagonal, lanes in sets.items() if full in sizes else ():
-        blob, vals = _lane_bytes(lanes, full, f"diagonal set {diagonal}", factorial(6))
+        blob, vals = _lane_bytes(lanes.values(), full, f"diagonal set {diagonal}", factorial(6))
         keys, found, mask = list(lanes), [], blob.translate(_MULTI)
         i = mask.find(1)
         while i >= 0:
@@ -405,7 +405,7 @@ def _count_diagonals(
             multi.update((head + key, n) for key, n in found)
     for pair in combinations(range(1, 10), 2) if two in sizes else ():
         lanes = _pair_lanes(pair, sets)
-        _, vals = _lane_bytes(lanes, two, f"diagonal pair {pair}", 7 * factorial(6))
+        _, vals = _lane_bytes(lanes.values(), two, f"diagonal pair {pair}", 7 * factorial(6))
         _fold(_fold(sizes[two], vals), vals)  # (a, e) and (e, a)
 
 

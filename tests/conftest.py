@@ -59,9 +59,9 @@ def census_reports():
 
 @pytest.fixture(scope="session")
 def group_buckets():
-    """Each weaker regime's multi-grid buckets, whose keys the generator
-    holds as bitmasks: the union of `internals.group_multi_buckets(regime,
-    r1)` over every first row sum."""
+    """Each weaker regime's multi-grid buckets, by the dict count, the
+    reference for the buckets the generator flags: the union of
+    `internals.group_multi_buckets(regime, r1)` over every first row sum."""
     return {
         regime: {
             key: n

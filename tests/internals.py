@@ -7,16 +7,17 @@ here, through `monkeypatch`. A refactor of the internals edits this file,
 not the tests. A fresh process imports it with `HERE` on `sys.path`.
 """
 
+import functools
 import importlib
 import json
 import subprocess
 import sys
-from collections import Counter
-from itertools import combinations, compress, islice, permutations
-from operator import ge
+from collections import Counter, _count_elements
+from itertools import combinations, islice, permutations, product, repeat, starmap
+from operator import add, ge, mul
 from pathlib import Path
 
-from fubuki import PrescriptionRegime, SplitMix64, cli, generate, rng, solver, theory
+from fubuki import Grid, PrescriptionRegime, SplitMix64, cli, generate, rng, solver, theory
 from fubuki.core import MAX_LINE_SUM, MIN_LINE_SUM
 
 # the package re-exports census() under the submodule's name
@@ -154,17 +155,58 @@ def wrap_pairings(monkeypatch, wrapper):
     monkeypatch.setattr(theory, "_pairings", lambda rest: wrapper(real, rest))
 
 
-def group_counts(regime, r1):
-    """The dict count's signature counts of `regime` over the grids of first
-    row sum `r1`: the generator's count, and the reference for the sweep's."""
-    return generate._count_group(census._DROP[regime], generate._group_rows(r1))
+# The dict count: signature counts by dict, one first row sum's group at a
+# time, the reference both lane counts and the generator's flags are checked
+# against. The key is linear in the cells, so a grid's key is a first-row
+# key plus a lower-rows key; each digit set of a group's first row builds
+# the 720 keys of the rows below once, per split of the other six digits
+# into rows 2 and 3, and each of the set's 6 row orderings counts head +
+# tail over them in C.
+
+
+@functools.cache
+def row_keys():
+    """The full-diagonal keys of rows 2 and 3 alone, by their cells: one
+    table each over the 504 ordered triples of distinct digits."""
+    triples = list(permutations(range(1, 10), 3))
+    return tuple(
+        {row: sum(map(mul, row, weights)) for row in triples}
+        for weights in (census._WEIGHTS[3:6], census._WEIGHTS[6:])
+    )
 
 
 def group_rows(r1):
     """The dict count's rows of first row sum `r1`: per first-row
     digit set, the full-diagonal keys of its 6 orderings (heads) and of the
-    720 fillings of the rows below (tails)."""
-    return generate._group_rows(r1)
+    720 fillings of the rows below (tails), in order of their split into
+    rows 2 and 3. A tail's key is its row 2's key plus its row 3's."""
+    second, third = row_keys()
+    rows = []
+    for first in combinations(range(1, 10), 3):
+        if sum(first) != r1:
+            continue
+        rest = [d for d in range(1, 10) if d not in first]
+        tails = []
+        for pick in combinations(rest, 3):
+            row3 = list(map(third.__getitem__, permutations(d for d in rest if d not in pick)))
+            tails += starmap(add, product(map(second.__getitem__, permutations(pick)), row3))
+        heads = [sum(map(mul, row, census._WEIGHTS[:3])) for row in permutations(first)]
+        rows.append((heads, tails))
+    return rows
+
+
+def group_counts(regime, r1):
+    """The dict count's signature counts of `regime` over the grids of first
+    row sum `r1`. r1 leads every key, so these are the counts of their keys
+    over all 9! grids."""
+    drop = census._DROP[regime]
+    counts = {}
+    for heads, tails in group_rows(r1):
+        # the dropped fields of head + tail never carry into the key
+        lowers = [tail >> drop for tail in tails]
+        for head in heads:
+            _count_elements(counts, map(add, repeat(head >> drop), lowers))
+    return counts
 
 
 def tails_by_filling(r1):
@@ -172,7 +214,7 @@ def tails_by_filling(r1):
     the 720 fillings of the rows below, built one filling at a time in the
     order of `permutations`: the reference for the dict count's tails,
     which it builds per split of the six digits into rows 2 and 3."""
-    second, third = generate._row_keys()
+    second, third = row_keys()
     digits = range(1, 10)
     return [
         [second[p[:3]] + third[p[3:]] for p in permutations(d for d in digits if d not in first)]
@@ -199,31 +241,24 @@ def dense_sizes(regime, r1):
 
 def group_multi_buckets(regime, r1):
     """The multi-grid buckets of `regime` among the grids of first row sum
-    `r1`, counted and checked as the generator counts a group: a ValueError
-    for a bad `regime` or `r1` before counting, a RuntimeError for a group
-    short of grids or with a bucket of 256 grids or more."""
-    counts, vals = generate._group_counts(regime, r1)
-    return dict(zip(compress(counts, vals.translate(census._MULTI)), vals.translate(None, b"\0\1")))
+    `r1`, by the dict count: {key: grids}."""
+    return {key: n for key, n in group_counts(regime, r1).items() if n >= 2}
 
 
-# the names of the functions that build and count a group, by any of the
-# three counts, for a profile hook in a fresh process
+# the names of the functions that build and count a group, by either lane
+# count, for the sweep or the generator, for a profile hook in a fresh process
 GROUP_STEPS = tuple(
     step.__name__
-    for step in (generate._group_rows, generate._count_group, census._group_tails,
-                 census._dense_lanes, census._diagonal_lanes)
+    for step in (census._group_tails, census._dense_lanes, census._diagonal_lanes,
+                 census._pair_lanes, generate._dense_flags, generate._pair_flags)
 )
 
 
 def before_each_group(monkeypatch, hook):
-    """Call `hook(group)` before each group of grids is built, by any of the
-    three counts: `group` is the first row sum for the dict and the dense
-    counts, the diagonal digit set for the diagonal count."""
-    rows, tails, diagonal_lanes = generate._group_rows, census._group_tails, census._diagonal_lanes
-
-    def hooked_rows(r1):
-        hook(r1)
-        return rows(r1)
+    """Call `hook(group)` before each group of grids the sweep builds:
+    `group` is the first row sum for the dense count, the diagonal digit
+    set for the diagonal count."""
+    tails, diagonal_lanes = census._group_tails, census._diagonal_lanes
 
     def hooked_tails(r1, polynomials):
         hook(r1)
@@ -233,42 +268,26 @@ def before_each_group(monkeypatch, hook):
         hook(diagonal)
         return diagonal_lanes(diagonal, polynomials)
 
-    monkeypatch.setattr(generate, "_group_rows", hooked_rows)
     monkeypatch.setattr(census, "_group_tails", hooked_tails)
     monkeypatch.setattr(census, "_diagonal_lanes", hooked_lanes)
 
 
-def short_groups(monkeypatch):
-    """Drop one key from the counts of every group, so each misses grids."""
-    count = generate._count_group
+def before_each_held_group(monkeypatch, hook):
+    """Call `hook(group)` before the generator builds the flags of a group:
+    `group` is the first row sum under `top-left` and `none`, the sorted
+    pair of the first two diagonal digits under `first-two-diagonal`."""
+    dense, pair = generate._dense_flags, generate._pair_flags
 
-    def short(drop, rows):
-        counts = count(drop, rows)
-        del counts[next(iter(counts))]
-        return counts
+    def hooked_dense(regime, r1):
+        hook(r1)
+        return dense(regime, r1)
 
-    monkeypatch.setattr(generate, "_count_group", short)
+    def hooked_pair(digits):
+        hook(digits)
+        return pair(digits)
 
-
-def oversize_buckets(monkeypatch):
-    """Move grids from the later buckets of every group the dict count
-    counts, for the generator, into its first bucket, until that holds 256
-    grids: the group still holds every grid, but the bucket no longer fits
-    a byte."""
-    count = generate._count_group
-
-    def oversized(drop, rows):
-        counts = count(drop, rows)
-        first, *others = counts
-        for key in others:
-            taken = min(256 - counts[first], counts[key])
-            counts[first] += taken
-            counts[key] -= taken
-            if not counts[key]:
-                del counts[key]
-        return counts
-
-    monkeypatch.setattr(generate, "_count_group", oversized)
+    monkeypatch.setattr(generate, "_dense_flags", hooked_dense)
+    monkeypatch.setattr(generate, "_pair_flags", hooked_pair)
 
 
 def drop_row_orderings(monkeypatch):
@@ -287,15 +306,15 @@ def carry_dense_lanes(monkeypatch):
     lanes = census._dense_lanes
 
     def carried(regime, tails):
-        moved = []
-        for packed in lanes(regime, tails):
+        moved = {}
+        for slot, packed in lanes(regime, tails).items():
             held = bytearray(packed.to_bytes((packed.bit_length() + 7) // 8, "little"))
             left = 256
             for i, n in enumerate(held):
                 taken = min(n, left)
                 held[i] -= taken
                 left -= taken
-            moved.append(int.from_bytes(held, "little") + (256 << 8 * len(held)))
+            moved[slot] = int.from_bytes(held, "little") + (256 << 8 * len(held))
         return moved
 
     monkeypatch.setattr(census, "_dense_lanes", carried)
@@ -311,7 +330,7 @@ def stub_groups(monkeypatch, lanes, rows, counts):
     of `rows(r1)`."""
 
     def dense_lanes(regime, group):
-        return [int.from_bytes(bytes(counts(regime, group).values()), "little")]
+        return {0: int.from_bytes(bytes(counts(regime, group).values()), "little")}
 
     monkeypatch.setattr(census, "_diagonal_lanes", lambda diagonal, polynomials: lanes(diagonal))
     monkeypatch.setattr(census, "_group_tails", lambda r1, polynomials: rows(r1))
@@ -381,10 +400,11 @@ def drop_sum_orderings(monkeypatch):
     )
 
 
-def carry_diagonal_lanes(monkeypatch):
-    """Move 256 grids of each diagonal set's lanes onto lane 0 of its first
-    int, (d+f, d+g) = (3, 3), which no grid fills: the set still holds its
-    grids, but that lane carries into lane 1."""
+def carry_diagonal_lanes(monkeypatch, lane=0):
+    """Move 256 grids of each diagonal set's lanes onto lane `lane` of its
+    first int: the set still holds its grids, but that lane carries. Lane
+    0, (d+f, d+g) = (3, 3), carries into lane 1; the top lane, LANES - 1 or
+    (17, 17), carries out of the int. No grid fills either."""
     diagonal_lanes = census._diagonal_lanes
 
     def carried(diagonal, polynomials):
@@ -397,32 +417,50 @@ def carry_diagonal_lanes(monkeypatch):
                 held[i] -= taken
                 left -= taken
             lanes[key] = int.from_bytes(held, "little")
-        lanes[next(iter(lanes))] += 256
+        lanes[next(iter(lanes))] += 256 << 8 * lane
         return lanes
 
     monkeypatch.setattr(census, "_diagonal_lanes", carried)
 
 
 def forget_groups():
-    """Drop every group the generator has counted."""
+    """Drop every group of flags the generator holds."""
     for groups in generate._GROUPS.values():
         groups.clear()
 
 
-# a key held by the generator sets bit `key & (2**MASK_LOW - 1)` of the int
-# its group maps `key >> MASK_LOW` to
-MASK_LOW = generate._LOW
-
-
 def hold_every_group(regime):
-    """Count every group of a weaker `regime` afresh, through the path the
-    generator fills its cache by, and return what the cache then holds:
-    {first row sum: {key >> MASK_LOW: bits}}."""
+    """Build every group of flags of a weaker `regime` afresh, through the
+    path the generator fills its cache by, and return what the cache then
+    holds: {group: flags}. A group is a first row sum under `top-left` and
+    `none`, its flags one bytes value; under `first-two-diagonal` it is a
+    sorted pair of digits, its flags a dict of bytes values, each of whose
+    flags serves both orderings of the pair."""
     groups = generate._GROUPS[regime]
     groups.clear()
-    for r1 in range(MIN_LINE_SUM, MAX_LINE_SUM + 1):
-        generate._hold_group(regime, r1)
+    if regime is PrescriptionRegime.FIRST_TWO_DIAGONAL:
+        every = combinations(range(1, 10), 2)
+    else:
+        every = range(MIN_LINE_SUM, MAX_LINE_SUM + 1)
+    for group in every:
+        groups[group]
     return dict(groups)
+
+
+def draw_in_order(monkeypatch, grids):
+    """Make the generator draw `grids`, in order, and take a draw its flags
+    do not reject without solving it. Returns the list the taken draws are
+    appended to."""
+    monkeypatch.setattr(SplitMix64, "_shuffles", lambda rng, values: iter(grids))
+    monkeypatch.setattr(generate, "count_solutions", lambda clue: 1)
+    taken = []
+
+    def recorded(cells):
+        taken.append(cells)
+        return Grid(cells)
+
+    monkeypatch.setattr(generate, "Grid", recorded)
+    return taken
 
 
 def parsed_options(argv):

@@ -192,7 +192,7 @@ class TestSweepMechanics:
 
     def test_row_tables_are_built_on_first_use(self):
         assert internals.memos_at_import("census") == {}
-        assert internals.memos_at_import("generate") == {"generate._row_keys": 0}
+        assert internals.memos_at_import("generate") == {"generate._polynomials": 0}
 
     def test_report_rejects_a_short_sweep(self):
         # also when the multi-grid buckets were not kept
@@ -448,38 +448,6 @@ class TestFold:
             internals.fold(sizes, vals)
         assert sizes == {1: 3}
 
-    def test_rejects_an_oversized_bucket_under_optimize(self):
-        # a real raise, not an assert that -O strips; bytes() alone would
-        # raise a bare ValueError for a size of 256. Only the generator's
-        # dict count can meet it: the sweep counts no group by dict, so
-        # `verify` still passes
-        code = (
-            "import sys\n"
-            f"sys.path.insert(0, {internals.HERE!r})\n"
-            "import pytest, internals\n"
-            "from fubuki import cli, generate_puzzles\n"
-            "from fubuki.core import PrescriptionRegime as R\n"
-            "internals.oversize_buckets(pytest.MonkeyPatch())\n"
-            "for call in (lambda: internals.group_multi_buckets(R.FULL_DIAGONAL, 6),\n"
-            "             lambda: generate_puzzles(R.NONE, True, 7, 1)):\n"
-            "    try:\n"
-            "        call()\n"
-            "    except RuntimeError as error:\n"
-            "        print(error)\n"
-            "    else:\n"
-            "        raise SystemExit('accepted an oversized bucket')\n"
-            "print('exit', cli.main(['verify', '--all']))\n"
-        )
-        result = subprocess.run(
-            [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=120
-        )
-        assert result.returncode == 0, result.stderr
-        lines = result.stdout.splitlines()
-        oversized = "group of first row sum {} has a bucket of 256 grids or more"
-        assert lines[0] == "full_diagonal " + oversized.format(6)
-        assert re.fullmatch("none " + oversized.format(r"\d+"), lines[1])
-        assert lines[-1] == "exit 0"
-
 
 class TestDiagonalCount:
     @pytest.fixture(scope="class")
@@ -503,21 +471,31 @@ class TestDiagonalCount:
             assert got == counts, (a, e)
 
     @pytest.mark.parametrize(
-        "fault, grids",
-        [("drop_sum_orderings", (600, 4200)), ("carry_diagonal_lanes", (465, 3255))],
+        "fault, full, pair",
+        [
+            ("drop_sum_orderings(monkeypatch)",
+             "holds 600 grids, expected 720", "holds 4200 grids, expected 5040"),
+            ("carry_diagonal_lanes(monkeypatch)",
+             "holds 465 grids, expected 720", "holds 3255 grids, expected 5040"),
+            ("carry_diagonal_lanes(monkeypatch, internals.LANES - 1)",
+             "carried out of its top lane", "carried out of its top lane"),
+        ],
+        ids=["dropped", "carried", "carried-out"],
     )
-    def test_rejects_a_faulty_set_or_pair_under_optimize(self, fault, grids):
+    def test_rejects_a_faulty_set_or_pair_under_optimize(self, fault, full, pair):
         # a real raise, not an assert that -O strips. Dropping an ordering
         # of every row polynomial loses one grid in 6; a carried lane keeps
-        # every grid, but takes 255 off the lanes' total. The set (1, 2, 3)
-        # is checked first, and the pair (1, 2) sums 7 sets
+        # every grid, but takes 255 off the lanes' total, or leaves its int
+        # from the top lane. The set (1, 2, 3) is checked first, and the
+        # pair (1, 2) sums 7 sets
         code = (
             "import sys\n"
             f"sys.path.insert(0, {internals.HERE!r})\n"
             "import pytest, internals\n"
             "from fubuki import census\n"
             "from fubuki.core import PrescriptionRegime as R\n"
-            f"internals.{fault}(pytest.MonkeyPatch())\n"
+            "monkeypatch = pytest.MonkeyPatch()\n"
+            f"internals.{fault}\n"
             "for regime in (R.FULL_DIAGONAL, R.FIRST_TWO_DIAGONAL):\n"
             "    try:\n"
             "        census(regime)\n"
@@ -531,8 +509,8 @@ class TestDiagonalCount:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout == (
-            f"full_diagonal diagonal set (1, 2, 3) holds {grids[0]} grids, expected 720\n"
-            f"first_two_diagonal diagonal pair (1, 2) holds {grids[1]} grids, expected 5040\n"
+            f"full_diagonal diagonal set (1, 2, 3) {full}\n"
+            f"first_two_diagonal diagonal pair (1, 2) {pair}\n"
         )
 
     def test_a_carried_lane_fails_verify_under_optimize(self):
@@ -578,45 +556,6 @@ class TestGroupMultiBuckets:
         sizes = census_reports[regime].sizes
         assert Counter(union.values()) == {k: n for k, n in sizes.items() if k >= 2}
         assert sizes[1] + sum(union.values()) == TOTAL_GRIDS
-
-    @pytest.mark.parametrize("regime", ["none", None, 3])
-    def test_rejects_a_non_regime_before_counting(self, monkeypatch, regime):
-        # "none" used to raise KeyError from the drop lookup
-        internals.before_each_group(monkeypatch, no_group)
-        with pytest.raises(ValueError, match="regime must be a PrescriptionRegime"):
-            internals.group_multi_buckets(regime, 15)
-
-    @pytest.mark.parametrize("r1", [5, 25, "6", True, 6.0, None], ids=repr)
-    def test_rejects_a_non_line_sum_before_counting(self, monkeypatch, r1):
-        # 5, "6" and True used to return {}, "every grid unique", and 6.0
-        # sum 6's buckets
-        internals.before_each_group(monkeypatch, no_group)
-        with pytest.raises(ValueError, match="r1 must be an integer in 6..24"):
-            internals.group_multi_buckets(R.NONE, r1)
-
-    def test_rejects_a_group_short_of_grids_under_optimize(self):
-        # a real raise, not an assert that -O strips; first row sum 6 has one
-        # digit set, {1, 2, 3}, so 3! * 6! grids
-        code = (
-            "import sys\n"
-            f"sys.path.insert(0, {internals.HERE!r})\n"
-            "import pytest, internals\n"
-            "from fubuki.core import PrescriptionRegime as R\n"
-            "internals.short_groups(pytest.MonkeyPatch())\n"
-            "try:\n"
-            "    internals.group_multi_buckets(R.NONE, 6)\n"
-            "except RuntimeError as error:\n"
-            "    print(error)\n"
-            "else:\n"
-            "    raise SystemExit('accepted a short group')\n"
-        )
-        result = subprocess.run(
-            [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60
-        )
-        assert result.returncode == 0, result.stderr
-        assert re.fullmatch(
-            r"none group of first row sum 6 holds \d+ grids, expected 4320\n", result.stdout
-        )
 
 
 class TestClosedForm:

@@ -16,7 +16,6 @@ import pytest
 
 import fubuki
 from fubuki import CensusReport, ClueSet, Grid, PrescriptionRegime, SplitMix64
-import internals
 
 # argument-free sweeps: no argument to get wrong, and each takes seconds
 SWEEPS = {"census_all", "closed_form_puzzle_count", "companion_scan", "build_shift_table"}
@@ -45,8 +44,6 @@ CALLABLES = {
     "SplitMix64.below": SplitMix64(1).below,
     "SplitMix64.choice": SplitMix64(1).choice,
     "SplitMix64.shuffle": SplitMix64(1).shuffle,
-    # the generator's group counting, which tests reach through internals
-    "internals.group_multi_buckets": internals.group_multi_buckets,
 }
 
 VALID = {
@@ -55,7 +52,6 @@ VALID = {
     "ClueSet.from_grid": (SHOWCASE, PrescriptionRegime.NONE),
     "companion_oracle_mismatches": ({}, []),
     "CensusReport": (PrescriptionRegime.NONE, {1: 362880}, None),
-    "internals.group_multi_buckets": (PrescriptionRegime.NONE, 15),
 }
 
 # documented errors besides ValueError: a report refuses a well-typed

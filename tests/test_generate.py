@@ -1,6 +1,8 @@
 import hashlib
+import re
 import subprocess
 import sys
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -14,18 +16,21 @@ from fubuki import (
     generate,
     generate_puzzles,
 )
+from fubuki.census import signature_key
 from fubuki.cli import main
 from fubuki.core import MAX_LINE_SUM, MIN_LINE_SUM
 from fubuki.rng import SplitMix64
 from internals import (
     GAMMA,
     GROUP_STEPS,
-    MASK_LOW,
+    HERE,
+    LANES,
     SPAN,
     NoDraws,
     Scalar,
     Scripted,
-    before_each_group,
+    before_each_held_group,
+    draw_in_order,
     forget_groups,
     hold_every_group,
     mix_block,
@@ -42,6 +47,7 @@ MAX_SEED = SPAN - 1
 WRAP_STATES = sorted({(-i * GAMMA + d) % SPAN for i in range(1, 65) for d in (-1, 0, 1)})
 DIGITS = tuple(range(1, 10))
 FIRST_ROW_SUMS = range(MIN_LINE_SUM, MAX_LINE_SUM + 1)
+WEAKER = [r for r in PrescriptionRegime if r is not PrescriptionRegime.FULL_DIAGONAL]
 
 
 def reference_shuffle(rng: SplitMix64, items: list) -> None:
@@ -375,7 +381,8 @@ class TestSeededOutput:
 class TestLazyBuckets:
     def test_import_and_config_count_no_group(self):
         # a profile hook sees every call that builds or counts a group, those
-        # made while the package imports included
+        # made while the package imports included; "none" used to raise
+        # KeyError from the drop lookup
         code = (
             "import sys\n"
             "calls, rejected = [], 0\n"
@@ -385,9 +392,10 @@ class TestLazyBuckets:
             "sys.setprofile(hook)\n"
             "import fubuki.cli\n"
             "from fubuki import PrescriptionRegime, generate_puzzles\n"
-            "for regime in PrescriptionRegime:\n"
+            "configs = [(regime, 0) for regime in PrescriptionRegime]\n"
+            "for config in configs + [('none', 1), (None, 1), (3, 1)]:\n"
             "    try:\n"
-            "        generate_puzzles(regime, True, 7, 0)\n"
+            "        generate_puzzles(config[0], True, 7, config[1])\n"
             "    except ValueError:\n"
             "        rejected += 1\n"
             "sys.setprofile(None)\n"
@@ -396,27 +404,28 @@ class TestLazyBuckets:
         result = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
         )
-        assert (result.returncode, result.stdout, result.stderr) == (0, "0 4\n", "")
+        assert (result.returncode, result.stdout, result.stderr) == (0, "0 7\n", "")
 
     def test_a_call_counts_only_the_groups_its_draws_land_in(self, monkeypatch, capsys):
+        # `first-two-diagonal` groups its flags by the pair of its first two cells
         census_module = sys.modules["fubuki.census"]
         key = census_module.signature_key
         built, drawn = [], []
 
         def recorded_key(cells, regime):
-            drawn.append(cells[0] + cells[1] + cells[2])
+            drawn.append(tuple(sorted((cells[0], cells[4]))))
             return key(cells, regime)
 
         forget_groups()
-        before_each_group(monkeypatch, built.append)
+        before_each_held_group(monkeypatch, built.append)
         monkeypatch.setattr(census_module, "signature_key", recorded_key)
         argv = ["generate", "--regime", "first-two-diagonal", "--unique", "--seed", "7",
-                "--count", "1"]
+                "--count", "3"]
         assert main(argv) == 0
         first = capsys.readouterr()
-        # each group is counted once, when a draw first lands in it
+        # each group is built once, when a draw first lands in it
         assert drawn and built == list(dict.fromkeys(drawn))
-        assert len(built) < len(FIRST_ROW_SUMS)
+        assert len(built) < len(list(combinations(DIGITS, 2)))
         built.clear()
         drawn.clear()
         assert main(argv) == 0
@@ -426,38 +435,109 @@ class TestLazyBuckets:
 
 @pytest.fixture(scope="module")
 def held_groups():
-    """Every group of each weaker regime, counted afresh as the generator
-    counts a group on a draw's first landing there."""
-    return {
-        regime: hold_every_group(regime)
-        for regime in PrescriptionRegime
-        if regime is not PrescriptionRegime.FULL_DIAGONAL
-    }
+    """Every group of each weaker regime, built afresh as the generator
+    builds a group on a draw's first landing there."""
+    return {regime: hold_every_group(regime) for regime in WEAKER}
 
 
-class TestGroupBitmasks:
-    def test_set_bits_are_the_multi_grid_keys(self, held_groups, group_buckets):
-        low_mask = (1 << MASK_LOW) - 1
+class TestGroupFlags:
+    def test_set_flags_are_the_multi_grid_buckets(self, held_groups, group_buckets):
         for regime, union in group_buckets.items():
             groups = held_groups[regime]
-            assert sorted(groups) == list(FIRST_ROW_SUMS)
-            merged = {}
-            for masks in groups.values():
-                for high, bits in masks.items():
-                    merged[high] = merged.get(high, 0) | bits
-            assert all(merged.get(key >> MASK_LOW, 0) >> (key & low_mask) & 1 for key in union)
-            # no bit is set but a key's
-            bits = [bits for masks in groups.values() for bits in masks.values()]
-            assert sum(b.bit_count() for b in bits) == len(union)
+            if regime is PrescriptionRegime.FIRST_TWO_DIAGONAL:
+                assert sorted(groups) == list(combinations(DIGITS, 2))
+                flags = [row for rows in groups.values() for row in rows.values()]
+                assert {len(row) for row in flags} == {LANES}
+                orderings = 2  # a flag of {a, e} serves (a, e) and (e, a)
+            else:
+                assert sorted(groups) == list(FIRST_ROW_SUMS)
+                flags, orderings = list(groups.values()), 1
+            # every flag is a 0 or a 1, and one is set per multi-grid bucket
+            assert all(row.count(0) + row.count(1) == len(row) for row in flags)
+            assert orderings * sum(row.count(1) for row in flags) == len(union)
+
+    @pytest.mark.parametrize("regime", WEAKER, ids=lambda r: r.name)
+    def test_draws_are_rejected_exactly_in_multi_grid_buckets(
+        self, monkeypatch, group_buckets, regime
+    ):
+        # the draw loop over all 9! grids in order, then one grid it takes, so
+        # it tests every grid: it must take exactly those that the dict count
+        # puts alone in their bucket, in order
+        multi = group_buckets[regime]
+        grids = list(permutations(DIGITS))
+        unique = [cells for cells in grids if signature_key(cells, regime) not in multi]
+        taken = draw_in_order(monkeypatch, grids + unique[:1])
+        forget_groups()
+        assert len(generate_puzzles(regime, True, 7, len(unique) + 1)) == len(unique) + 1
+        assert taken == unique + unique[:1]
 
     def test_the_full_cache_stays_small(self, held_groups):
-        # all 57 groups: 2.55 MB as 14,425 ints, 18.9 MB as 206,382 keys and sizes
-        size = sys.getsizeof(held_groups) + sum(
-            sys.getsizeof(groups)
-            + sum(
-                sys.getsizeof(masks) + sum(map(sys.getsizeof, [*masks, *masks.values()]))
-                for masks in groups.values()
-            )
-            for groups in held_groups.values()
+        # all 74 groups: about 3.0 MB of flags; the dict count's {key: size}
+        # dicts of the 57 first row sum groups held 18.9 MB
+
+        def held(value):
+            if isinstance(value, dict):
+                return sys.getsizeof(value) + sum(map(held, [*value, *value.values()]))
+            return sys.getsizeof(value)
+
+        assert held(held_groups) < 4 * 2**20
+
+
+def first_group(regime):
+    """The group seed 7's first draw lands in under `regime`, and the grids
+    it holds."""
+    cells = next(shuffles(SplitMix64(7), DIGITS))
+    if regime is PrescriptionRegime.FIRST_TWO_DIAGONAL:
+        return f"diagonal pair {tuple(sorted((cells[0], cells[4])))}", 5040
+    r1 = sum(cells[:3])
+    digit_sets = sum(sum(first) == r1 for first in combinations(DIGITS, 3))
+    return f"group of first row sum {r1}", 4320 * digit_sets
+
+
+R = PrescriptionRegime
+HOLDS = r"holds \d+ grids, expected {}"
+
+
+class TestGroupFaults:
+    @pytest.mark.parametrize(
+        "regime, fault, message",
+        [
+            pytest.param(R.FIRST_TWO_DIAGONAL, "drop_sum_orderings(monkeypatch)",
+                         "holds 4200 grids, expected {}", id="pair-short"),
+            pytest.param(R.FIRST_TWO_DIAGONAL, "carry_diagonal_lanes(monkeypatch)", HOLDS,
+                         id="pair-carried"),
+            pytest.param(R.FIRST_TWO_DIAGONAL,
+                         "carry_diagonal_lanes(monkeypatch, internals.LANES - 1)",
+                         "carried out of its top lane", id="pair-carried-out"),
+            pytest.param(R.TOP_LEFT, "drop_row_orderings(monkeypatch)", HOLDS, id="top-left-short"),
+            pytest.param(R.TOP_LEFT, "carry_dense_lanes(monkeypatch)", HOLDS,
+                         id="top-left-carried"),
+            pytest.param(R.NONE, "drop_row_orderings(monkeypatch)", HOLDS, id="none-short"),
+            pytest.param(R.NONE, "carry_dense_lanes(monkeypatch)", HOLDS, id="none-carried"),
+        ],
+    )
+    def test_a_faulty_group_raises_under_optimize(self, regime, fault, message):
+        # a real raise, not an assert that -O strips, naming the regime and
+        # the group of the first draw: dropped orderings lose grids, and a
+        # lane that carries loses 255 of them or leaves its int
+        code = (
+            "import sys\n"
+            f"sys.path.insert(0, {HERE!r})\n"
+            "import pytest, internals\n"
+            "from fubuki import PrescriptionRegime, generate_puzzles\n"
+            "monkeypatch = pytest.MonkeyPatch()\n"
+            f"internals.{fault}\n"
+            "try:\n"
+            f"    generate_puzzles(PrescriptionRegime.{regime.name}, True, 7, 1)\n"
+            "except RuntimeError as error:\n"
+            "    print(error)\n"
+            "else:\n"
+            "    raise SystemExit('accepted a faulty group')\n"
         )
-        assert size < 4 * 2**20
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        group, grids = first_group(regime)
+        wanted = f"{regime.value} {re.escape(group)} {message.format(grids)}\n"
+        assert re.fullmatch(wanted, result.stdout), result.stdout
